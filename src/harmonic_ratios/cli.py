@@ -122,13 +122,19 @@ def parse_region(args: argparse.Namespace) -> Region:
 
 
 def parse_count(text: str) -> int:
-    """Integer flag that also accepts scientific notation like 1e6."""
+    """Positive integer flag that also accepts scientific notation like 1e6.
+
+    Raises ``argparse.ArgumentTypeError``, which argparse reports as a usage
+    error (an ``error:`` line and exit status 2).
+    """
     try:
         value = float(text)
     except ValueError as exc:
-        raise CliError(f"bad count {text!r}") from exc
-    if value <= 0 or value != int(value):
-        raise CliError(f"count must be a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"bad count {text!r}") from exc
+    if not 0 < value < float("inf") or value != int(value):
+        raise argparse.ArgumentTypeError(
+            f"count must be a positive integer, got {text!r}"
+        )
     return int(value)
 
 
@@ -492,9 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", required=True, help="polynomial file or catalog name")
     p.add_argument("--ball", default=None, help="cx,cy[,cz]:r")
     p.add_argument("--box", default=None, help="x0,x1,y0,y1[,z0,z1]")
-    p.add_argument("--res", type=int, default=256, help="grid resolution")
+    p.add_argument("--res", type=parse_count, default=256, help="grid resolution")
     p.add_argument("--band", type=float, default=1e-10, help="zero-detection band")
-    p.add_argument("--grid", type=int, default=24, help="critical-point seed grid")
+    p.add_argument(
+        "--grid", type=parse_count, default=24, help="critical-point seed grid"
+    )
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument(
         "--expect", type=int, default=None, help="fail unless the count matches"

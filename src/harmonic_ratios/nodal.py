@@ -23,6 +23,10 @@ class NotAZero(ValueError):
     pass
 
 
+class BisectionError(ArithmeticError):
+    """A refined zero-crossing point misses the requested accuracy."""
+
+
 def depth_of_zero(w: Union[Polynomial, TruncatedSeries], x: Sequence) -> int:
     """Degree of the first nonzero homogeneous term of w expanded at x.
 
@@ -43,15 +47,18 @@ def depth_of_zero(w: Union[Polynomial, TruncatedSeries], x: Sequence) -> int:
 
 
 def _gauss_newton_critical(
-    w: Polynomial, x0: np.ndarray, iterations: int = 50
+    w: Polynomial,
+    grads: Sequence[Polynomial],
+    hess: Sequence[Sequence[Polynomial]],
+    x0: np.ndarray,
+    iterations: int = 50,
 ) -> Optional[np.ndarray]:
     """Refine a solution of {w = 0, grad w = 0} by least squares.
 
-    The system stacks w and its gradient; the Jacobian rows are the gradient
-    and the Hessian.  Returns None if the iteration leaves a sane range.
+    The system stacks w and its gradient ``grads``; the Jacobian rows are
+    the gradient and the Hessian ``hess``.  Returns None if the iteration
+    leaves a sane range.
     """
-    grads = w.gradient()
-    hess = [[grads[i].partial(j) for j in range(w.dim)] for i in range(w.dim)]
     x = x0.astype(float).copy()
     for _ in range(iterations):
         coords = [np.array([xi]) for xi in x]
@@ -95,30 +102,29 @@ def critical_set_sample(
     everything else is left unclassified (never "bad").
     """
     axes, mask, h = region.grid(grid)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = [m.ravel() for m in mesh]
+    coords = np.ix_(*axes)
+    grads = w.gradient()
+    hess = [[g.partial(j) for j in range(w.dim)] for g in grads]
     wv = w.evaluate_array(coords)
-    gv = np.stack([g.evaluate_array(coords) for g in w.gradient()])
+    gv = np.stack([g.evaluate_array(coords) for g in grads])
     gnorm = np.linalg.norm(gv, axis=0)
     w_scale = max(float(np.max(np.abs(wv))), 1e-300)
     g_scale = max(float(np.max(gnorm)), 1e-300)
     seed_mask = (
-        mask.ravel()
+        mask
         & (np.abs(wv) <= 2.0 * h * w_scale)
         & (gnorm <= 2.0 * h * g_scale)
     )
-    seeds = np.column_stack(coords)[seed_mask]
+    seeds = np.column_stack([a[i] for a, i in zip(axes, np.nonzero(seed_mask))])
 
     found: List[np.ndarray] = []
     for s in seeds:
-        x = _gauss_newton_critical(w, s)
+        x = _gauss_newton_critical(w, grads, hess, s)
         if x is None:
             continue
         pc = [np.array([xi]) for xi in x]
         val = abs(float(w.evaluate_array(pc)[0]))
-        gval = float(
-            np.linalg.norm([g.evaluate_array(pc)[0] for g in w.gradient()])
-        )
+        gval = float(np.linalg.norm([g.evaluate_array(pc)[0] for g in grads]))
         if val > tol_value * w_scale or gval > tol_gradient * g_scale:
             continue
         if not bool(region.contains(x[None, :])[0]):
@@ -192,53 +198,77 @@ def _classify_curve_points(
 
 def _sign_grid(
     w: Polynomial, region: Region, resolution: int, band_rel: float
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """int8 sign grid over the region's bounding box, 0 outside the region
-    or inside the zero-detection band.  Evaluated slab-by-slab to bound
-    memory at high 3D resolutions.
+    or inside the zero-detection band, and the flat indices of the region's
+    boundary shell: its cells whose 3^dim neighbourhood leaves the region or
+    the grid.
 
     A cell is inside the band when |w| falls below the absolute detection
-    threshold or below h * |grad w| at its center.  The gradient term marks
-    cells the zero set may cross, which is what prevents same-sign bridges
-    where many nodal sectors meet at a deep zero.
+    threshold ``band_rel * max |w|`` or below sqrt(dim) * h * |grad w| at its
+    center.  The gradient term marks cells the zero set may cross, which is
+    what prevents same-sign bridges where many nodal sectors meet at a deep
+    zero.
+
+    w, its gradient and the region mask are evaluated on the open mesh of
+    the cell-center axes, one x-slab at a time in 3D so that float memory
+    stays O(resolution^2), and each point once.  A slab signed before the
+    largest |w| was seen is evaluated again only if one of its signed cells
+    may lie inside the final absolute threshold.
     """
     axes, h = region.grid_axes(resolution)
     dim = len(axes)
     grads = w.gradient()
     safety = float(np.sqrt(dim))
+    signs = np.zeros((resolution,) * dim, dtype=np.int8)
+    slabs = [slice(k, k + 1) for k in range(resolution)] if dim == 3 else [slice(None)]
+    beyond = np.zeros((1,) + signs.shape[1:], dtype=bool)  # a row past the grid
 
-    def slab_signs(mesh_coords, pts, band_abs):
-        vals = w.evaluate_array(mesh_coords)
-        gnorm = np.sqrt(
-            sum(g.evaluate_array(mesh_coords) ** 2 for g in grads)
-        )
-        band = np.maximum(band_abs, safety * h * gnorm)
-        mask = region.contains(pts).reshape(vals.shape)
-        sl = np.zeros(vals.shape, dtype=np.int8)
-        sl[vals > band] = 1
-        sl[vals < -band] = -1
-        sl[~mask] = 0
-        return sl
+    def inside(i: int) -> np.ndarray:
+        if i == len(slabs):
+            return beyond
+        return region.mask(np.ix_(axes[0][slabs[i]], *axes[1:]))
 
-    if dim <= 2:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vals = w.evaluate_array(mesh)
-        band_abs = band_rel * max(float(np.max(np.abs(vals))), 1e-300)
-        pts = np.column_stack([m.ravel() for m in mesh])
-        return slab_signs(mesh, pts, band_abs)
-    # 3D: one z-slab at a time, two passes, to keep memory at O(resolution^2)
-    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    signs = np.zeros((resolution,) * 3, dtype=np.int8)
     scale = 1e-300
-    for z in axes[2]:
-        vals = w.evaluate_array([xx, yy, np.full_like(xx, z)])
-        scale = max(scale, float(np.max(np.abs(vals))))
+    least = []  # per slab, the smallest |w| of a cell left signed
+    shell = []
+    before, mask = beyond, inside(0)
+    for i, sl in enumerate(slabs):
+        after = inside(i + 1)
+        coords = np.ix_(axes[0][sl], *axes[1:])
+        vals = w.evaluate_array(coords)
+        gnorm = np.sqrt(sum(g.evaluate_array(coords) ** 2 for g in grads))
+        absv = np.abs(vals)
+        scale = max(scale, float(np.max(absv)))
+        band = np.maximum(band_rel * scale, safety * h * gnorm)
+        neg = (vals < -band) & mask
+        pos = (vals > band) & mask & ~neg  # both hold only if band_rel < 0
+        signs[sl] = pos
+        signs[sl] -= neg
+        least.append(float(np.min(absv, where=pos | neg, initial=np.inf)))
+        window = np.concatenate([before[-1:], mask, after[:1]])
+        shell.append(_shell_indices(window) + i * mask.size)
+        before, mask = mask, after
     band_abs = band_rel * scale
-    for kz, z in enumerate(axes[2]):
-        zz = np.full_like(xx, z)
-        pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-        signs[:, :, kz] = slab_signs([xx, yy, zz], pts, band_abs)
-    return signs
+    for sl, low in zip(slabs, least):
+        if low <= band_abs:
+            vals = w.evaluate_array(np.ix_(axes[0][sl], *axes[1:]))
+            signs[sl][np.abs(vals) <= band_abs] = 0
+    return signs, np.concatenate(shell)
+
+
+def _shell_indices(window: np.ndarray) -> np.ndarray:
+    """Flat indices, within the inner rows of ``window``, of the cells whose
+    3^dim neighbourhood leaves the mask; ``window`` is a region mask with
+    one extra row before and after (all False past the grid), and cells
+    past the other edges count as outside."""
+    core = window[:-2] & window[1:-1] & window[2:]
+    for axis in range(1, core.ndim):
+        a = np.moveaxis(core, axis, 0)
+        eroded = np.zeros_like(a)
+        eroded[1:-1] = a[:-2] & a[1:-1] & a[2:]
+        core = np.moveaxis(eroded, 0, axis)
+    return np.flatnonzero(window[1:-1] & ~core)
 
 
 def nodal_domain_count(
@@ -246,16 +276,29 @@ def nodal_domain_count(
 ) -> int:
     """Count sign-constant connected components of w on the region.
 
-    Components are face-adjacent runs of same-sign cells (4-neighbourhood in
-    2D, 6 in 3D); cells whose center value falls inside the zero-detection
-    band are excluded so that tangential near-zeros cannot bridge domains.
+    Components are runs of same-sign cells that touch at a face, an edge or
+    a corner (8-neighbourhood in 2D, 26 in 3D).  Cells whose center value
+    falls inside the zero-detection band are excluded so that tangential
+    near-zeros cannot bridge domains; the band spans a full cell diagonal,
+    so no zero crossing fits between two signed cells that touch at a
+    corner.
+
+    For harmonic w a component counts only if it reaches the boundary
+    shell of the region (a cell whose neighbourhood leaves the region or
+    the grid): by the maximum principle no nodal domain lies compactly
+    inside the region, so an enclosed component is a fragment the band
+    cut off.  Every component counts for other w.
     """
-    signs = _sign_grid(w, region, resolution, band_rel)
-    structure = ndimage.generate_binary_structure(signs.ndim, 1)
+    signs, shell = _sign_grid(w, region, resolution, band_rel)
+    structure = ndimage.generate_binary_structure(signs.ndim, signs.ndim)
+    harmonic = w.is_harmonic()
     total = 0
     for s in (1, -1):
-        _, count = ndimage.label(signs == s, structure=structure)
+        labels, count = ndimage.label(signs == s, structure=structure)
+        if harmonic:
+            count = int(np.count_nonzero(np.unique(labels.ravel()[shell])))
         total += count
+        del labels  # two live label grids would double the peak memory
     return total
 
 
@@ -294,8 +337,7 @@ def zero_set_sample(
         return 0.5 * (a + b)
 
     if dim == 2:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        vals = w.evaluate_array([xx, yy])
+        vals = w.evaluate_array(np.ix_(*axes))
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         points: List[List[float]] = []
         segments: List[Tuple[int, int]] = []
@@ -310,10 +352,14 @@ def zero_set_sample(
             else:
                 return None
             if key not in edge_point:
-                p = np.array([xx[i0, j0], yy[i0, j0]])
-                q = np.array([xx[i1, j1], yy[i1, j1]])
+                p = np.array([axes[0][i0], axes[1][j0]])
+                q = np.array([axes[0][i1], axes[1][j1]])
                 pt = p if f0 == 0.0 else bisect(p, q, f0)
-                assert abs(w.evaluate_float(list(pt))) <= tol * scale
+                if abs(w.evaluate_float(list(pt))) > tol * scale:
+                    raise BisectionError(
+                        f"bisection stopped at |w| > {tol:g} * {scale:g} "
+                        f"near {[float(v) for v in pt]}"
+                    )
                 edge_point[key] = len(points)
                 points.append([float(pt[0]), float(pt[1])])
             return edge_point[key]
@@ -352,9 +398,8 @@ def zero_set_sample(
         return points, segments
 
     if dim == 3:
+        vals = w.evaluate_array(np.ix_(*axes))
         points = []
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vals = w.evaluate_array(mesh)
         for axis in range(3):
             sl0 = [slice(None)] * 3
             sl1 = [slice(None)] * 3

@@ -265,17 +265,23 @@ class Polynomial:
         return total
 
     def evaluate_array(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """Vectorized float evaluation; coords is one array per variable."""
+        """Vectorized float evaluation; coords is one array per variable.
+
+        The arrays broadcast against each other, so a tensor grid can be
+        given as the open mesh ``np.ix_(*axes)`` instead of full coordinate
+        arrays.  Each term is ``((c * x^a) * y^b) * z^c``, summed in term
+        order, so the result is bit for bit the same on either form.
+        """
         if len(coords) != self.dim:
             raise ValueError("coordinate array count mismatch")
         coords = [np.asarray(c, dtype=np.float64) for c in coords]
-        out = np.zeros(np.broadcast(*coords).shape if self.dim > 1 else coords[0].shape)
+        out = np.zeros(np.broadcast(*coords).shape)
         for a, c in self.terms.items():
-            term = np.full_like(out, float(c))
+            term = float(c)
             for x, e in zip(coords, a):
                 if e:
                     term = term * x**e
-            out = out + term
+            out += term
         return out
 
     # -- substitution ------------------------------------------------------

@@ -67,9 +67,25 @@ class Region:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask for an (m, dim) array of points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return self.mask(list(pts.T))
+
+    def mask(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """Membership of the points given as one coordinate array per axis.
+
+        The arrays broadcast against each other, so ``np.ix_(*axes)`` gives
+        the mask of a tensor grid without building its points.  Distances
+        sum the squared offsets in axis order, as ``np.linalg.norm`` does.
+        """
         if self.kind == "box":
-            return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
-        d = np.linalg.norm(pts - np.array(self.center), axis=1)
+            inside = np.asarray(True)
+            for x, a, b in zip(coords, self.lo, self.hi):
+                inside = inside & (x >= a) & (x <= b)
+            return inside
+        d2 = 0.0
+        for x, c in zip(coords, self.center):
+            off = x - c
+            d2 = d2 + off * off
+        d = np.sqrt(d2)
         if self.kind == "ball":
             return d <= self.radius
         if self.kind == "annulus":
@@ -148,16 +164,8 @@ class Region:
     def grid(self, resolution: int) -> Tuple[List[np.ndarray], np.ndarray, float]:
         """Cell-center grid of the bounding box.
 
-        Returns (per-axis center coordinates, inside-region mask over the full
-        meshgrid with 'ij' indexing, cell width).
+        Returns (per-axis center coordinates, inside-region mask over the
+        grid with 'ij' indexing, cell width).
         """
-        lo, hi = self.bounding_box()
-        h = float(np.max(hi - lo)) / resolution
-        axes = [
-            lo[i] + (np.arange(resolution) + 0.5) * (hi[i] - lo[i]) / resolution
-            for i in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
-        mask = self.contains(pts).reshape(mesh[0].shape)
-        return axes, mask, h
+        axes, h = self.grid_axes(resolution)
+        return axes, self.mask(np.ix_(*axes)), h

@@ -94,6 +94,11 @@ class TestVerify:
         assert (a / "verify_max_report.json").read_bytes() == \
                (b / "verify_max_report.json").read_bytes()
 
+    def test_zero_samples_exits_two(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", "harnack", "--pair", "expsin,coshsin",
+                   "--samples", "0") == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_ortho(self, tmp_path):
         q = write_poly(tmp_path / "q.poly", X**3 - 3 * X * Y**2)
         assert run(tmp_path, "verify", "ortho", "--q", q, "--q2", "1",
@@ -118,6 +123,18 @@ class TestNodal:
     def test_bad_region_spec_exits_two(self, tmp_path):
         assert run(tmp_path, "nodal", "count", "--fn", "saddle2d",
                    "--ball", "0,0") == 2
+
+    @pytest.mark.parametrize("args", [
+        ("count", "--res", "0"),
+        ("critical", "--grid", "0"),
+        ("count", "--res", "-4"),
+        ("plot", "--res", "0"),
+    ])
+    def test_grid_size_below_one_exits_two(self, tmp_path, capsys, args):
+        assert run(tmp_path, "nodal", args[0], "--fn", "paperH",
+                   "--ball", "0,0,0:0.5", *args[1:]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestCatalog:

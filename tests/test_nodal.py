@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from harmonic_ratios import (
     Polynomial,
@@ -16,8 +17,14 @@ from harmonic_ratios import (
     rotate,
     zero_set_sample,
 )
-from harmonic_ratios.nodal import NotAZero, write_points_csv, write_svg
-from harmonic_ratios.rotation import random_rotation
+from harmonic_ratios.nodal import (
+    BisectionError,
+    NotAZero,
+    _sign_grid,
+    write_points_csv,
+    write_svg,
+)
+from harmonic_ratios.rotation import cayley_from_params, random_rotation
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -99,6 +106,75 @@ class TestNodalDomainCount:
     def test_box_region(self):
         assert nodal_domain_count(X, Region.box((-1, -1), (1, 1)), 64) == 2
 
+    @pytest.mark.parametrize("resolution", [64, 96])
+    def test_rotated_cubic_has_two(self, resolution):
+        # at these resolutions single cells touch their domain only at a
+        # corner
+        w = rotate(PAPER_H, cayley_from_params(3, [2, Fraction(2, 5), 1]))
+        ball = Region.ball((0, 0, 0), 0.5)
+        assert nodal_domain_count(w, ball, resolution) == 2
+
+    @pytest.mark.parametrize("params", [
+        [1, Fraction(2, 5), 1],
+        [Fraction(-3, 2), Fraction(-4, 3), Fraction(-3, 2)],
+    ])
+    def test_band_cut_fragment_is_not_a_domain(self, params):
+        # at res 192 the band encloses a one- or two-cell same-sign component
+        # inside the ball; a harmonic w has no such nodal domain
+        w = rotate(PAPER_H, cayley_from_params(3, params))
+        assert nodal_domain_count(w, Region.ball((0, 0, 0), 0.5), 192) == 2
+
+    @pytest.mark.parametrize("factor", [1, Polynomial.constant(2, 2) + X * X])
+    def test_many_sectors_touch_across_corners(self, factor):
+        # the non-harmonic multiple has the same nodal set and no
+        # maximum-principle rule, so only corner connectivity merges its cells
+        w = catalog_get("imzk:10").polynomial * factor
+        assert nodal_domain_count(w, Region.ball((0, 0), 1.0), 128) == 20
+
+    def test_enclosed_domain_counts_for_non_harmonic_input(self):
+        w = X * X + Y * Y - Polynomial.constant(2, Fraction(1, 4))
+        assert nodal_domain_count(w, Region.ball((0, 0), 1.0), 128) == 2
+
+
+def dense_sign_grid(w, region, resolution, band_rel):
+    """The sign grid computed directly on the full mesh of cell centers."""
+    axes, h = region.grid_axes(resolution)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    vals = w.evaluate_array(mesh)
+    gnorm = np.sqrt(sum(g.evaluate_array(mesh) ** 2 for g in w.gradient()))
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    band = np.maximum(band_rel * scale, np.sqrt(len(axes)) * h * gnorm)
+    signs = np.zeros(vals.shape, dtype=np.int8)
+    signs[vals > band] = 1
+    signs[vals < -band] = -1
+    pts = np.column_stack([m.ravel() for m in mesh])
+    signs[~region.contains(pts).reshape(vals.shape)] = 0
+    return signs
+
+
+class TestSignGrid:
+    CASES = [
+        (PAPER_H, Region.ball((0.05, -0.1, 0.02), 0.45), 24, 1e-10),
+        (PAPER_H, Region.box((-0.3, -0.5, -0.2), (0.6, 0.5, 0.4)), 17, 1e-10),
+        (catalog_get("rezk:3").polynomial, Region.annulus((0.1, -0.2), 0.3, 0.9), 50, 1e-10),
+        # |w| grows along x, so early slabs are signed against a smaller
+        # running max and must be corrected by the final threshold
+        (Polynomial.variable(3, 0) + Polynomial.constant(3, 2),
+         Region.ball((0, 0, 0), 1.0), 12, 0.5),
+    ]
+
+    @pytest.mark.parametrize("w, region, resolution, band_rel", CASES)
+    def test_matches_dense_evaluation(self, w, region, resolution, band_rel):
+        signs, _ = _sign_grid(w, region, resolution, band_rel)
+        assert np.array_equal(signs, dense_sign_grid(w, region, resolution, band_rel))
+
+    @pytest.mark.parametrize("w, region, resolution, band_rel", CASES)
+    def test_shell_is_the_region_minus_its_erosion(self, w, region, resolution, band_rel):
+        _, shell = _sign_grid(w, region, resolution, band_rel)
+        axes, mask, _ = region.grid(resolution)
+        eroded = ndimage.binary_erosion(mask, np.ones((3,) * mask.ndim), border_value=0)
+        assert np.array_equal(shell, np.flatnonzero(mask & ~eroded))
+
 
 class TestZeroSetSample:
     def test_saddle_level_set(self):
@@ -114,6 +190,10 @@ class TestZeroSetSample:
         points, _ = zero_set_sample(w, Region.box((-1, -1), (1, 1)), 48)
         for p in points:
             assert abs(w.evaluate_float(p)) < 1e-9
+
+    def test_missed_accuracy_raises(self):
+        with pytest.raises(BisectionError):
+            zero_set_sample(X * Y, Region.box((-1, -1), (1, 1)), 7, tol=-1.0)
 
     def test_3d_point_cloud(self):
         points, segments = zero_set_sample(PAPER_H, Region.ball((0, 0, 0), 0.5), 12)

@@ -139,6 +139,32 @@ class TestEvaluation:
         val, grad = p.evaluate_and_gradient((2, 3))
         assert val == 12 and grad == [12, 4]
 
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.tuples(
+                st.one_of(
+                    polynomials(dim=dim, max_degree=5),
+                    st.just(Polynomial.zero(dim)),
+                    st.fractions(-10, 10, max_denominator=8).map(
+                        lambda c: Polynomial.constant(dim, c)
+                    ),
+                ),
+                st.lists(
+                    st.lists(st.floats(-2, 2), min_size=1, max_size=5),
+                    min_size=dim,
+                    max_size=dim,
+                ),
+            )
+        )
+    )
+    def test_open_mesh_matches_dense_mesh(self, case):
+        p, axes = case
+        axes = [np.array(a) for a in axes]
+        sparse = p.evaluate_array(np.ix_(*axes))
+        dense = p.evaluate_array(np.meshgrid(*axes, indexing="ij"))
+        assert sparse.shape == dense.shape == tuple(len(a) for a in axes)
+        assert np.array_equal(sparse, dense)
+
 
 class TestSubstitution:
     @given(polynomials(max_degree=3))

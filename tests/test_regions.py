@@ -37,6 +37,55 @@ class TestContains:
         assert list(flags) == [False, True]
 
 
+def norm_rule(region, pts):
+    """Membership computed the direct way, through np.linalg.norm."""
+    if region.kind == "box":
+        return np.all((pts >= region.lo) & (pts <= region.hi), axis=1)
+    d = np.linalg.norm(pts - np.array(region.center), axis=1)
+    if region.kind == "ball":
+        return d <= region.radius
+    if region.kind == "annulus":
+        return (d > region.inner) & (d <= region.radius)
+    return np.abs(d - region.radius) <= 1e-12 * max(region.radius, 1.0)
+
+
+REGIONS = [
+    Region.ball((0.3, -0.2, 0.1), 0.7),
+    Region.ball((0.0, 0.0), 1.0),
+    Region.box((-0.4, 0.1, -1.0), (0.5, 0.9, 0.25)),
+    Region.annulus((0.25, -0.5), 0.3, 0.8),
+    Region.sphere((0.1, 0.2, -0.3), 0.5),
+]
+
+
+class TestMask:
+    @pytest.mark.parametrize("region", REGIONS, ids=lambda r: f"{r.kind}{r.dim}")
+    @pytest.mark.parametrize("resolution", [1, 8, 33])
+    def test_grid_mask_matches_norm_rule(self, region, resolution):
+        axes, mask, _ = region.grid(resolution)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.column_stack([m.ravel() for m in mesh])
+        assert mask.shape == (resolution,) * region.dim
+        assert np.array_equal(mask.ravel(), norm_rule(region, pts))
+
+    @pytest.mark.parametrize("region", REGIONS, ids=lambda r: f"{r.kind}{r.dim}")
+    def test_contains_matches_norm_rule_near_the_boundary(self, region):
+        rng = np.random.default_rng(11)
+        lo, hi = region.bounding_box()
+        pts = rng.uniform(lo - 0.1, hi + 0.1, size=(2000, region.dim))
+        if region.kind == "box":
+            # snap coordinates onto the faces
+            snap = rng.integers(0, 3, size=pts.shape)
+            pts = np.where(snap == 1, lo, np.where(snap == 2, hi, pts))
+        else:
+            unit = rng.standard_normal((2000, region.dim))
+            unit /= np.linalg.norm(unit, axis=1)[:, None]
+            # points at the outer (and inner) radius, up to rounding
+            radii = [region.radius] + ([region.inner] if region.inner else [])
+            pts = np.vstack([pts] + [np.array(region.center) + r * unit for r in radii])
+        assert np.array_equal(region.contains(pts), norm_rule(region, pts))
+
+
 class TestSampling:
     def test_interior_points_inside(self):
         rng = np.random.default_rng(0)
