@@ -138,6 +138,34 @@ def parse_count(text: str) -> int:
     return int(value)
 
 
+def parse_degree(text: str) -> int:
+    """Non-negative integer flag (a truncation degree); errors as in
+    ``parse_count``."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad degree {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"degree must be a non-negative integer, got {text!r}"
+        )
+    return value
+
+
+def parse_tolerance(text: str) -> float:
+    """Finite non-negative float flag (a band or tolerance); errors as in
+    ``parse_count``."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
 def _pair(args: argparse.Namespace) -> _catalog.SharedZeroPair:
     try:
         u_name, v_name = args.pair.split(",")
@@ -449,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", default=None, help="u,v catalog pair")
     p.add_argument("--numerator", default=None, help="series file or catalog name")
     p.add_argument("--denominator", default=None, help="series file or catalog name")
-    p.add_argument("--degree", type=int, required=True, help="output degree")
+    p.add_argument("--degree", type=parse_degree, required=True, help="output degree")
     p.add_argument(
         "--extra-degree",
         type=int,
@@ -490,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h0", type=float, default=0.05, help="initial grid step")
     p.add_argument("--halvings", type=int, default=3)
     p.add_argument("--min-order", type=float, default=1.9)
-    p.add_argument("--degree", type=int, default=8, help="series degree (leading)")
+    p.add_argument(
+        "--degree", type=parse_degree, default=8, help="series degree (leading)"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("nodal", help="nodal-set plots and analyses")
@@ -499,11 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ball", default=None, help="cx,cy[,cz]:r")
     p.add_argument("--box", default=None, help="x0,x1,y0,y1[,z0,z1]")
     p.add_argument("--res", type=parse_count, default=256, help="grid resolution")
-    p.add_argument("--band", type=float, default=1e-10, help="zero-detection band")
+    p.add_argument(
+        "--band", type=parse_tolerance, default=1e-10, help="zero-detection band"
+    )
     p.add_argument(
         "--grid", type=parse_count, default=24, help="critical-point seed grid"
     )
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=parse_tolerance, default=1e-8)
     p.add_argument(
         "--expect", type=int, default=None, help="fail unless the count matches"
     )
@@ -511,7 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="inspect the built-in catalog")
     p.add_argument("action", choices=["list", "dump"])
-    p.add_argument("--degree", type=int, default=6, help="taylor degree in dumps")
+    p.add_argument(
+        "--degree", type=parse_degree, default=6, help="taylor degree in dumps"
+    )
     p.set_defaults(func=cmd_catalog)
 
     return parser

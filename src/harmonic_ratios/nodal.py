@@ -8,7 +8,7 @@ of critical points, and bisection-refined level-set extraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
@@ -50,37 +50,44 @@ def _gauss_newton_critical(
     w: Polynomial,
     grads: Sequence[Polynomial],
     hess: Sequence[Sequence[Polynomial]],
-    x0: np.ndarray,
+    seeds: np.ndarray,
     iterations: int = 50,
-) -> Optional[np.ndarray]:
-    """Refine a solution of {w = 0, grad w = 0} by least squares.
+) -> np.ndarray:
+    """Refine solutions of {w = 0, grad w = 0} by least squares, one per
+    row of the ``(n_seeds, dim)`` array ``seeds``.
 
     The system stacks w and its gradient ``grads``; the Jacobian rows are
-    the gradient and the Hessian ``hess``.  Returns None if the iteration
-    leaves a sane range.
+    the gradient and the Hessian ``hess``.  Each iteration evaluates them
+    once, on all seeds still iterating; each seed then takes its own
+    least-squares step and stops on its own: a non-finite step or a point
+    beyond norm 1e6 rejects it, a step below norm 1e-15 ends it.  Returns
+    the refined points, with a NaN row for every rejected seed.
     """
-    x = x0.astype(float).copy()
+    x = np.array(seeds, dtype=float).T.copy()  # one contiguous row per axis
+    out = np.full(x.shape, np.nan)
+    active = np.arange(x.shape[1])
     for _ in range(iterations):
-        coords = [np.array([xi]) for xi in x]
-        f = np.array(
-            [w.evaluate_array(coords)[0]]
-            + [g.evaluate_array(coords)[0] for g in grads]
-        )
-        jac = np.zeros((w.dim + 1, w.dim))
-        for j in range(w.dim):
-            jac[0, j] = grads[j].evaluate_array(coords)[0]
-        for i in range(w.dim):
-            for j in range(w.dim):
-                jac[i + 1, j] = hess[i][j].evaluate_array(coords)[0]
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return None
-        x = x + step
-        if np.linalg.norm(step) < 1e-15:
+        if not active.size:
             break
-        if np.linalg.norm(x) > 1e6:
-            return None
-    return x
+        coords = list(x[:, active])
+        f = np.stack([p.evaluate_array(coords) for p in [w, *grads]])
+        hvals = [np.stack([h.evaluate_array(coords) for h in row]) for row in hess]
+        jac = np.moveaxis(np.stack([f[1:]] + hvals), 2, 0)  # (seeds, dim + 1, dim)
+        # each seed solves its own system, and its norms are 1-D norms:
+        # np.linalg.norm along an axis of a stack rounds differently
+        steps = np.array(
+            [np.linalg.lstsq(j, -r, rcond=None)[0] for j, r in zip(jac, f.T)]
+        )
+        finite = np.isfinite(steps).all(axis=1)
+        active, steps = active[finite], steps[finite]
+        x[:, active] += steps.T
+        points = x[:, active].T
+        ended = np.array([np.linalg.norm(st) < 1e-15 for st in steps], dtype=bool)
+        far = np.array([np.linalg.norm(p) > 1e6 for p in points], dtype=bool)
+        out[:, active[ended]] = points[ended].T
+        active = active[~ended & ~far]
+    out[:, active] = x[:, active]
+    return out.T
 
 
 def critical_set_sample(
@@ -94,8 +101,9 @@ def critical_set_sample(
 
     Grid cells where both |w| and |grad w| are small (relative to the grid's
     scale and spacing) seed a Gauss-Newton refinement; refined points are kept
-    only if they meet the stated tolerances, then deduplicated.  Depths are
-    attached where the refined point rounds to an exact rational zero.
+    only if they meet the stated tolerances, then deduplicated in seed order.
+    Depths are attached where the refined point rounds to an exact rational
+    zero.
 
     Classification follows the sufficient criterion only: critical points
     that chain into a sampled curve with one common depth are marked good;
@@ -117,18 +125,15 @@ def critical_set_sample(
     )
     seeds = np.column_stack([a[i] for a, i in zip(axes, np.nonzero(seed_mask))])
 
+    refined = _gauss_newton_critical(w, grads, hess, seeds)
+    refined = refined[~np.isnan(refined[:, 0])]
+    pc = list(refined.T)
+    val = np.abs(w.evaluate_array(pc))
+    gval = np.linalg.norm(np.stack([g.evaluate_array(pc) for g in grads]), axis=0)
+    ok = ~(val > tol_value * w_scale) & ~(gval > tol_gradient * g_scale)
+    ok &= region.contains(refined)
     found: List[np.ndarray] = []
-    for s in seeds:
-        x = _gauss_newton_critical(w, grads, hess, s)
-        if x is None:
-            continue
-        pc = [np.array([xi]) for xi in x]
-        val = abs(float(w.evaluate_array(pc)[0]))
-        gval = float(np.linalg.norm([g.evaluate_array(pc)[0] for g in grads]))
-        if val > tol_value * w_scale or gval > tol_gradient * g_scale:
-            continue
-        if not bool(region.contains(x[None, :])[0]):
-            continue
+    for x in refined[ok]:
         if all(np.linalg.norm(x - p) > h / 2 for p in found):
             found.append(x)
 
@@ -302,6 +307,37 @@ def nodal_domain_count(
     return total
 
 
+def _bisect_edges(
+    w: Polynomial, a: np.ndarray, b: np.ndarray, fa: np.ndarray
+) -> np.ndarray:
+    """Bisect every edge from ``a[:, k]`` to ``b[:, k]`` (one row per axis)
+    on which w changes sign; ``fa`` holds w at the ``a`` ends.
+
+    All edges share one evaluation per halving, and each keeps its own
+    rules: at most 100 halvings, ending early at a midpoint where w is
+    exactly 0 or once its ends are less than 1e-300 apart.  Returns the
+    refined points, one column per edge.
+    """
+    a, b, fa = a.copy(), b.copy(), fa.copy()
+    live = np.arange(a.shape[1])
+    for _ in range(100):
+        if not live.size:
+            break
+        m = 0.5 * (a[:, live] + b[:, live])
+        fm = w.evaluate_array(list(m))
+        left = fa[live] * fm < 0
+        b[:, live[left]] = m[:, left]
+        a[:, live[~left]] = m[:, ~left]
+        fa[live[~left]] = fm[~left]
+        # an exact zero closes its edge on the midpoint, which the final
+        # 0.5 * (a + b) then returns as it is
+        hit = fm == 0.0
+        b[:, live[hit]] = m[:, hit]
+        width = np.linalg.norm(b[:, live] - a[:, live], axis=0)
+        live = live[~(width < 1e-300)]
+    return 0.5 * (a + b)
+
+
 def zero_set_sample(
     w: Polynomial,
     region: Region,
@@ -310,114 +346,93 @@ def zero_set_sample(
 ) -> Tuple[List[List[float]], List[Tuple[int, int]]]:
     """Extract the zero level set on a grid.
 
-    2D: marching-squares edges with every crossing refined by bisection to
-    |w| < tol relative to the grid scale; returns (points, segments) where
-    segments index into the point list.  3D: bisection-refined points on
-    sign-changing grid edges with no connectivity (a point cloud for dumps).
+    Every sign-changing edge of the grid over the region's bounding box is
+    refined by bisection, all edges together, and each refined point must
+    meet |w| <= tol relative to the grid scale (else ``BisectionError``).
+    2D: marching squares, where a grid node with w exactly 0 is a point
+    itself; returns (points, segments) where segments index into the point
+    list.  3D: points with no connectivity (a point cloud for dumps).  Only
+    geometry inside the region is returned.
     """
     lo, hi = region.bounding_box()
     dim = len(lo)
+    if dim not in (2, 3):
+        raise ValueError("zero_set_sample implemented for dim 2 and 3")
     n = resolution + 1
     axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
-
-    def bisect(p: np.ndarray, q: np.ndarray, fp: float) -> np.ndarray:
-        a, b = p.copy(), q.copy()
-        fa = fp
-        for _ in range(100):
-            m = 0.5 * (a + b)
-            fm = w.evaluate_float(list(m))
-            if fm == 0.0:
-                return m
-            if fa * fm < 0:
-                b = m
-            else:
-                a, fa = m, fm
-            if np.linalg.norm(b - a) < 1e-300:
-                break
-        return 0.5 * (a + b)
+    vals = w.evaluate_array(np.ix_(*axes))
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
 
     if dim == 2:
-        vals = w.evaluate_array(np.ix_(*axes))
-        scale = max(float(np.max(np.abs(vals))), 1e-300)
-        points: List[List[float]] = []
-        segments: List[Tuple[int, int]] = []
-        edge_point: Dict[Tuple[int, int, int], int] = {}
+        # Each cell's sides in scan order: bottom, right, top, left, given by
+        # the offset of their first node and their axis.  A side whose first
+        # node is a zero of w yields that node (key 3*node); otherwise a sign
+        # change yields its crossing (key 3*node + 1 + axis).  Points are
+        # numbered by first appearance over the cells in row-major order.
+        zero = vals == 0.0
+        change = (vals[:-1] * vals[1:] < 0, vals[:, :-1] * vals[:, 1:] < 0)
+        sides = ((0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1))
+        has = [
+            zero[di:di + resolution, dj:dj + resolution]
+            | change[axis][di:di + resolution, dj:dj + resolution]
+            for di, dj, axis in sides
+        ]
+        has[3] &= ~zero[:-1, :-1]  # the bottom side already gave that node
+        ci, cj = np.nonzero(has[0] | has[1] | has[2] | has[3])
+        keys = np.full((ci.size, 4), -1)
+        for col, (di, dj, axis) in enumerate(sides):
+            i, j = ci + di, cj + dj
+            key = np.where(zero[i, j], 3 * (i * n + j), 3 * (i * n + j) + 1 + axis)
+            keys[:, col] = np.where(has[col][ci, cj], key, -1)
+        cell, _ = np.nonzero(keys >= 0)
+        uniq, first, inverse = np.unique(
+            keys[keys >= 0], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        point_id = np.empty_like(order)
+        point_id[order] = np.arange(order.size)
+        ids = point_id[inverse]
+        # a cell's crossings chain into consecutive segments
+        same = cell[1:] == cell[:-1]
+        segs = np.column_stack([ids[:-1][same], ids[1:][same]])
 
-        def crossing(i0, j0, i1, j1, axis) -> Optional[int]:
-            f0, f1 = vals[i0, j0], vals[i1, j1]
-            if f0 == 0.0:
-                key = (i0, j0, -1)
-            elif f0 * f1 < 0:
-                key = (i0, j0, axis)
-            else:
-                return None
-            if key not in edge_point:
-                p = np.array([axes[0][i0], axes[1][j0]])
-                q = np.array([axes[0][i1], axes[1][j1]])
-                pt = p if f0 == 0.0 else bisect(p, q, f0)
-                if abs(w.evaluate_float(list(pt))) > tol * scale:
-                    raise BisectionError(
-                        f"bisection stopped at |w| > {tol:g} * {scale:g} "
-                        f"near {[float(v) for v in pt]}"
-                    )
-                edge_point[key] = len(points)
-                points.append([float(pt[0]), float(pt[1])])
-            return edge_point[key]
-
-        for i in range(resolution):
-            for j in range(resolution):
-                ids = []
-                for pt_id in (
-                    crossing(i, j, i + 1, j, 0),
-                    crossing(i + 1, j, i + 1, j + 1, 1),
-                    crossing(i, j + 1, i + 1, j + 1, 0),
-                    crossing(i, j, i, j + 1, 1),
-                ):
-                    if pt_id is not None:
-                        ids.append(pt_id)
-                ids = list(dict.fromkeys(ids))
-                if len(ids) == 2:
-                    segments.append((ids[0], ids[1]))
-                elif len(ids) > 2:
-                    # ambiguous cell: connect consecutive crossings
-                    for a, b in zip(ids, ids[1:]):
-                        segments.append((a, b))
-        # keep only geometry inside the region
-        if region.kind != "box":
-            inside = region.contains(np.array(points)) if points else np.array([], bool)
-            remap = {}
-            kept: List[List[float]] = []
-            for idx, ok in enumerate(inside):
-                if ok:
-                    remap[idx] = len(kept)
-                    kept.append(points[idx])
-            segments = [
-                (remap[a], remap[b]) for a, b in segments if a in remap and b in remap
-            ]
-            points = kept
-        return points, segments
-
-    if dim == 3:
-        vals = w.evaluate_array(np.ix_(*axes))
-        points = []
+        at, kind = np.divmod(uniq[order], 3)
+        i0, j0 = np.divmod(at, n)
+        pts = np.stack([axes[0][i0], axes[1][j0]])
+        edge = kind > 0
+        i0, j0, kind = i0[edge], j0[edge], kind[edge]
+        ends = np.stack([axes[0][i0 + (kind == 1)], axes[1][j0 + (kind == 2)]])
+        pts[:, edge] = _bisect_edges(w, pts[:, edge], ends, vals[i0, j0])
+    else:
+        a_parts, b_parts, f_parts = [], [], []
         for axis in range(3):
-            sl0 = [slice(None)] * 3
-            sl1 = [slice(None)] * 3
-            sl0[axis] = slice(0, -1)
-            sl1[axis] = slice(1, None)
-            f0, f1 = vals[tuple(sl0)], vals[tuple(sl1)]
-            change = f0 * f1 < 0
-            idx = np.argwhere(change)
-            for ijk in idx:
-                p = np.array([axes[a][ijk[a]] for a in range(3)])
-                q = p.copy()
-                q[axis] = axes[axis][ijk[axis] + 1]
-                pt = bisect(p, q, float(f0[tuple(ijk)]))
-                if bool(region.contains(pt[None, :])[0]):
-                    points.append([float(v) for v in pt])
-        return points, []
+            first = [slice(None)] * 3
+            second = [slice(None)] * 3
+            first[axis] = slice(0, -1)
+            second[axis] = slice(1, None)
+            f0 = vals[tuple(first)]
+            idx = np.nonzero(f0 * vals[tuple(second)] < 0)
+            ends = np.stack([axes[k][idx[k]] for k in range(3)])
+            a_parts.append(ends)
+            ends = ends.copy()
+            ends[axis] = axes[axis][idx[axis] + 1]
+            b_parts.append(ends)
+            f_parts.append(f0[idx])
+        pts = _bisect_edges(
+            w, *(np.concatenate(p, axis=-1) for p in (a_parts, b_parts, f_parts))
+        )
+        segs = np.empty((0, 2), dtype=int)
 
-    raise ValueError("zero_set_sample implemented for dim 2 and 3")
+    miss = np.flatnonzero(np.abs(w.evaluate_array(list(pts))) > tol * scale)
+    if miss.size:
+        raise BisectionError(
+            f"bisection stopped at |w| > {tol:g} * {scale:g} "
+            f"near {pts[:, miss[0]].tolist()}"
+        )
+    inside = region.contains(pts.T)
+    renumber = np.cumsum(inside) - 1
+    segs = renumber[segs[inside[segs].all(axis=1)]]
+    return pts.T[inside].tolist(), [tuple(s) for s in segs.tolist()]
 
 
 def write_svg(

@@ -33,8 +33,8 @@ class Region:
     @staticmethod
     def box(lo: Sequence[float], hi: Sequence[float]) -> "Region":
         lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
-        if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
-            raise ValueError("box needs lo <= hi per axis")
+        if len(lo) != len(hi) or not all(a < b for a, b in zip(lo, hi)):
+            raise ValueError("box needs lo < hi per axis")
         return Region(kind="box", lo=lo, hi=hi)
 
     @staticmethod
@@ -100,8 +100,6 @@ class Region:
         if self.kind == "sphere":
             raise ValueError("a sphere surface has no interior")
         lo, hi = self.bounding_box()
-        if np.all(lo == hi):
-            return np.tile(lo, (count, 1))
         out: List[np.ndarray] = []
         need = count
         while need > 0:

@@ -137,6 +137,42 @@ class TestNodal:
         assert not list(tmp_path.iterdir())
 
 
+class TestInputValidation:
+    """Bad flag values are usage errors: an ``error:`` line and exit 2,
+    before any report is written."""
+
+    @pytest.mark.parametrize("args", [
+        ("nodal", "count", "--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "64",
+         "--band", "nan"),
+        ("nodal", "count", "--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "64",
+         "--band", "-1"),
+        ("nodal", "count", "--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "64",
+         "--band", "inf"),
+        ("nodal", "critical", "--fn", "saddle2d", "--ball", "0,0:1", "--grid", "8",
+         "--tol", "-1e-8"),
+        ("nodal", "critical", "--fn", "saddle2d", "--ball", "0,0:1", "--grid", "8",
+         "--tol", "nan"),
+        ("series", "--pair", "expsin,coshsin", "--degree", "-1"),
+        ("series", "--pair", "expsin,coshsin", "--degree", "2.5"),
+        ("verify", "leading", "--pair", "expsin,coshsin", "--degree", "-1"),
+        ("catalog", "dump", "--degree", "-1"),
+    ])
+    def test_bad_flag_value_exits_two(self, tmp_path, capsys, args):
+        assert run(tmp_path, *args) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_volume_box_exits_two(self, tmp_path, capsys):
+        assert run(tmp_path, "verify", "harnack", "--pair", "expsin,coshsin",
+                   "--box", "0,0,0,0") == 2
+        assert "lo < hi" in capsys.readouterr().err
+
+    def test_band_zero_and_degree_zero_accepted(self, tmp_path):
+        assert run(tmp_path, "nodal", "count", "--fn", "rezk:3", "--box",
+                   "-1,1,-1,1", "--res", "64", "--band", "0", "--expect", "6") == 0
+        assert run(tmp_path, "series", "--pair", "expsin,coshsin", "--degree", "0") == 0
+
+
 class TestCatalog:
     def test_list(self, tmp_path, capsys):
         assert run(tmp_path, "catalog", "list") == 0

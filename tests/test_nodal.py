@@ -78,6 +78,7 @@ class TestCriticalSet:
     def test_no_critical_points(self):
         report = critical_set_sample(X, Region.ball((1, 1), 0.5), grid=8)
         assert report.critical_points == []
+        assert " 0 seeds," in report.notes
 
     def test_classification_conservative(self):
         report = critical_set_sample(PAPER_H, Region.ball((0, 0, 0), 1.0), grid=16)
@@ -194,6 +195,10 @@ class TestZeroSetSample:
     def test_missed_accuracy_raises(self):
         with pytest.raises(BisectionError):
             zero_set_sample(X * Y, Region.box((-1, -1), (1, 1)), 7, tol=-1.0)
+
+    def test_missed_accuracy_raises_in_3d(self):
+        with pytest.raises(BisectionError):
+            zero_set_sample(PAPER_H, Region.ball((0, 0, 0), 0.5), 7, tol=-1.0)
 
     def test_3d_point_cloud(self):
         points, segments = zero_set_sample(PAPER_H, Region.ball((0, 0, 0), 0.5), 12)

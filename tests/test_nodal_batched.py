@@ -1,0 +1,247 @@
+"""The batched nodal refinements against their one-point-at-a-time forms.
+
+``reference_gauss_newton`` and ``reference_zero_set`` are the per-seed
+Gauss-Newton and the scalar bisection that ``critical_set_sample`` and
+``zero_set_sample`` ran before they refined all points as one batch.  The
+critical points must agree bit for bit; bisected points may differ in the
+last bits only, because the scalar form evaluates with ``evaluate_float``
+(libm ``pow``) and the batch with ``evaluate_array`` (numpy ``power``).
+"""
+
+import numpy as np
+import pytest
+
+from harmonic_ratios import Polynomial, Region, catalog_get, critical_set_sample
+from harmonic_ratios import zero_set_sample
+from harmonic_ratios.nodal import _bisect_edges, _gauss_newton_critical
+
+X = Polynomial.variable(2, 0)
+Y = Polynomial.variable(2, 1)
+PAPER_H = catalog_get("paperH").polynomial
+
+
+def reference_gauss_newton(w, grads, hess, x0, iterations=50):
+    """One seed's refinement, evaluating on one-element arrays; None if
+    the iteration leaves a sane range."""
+    x = x0.astype(float).copy()
+    for _ in range(iterations):
+        coords = [np.array([xi]) for xi in x]
+        f = np.array(
+            [w.evaluate_array(coords)[0]]
+            + [g.evaluate_array(coords)[0] for g in grads]
+        )
+        jac = np.zeros((w.dim + 1, w.dim))
+        for j in range(w.dim):
+            jac[0, j] = grads[j].evaluate_array(coords)[0]
+        for i in range(w.dim):
+            for j in range(w.dim):
+                jac[i + 1, j] = hess[i][j].evaluate_array(coords)[0]
+        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+        if not np.all(np.isfinite(step)):
+            return None
+        x = x + step
+        if np.linalg.norm(step) < 1e-15:
+            break
+        if np.linalg.norm(x) > 1e6:
+            return None
+    return x
+
+
+def seeds_and_derivatives(w, region, grid):
+    """The seed scan of ``critical_set_sample``."""
+    axes, mask, h = region.grid(grid)
+    coords = np.ix_(*axes)
+    grads = w.gradient()
+    hess = [[g.partial(j) for j in range(w.dim)] for g in grads]
+    wv = w.evaluate_array(coords)
+    gnorm = np.linalg.norm(np.stack([g.evaluate_array(coords) for g in grads]), axis=0)
+    w_scale = max(float(np.max(np.abs(wv))), 1e-300)
+    g_scale = max(float(np.max(gnorm)), 1e-300)
+    seed_mask = (
+        mask & (np.abs(wv) <= 2.0 * h * w_scale) & (gnorm <= 2.0 * h * g_scale)
+    )
+    seeds = np.column_stack([a[i] for a, i in zip(axes, np.nonzero(seed_mask))])
+    return seeds, grads, hess, h, w_scale, g_scale
+
+
+def reference_critical_points(w, region, grid, tol=1e-8):
+    """Critical points as found by refining and checking one seed at a time."""
+    seeds, grads, hess, h, w_scale, g_scale = seeds_and_derivatives(w, region, grid)
+    found = []
+    for s in seeds:
+        x = reference_gauss_newton(w, grads, hess, s)
+        if x is None:
+            continue
+        pc = [np.array([xi]) for xi in x]
+        val = abs(float(w.evaluate_array(pc)[0]))
+        gval = float(np.linalg.norm([g.evaluate_array(pc)[0] for g in grads]))
+        if val > tol * w_scale or gval > tol * g_scale:
+            continue
+        if not bool(region.contains(x[None, :])[0]):
+            continue
+        if all(np.linalg.norm(x - p) > h / 2 for p in found):
+            found.append(x)
+    return np.array(found), len(seeds)
+
+
+def reference_bisect(w, p, q, fp):
+    a, b = p.copy(), q.copy()
+    fa = fp
+    for _ in range(100):
+        m = 0.5 * (a + b)
+        fm = w.evaluate_float(list(m))
+        if fm == 0.0:
+            return m
+        if fa * fm < 0:
+            b = m
+        else:
+            a, fa = m, fm
+        if np.linalg.norm(b - a) < 1e-300:
+            break
+    return 0.5 * (a + b)
+
+
+def reference_zero_set(w, region, resolution):
+    """The zero set by a scalar scan: cell by cell in 2D, edge by edge in 3D."""
+    lo, hi = region.bounding_box()
+    dim = len(lo)
+    n = resolution + 1
+    axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
+    vals = w.evaluate_array(np.ix_(*axes))
+    if dim == 3:
+        points = []
+        for axis in range(3):
+            sl0 = [slice(None)] * 3
+            sl1 = [slice(None)] * 3
+            sl0[axis] = slice(0, -1)
+            sl1[axis] = slice(1, None)
+            f0 = vals[tuple(sl0)]
+            for ijk in np.argwhere(f0 * vals[tuple(sl1)] < 0):
+                p = np.array([axes[a][ijk[a]] for a in range(3)])
+                q = p.copy()
+                q[axis] = axes[axis][ijk[axis] + 1]
+                pt = reference_bisect(w, p, q, float(f0[tuple(ijk)]))
+                if bool(region.contains(pt[None, :])[0]):
+                    points.append([float(v) for v in pt])
+        return points, []
+
+    points, segments, edge_point = [], [], {}
+
+    def crossing(i0, j0, i1, j1, axis):
+        f0, f1 = vals[i0, j0], vals[i1, j1]
+        if f0 == 0.0:
+            key = (i0, j0, -1)
+        elif f0 * f1 < 0:
+            key = (i0, j0, axis)
+        else:
+            return None
+        if key not in edge_point:
+            p = np.array([axes[0][i0], axes[1][j0]])
+            q = np.array([axes[0][i1], axes[1][j1]])
+            pt = p if f0 == 0.0 else reference_bisect(w, p, q, f0)
+            edge_point[key] = len(points)
+            points.append([float(pt[0]), float(pt[1])])
+        return edge_point[key]
+
+    for i in range(resolution):
+        for j in range(resolution):
+            ids = [
+                k for k in (
+                    crossing(i, j, i + 1, j, 0),
+                    crossing(i + 1, j, i + 1, j + 1, 1),
+                    crossing(i, j + 1, i + 1, j + 1, 0),
+                    crossing(i, j, i, j + 1, 1),
+                ) if k is not None
+            ]
+            ids = list(dict.fromkeys(ids))
+            segments.extend(zip(ids, ids[1:]))
+    inside = region.contains(np.array(points).reshape(-1, 2))
+    remap = {old: new for new, old in enumerate(np.flatnonzero(inside))}
+    segments = [(remap[a], remap[b]) for a, b in segments if a in remap and b in remap]
+    return [p for p, ok in zip(points, inside) if ok], segments
+
+
+class TestBatchedGaussNewton:
+    @pytest.mark.parametrize("w, region, grid", [
+        (PAPER_H, Region.ball((0, 0, 0), 1.0), 12),
+        (PAPER_H, Region.ball((0, 0, 0), 1.0), 16),
+        (PAPER_H, Region.ball((0, 0, 0), 1.0), 20),
+        (X * X - Y * Y, Region.ball((0, 0), 1.0), 16),
+    ])
+    def test_report_matches_per_seed_refinement(self, w, region, grid):
+        report = critical_set_sample(w, region, grid=grid)
+        expected, n_seeds = reference_critical_points(w, region, grid)
+        got = np.array(report.critical_points)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert f" {n_seeds} seeds," in report.notes
+
+    def test_seed_alone_equals_seed_in_batch(self):
+        seeds, grads, hess, *_ = seeds_and_derivatives(
+            PAPER_H, Region.ball((0, 0, 0), 1.0), 12
+        )
+        batch = _gauss_newton_critical(PAPER_H, grads, hess, seeds)
+        assert batch.shape == seeds.shape
+        for k in range(0, len(seeds), 23):
+            alone = _gauss_newton_critical(PAPER_H, grads, hess, seeds[k:k + 1])
+            assert alone[0].tobytes() == batch[k].tobytes()
+
+    def test_rejected_seeds_are_nan_rows(self):
+        # x^6 + 1 has no critical zero: from some seeds the iteration runs
+        # past norm 1e6, and at x = 1e52 w overflows, so the first step is
+        # not finite
+        w = X**6 + Polynomial.constant(2, 1)
+        grads = w.gradient()
+        hess = [[g.partial(j) for j in range(2)] for g in grads]
+        rng = np.random.default_rng(0)
+        seeds = np.vstack([rng.uniform(-3, 3, (200, 2)), [[1e52, 0.5]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = _gauss_newton_critical(w, grads, hess, seeds)
+            refs = [reference_gauss_newton(w, grads, hess, s) for s in seeds]
+        rejected = [k for k, ref in enumerate(refs) if ref is None]
+        assert len(rejected) > 2 and rejected[-1] == len(seeds) - 1
+        for row, ref in zip(batch, refs):
+            if ref is None:
+                assert np.all(np.isnan(row))
+            else:
+                assert row.tobytes() == ref.tobytes()
+
+
+def assert_within_two_ulp(got, expected):
+    got, expected = np.array(got), np.array(expected)
+    assert got.shape == expected.shape
+    ulp = np.spacing(np.maximum(np.abs(got), np.abs(expected)))
+    assert np.all(np.abs(got - expected) <= 2 * ulp)
+
+
+class TestBatchedBisection:
+    @pytest.mark.parametrize("w, region, resolution", [
+        (catalog_get("rezk:5").polynomial, Region.ball((0.07, -0.03), 1.0), 256),
+        (catalog_get("imzk:5").polynomial, Region.ball((0.07, -0.03), 1.0), 256),
+        # zero along whole grid lines: crossings on grid nodes
+        (X * Y, Region.box((-1, -1), (1, 1)), 32),
+        (X * X - Y * Y, Region.annulus((0.1, 0.0), 0.2, 0.9), 64),
+        (PAPER_H, Region.ball((0, 0, 0), 0.5), 12),
+        (PAPER_H, Region.ball((0, 0, 0), 0.5), 24),
+    ])
+    def test_matches_scalar_bisection(self, w, region, resolution):
+        points, segments = zero_set_sample(w, region, resolution)
+        ref_points, ref_segments = reference_zero_set(w, region, resolution)
+        assert points
+        assert_within_two_ulp(points, ref_points)
+        assert segments == ref_segments
+        assert all(type(i) is int for s in segments for i in s)
+
+    def test_edge_alone_equals_edge_in_batch(self):
+        w = catalog_get("rezk:5").polynomial
+        t = np.linspace(0.05, 0.95, 40)
+        a = np.stack([np.cos(t), np.full(t.size, -0.3)])
+        b = np.stack([np.cos(t), np.full(t.size, 0.8)])
+        fa = w.evaluate_array(list(a))
+        changes = fa * w.evaluate_array(list(b)) < 0
+        assert changes.any()
+        a, b, fa = a[:, changes], b[:, changes], fa[changes]
+        batch = _bisect_edges(w, a, b, fa)
+        for k in range(a.shape[1]):
+            alone = _bisect_edges(w, a[:, k:k + 1], b[:, k:k + 1], fa[k:k + 1])
+            assert alone[:, 0].tobytes() == batch[:, k].tobytes()

@@ -15,6 +15,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Region.box((0, 1), (1, 0))
 
+    @pytest.mark.parametrize("lo, hi", [
+        ((0, 0), (0, 0)),
+        ((-1, 0.5), (1, 0.5)),
+        ((0, 0, 0), (1, 1, float("nan"))),
+    ])
+    def test_zero_volume_box(self, lo, hi):
+        with pytest.raises(ValueError):
+            Region.box(lo, hi)
+
     def test_bad_annulus(self):
         with pytest.raises(ValueError):
             Region.annulus((0, 0), 2.0, 1.0)
