@@ -18,7 +18,6 @@ from .catalog import (
     manifest,
     normalize_at,
     shared_pair,
-    taylor_coeffs,
 )
 from .division import (
     DivisionOutcome,
@@ -27,14 +26,13 @@ from .division import (
     NotHarmonic,
     NotHomogeneous,
     ResidualNonzero,
-    SearchExhausted,
     ZeroInput,
     divide_by_harmonic,
     multi_divide,
     normalize_rotation,
     series_ratio,
 )
-from .multiindex import Ordering, order_compare, prec
+from .multiindex import prec
 from .nodal import (
     NotAZero,
     critical_set_sample,

@@ -287,10 +287,6 @@ def catalog_names() -> List[str]:
     return sorted(_REGISTRY) + ["rezk:k", "imzk:k"]
 
 
-def taylor_coeffs(entry: CatalogEntry, center: Sequence, max_degree: int) -> TruncatedSeries:
-    return entry.taylor(center, max_degree)
-
-
 def shared_pair(u_name: str, v_name: str) -> SharedZeroPair:
     u, v = catalog_get(u_name), catalog_get(v_name)
     if u.dimension != v.dimension:

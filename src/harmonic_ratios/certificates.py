@@ -34,6 +34,10 @@ from .reports import VerificationReport
 from .series import TruncatedSeries
 
 
+class IllFormedCertificate(ArithmeticError):
+    """A constructed certificate fails its own construction inequalities."""
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     a0: Fraction          # a / c
@@ -104,7 +108,8 @@ def bound_certificate(a, c, r, k: int, n: int) -> BoundCertificate:
     r1 = t * r
     radii = (r1,) + (s * r1,) * (n - 1)
     cert = BoundCertificate(a0=a0, r=r, k=k, n=n, A=A, R=radii)
-    assert cert.is_well_formed()
+    if not cert.is_well_formed():
+        raise IllFormedCertificate(f"constructed certificate {cert} is not well formed")
     return cert
 
 
@@ -188,6 +193,10 @@ def measure_growth(
 ) -> Tuple[Fraction, Fraction, Fraction, int]:
     """Measure (a, c, r, k) from truncations already normalized so that the
     divisor's (k, 0, ..., 0) coefficient is nonzero.
+
+    To normalize, take ``O, _ = division.normalize_rotation(v)`` and pass
+    ``u.rotate(O)`` and ``v.rotate(O)``; the ratio of the rotated pair is the
+    rotated ratio, so its certificate bounds that series.
 
     a is the smallest rational with |u_alpha|, |v_alpha| <= a * r^|alpha| over
     every stored coefficient; c is |v_(k,0,...,0)| exactly.

@@ -22,9 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import catalog as _catalog
 from . import io_formats as io
 from .certificates import (
+    IllFormedCertificate,
     bound_certificate,
-    coefficient_bound_check,
-    measure_growth,
     verify_certificate,
 )
 from .division import DivisionError, divide_by_harmonic, series_ratio
@@ -39,7 +38,9 @@ from .polynomial import Polynomial
 from .regions import Region
 from .series import TruncatedSeries
 from .verify import (
+    DegenerateRegion,
     RatioEvaluator,
+    RatioVanishes,
     harnack_constant,
     leading_zero_inclusion,
     max_principle_check,
@@ -198,6 +199,20 @@ def _emit(out_dir: str, name: str, payload: Dict, lines: Sequence[str]) -> Tuple
     return path, 0 if ok else 1
 
 
+def _fail(out_dir: str, command: str, what: str, exc: Exception) -> int:
+    """Report a computation that failed its own check: exit status 1."""
+    payload = {
+        "command": command,
+        "passed": False,
+        "error": type(exc).__name__,
+        "detail": str(exc),
+    }
+    path = write_report(out_dir, command, payload)
+    print(f"{what} failed: {exc}")
+    print(f"FAILED; see {path}")
+    return 1
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -207,16 +222,7 @@ def cmd_divide(args: argparse.Namespace) -> int:
     try:
         outcome = divide_by_harmonic(p, q)
     except DivisionError as exc:
-        payload = {
-            "command": "divide",
-            "passed": False,
-            "error": type(exc).__name__,
-            "detail": str(exc),
-        }
-        path = write_report(args.out, "divide", payload)
-        print(f"division failed: {exc}")
-        print(f"FAILED; see {path}")
-        return 1
+        return _fail(args.out, "divide", "division", exc)
     quotient = outcome.quotient
     q_path = args.quotient_out or os.path.join(args.out, "quotient.poly")
     os.makedirs(os.path.dirname(os.path.abspath(q_path)), exist_ok=True)
@@ -258,16 +264,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     try:
         outcome = series_ratio(u, v, degree, strict=args.strict)
     except DivisionError as exc:
-        payload = {
-            "command": "series",
-            "passed": False,
-            "error": type(exc).__name__,
-            "detail": str(exc),
-        }
-        path = write_report(args.out, "series", payload)
-        print(f"series division failed: {exc}")
-        print(f"FAILED; see {path}")
-        return 1
+        return _fail(args.out, "series", "series division", exc)
     f = outcome.quotient
     s_path = args.series_out or os.path.join(args.out, "ratio.series")
     os.makedirs(os.path.dirname(os.path.abspath(s_path)), exist_ok=True)
@@ -296,6 +293,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(str(exc)) from exc
+    except IllFormedCertificate as exc:
+        return _fail(args.out, "certify", "certificate construction", exc)
     report = verify_certificate(cert, args.n_check)
     c_path = os.path.join(args.out, "bound.cert")
     os.makedirs(args.out, exist_ok=True)
@@ -480,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=parse_degree, required=True, help="output degree")
     p.add_argument(
         "--extra-degree",
-        type=int,
+        type=parse_degree,
         default=4,
         help="input truncation margin when expanding catalog entries",
     )
@@ -489,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-strict",
         dest="strict",
         action="store_false",
-        help="skip the full residual check",
+        help="write the quotient even when the residual check fails",
     )
     p.set_defaults(func=cmd_series)
 
@@ -497,9 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="coefficient growth bound (rational)")
     p.add_argument("--c", required=True, help="divisor leading coefficient (rational)")
     p.add_argument("--r", required=True, help="measurement radius (rational)")
-    p.add_argument("--k", type=int, required=True, help="divisor vanishing order")
-    p.add_argument("--n", type=int, required=True, help="dimension")
-    p.add_argument("--n-check", type=int, default=12, help="verification degree")
+    p.add_argument(
+        "--k", type=parse_degree, required=True, help="divisor vanishing order"
+    )
+    p.add_argument("--n", type=parse_count, required=True, help="dimension")
+    p.add_argument(
+        "--n-check", type=parse_degree, default=12, help="verification degree"
+    )
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="numeric property checks on ratio pairs")
@@ -581,10 +584,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except io.FormatError as exc:
+    except (CliError, io.FormatError, DegenerateRegion, RatioVanishes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,34 +1,42 @@
 """Exact division by homogeneous harmonic polynomials and series ratios.
 
-Two division routines live here.
+Both routines below divide by one homogeneous form with the kernel
+``_divide_form``: leading-term reduction under the graded-then-prec monomial
+order.  For a single divisor L this is decisive: the terms whose monomial
+lt(L) does not divide are set aside as the remainder, and the dividend is a
+multiple of L exactly when that remainder is empty.
 
-``divide_by_harmonic`` divides a polynomial by a homogeneous harmonic divisor
-with leading-term reduction under the graded-then-prec monomial order.  For a
-single divisor this is decisive: if the dividend lies in the ideal, every
-intermediate leading monomial is divisible by the divisor's, so one failed
-leading-monomial division certifies non-divisibility.
+``divide_by_harmonic`` divides a polynomial by a homogeneous harmonic
+divisor with one call of the kernel.
 
 ``series_ratio`` computes the Taylor coefficients of the ratio u/v of two
-series sharing a center.  After a rational rotation puts a nonzero divisor
-coefficient at (k, 0, ..., 0), each ratio coefficient is solved for from one
-shifted convolution equation; the remaining equations are genuine checks and
-are verified afterwards as an exact residual.
+series sharing a center.  With v = L + v_(k+1) + ..., where L is the leading
+form and k its degree, the degree-d form of the ratio solves
+
+    L * f_d = u_(d+k) - sum_(j >= 1) v_(k+j) * f_(d-j),
+
+one exact division of forms per degree, in the original coordinates.  The
+remainders of these divisions are the residual u - v*f, which is checked
+exactly through degree n_out + k afterwards.
+
+``normalize_rotation`` gives callers that need a nonzero divisor coefficient
+at (k, 0, ..., 0), such as ``certificates.measure_growth``, an exact
+orthogonal change of variables that provides one.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import multiindex as mi
 from .multiindex import MultiIndex
-from .polynomial import Polynomial, rotate
-from .rotation import (
-    DEFAULT_CAYLEY_GRID,
-    RationalOrthogonalMatrix,
-    search_candidates,
-)
+from .polynomial import Polynomial
+from .rotation import RationalOrthogonalMatrix, identity, reflection_to
 from .series import TruncatedSeries
 
 
@@ -71,23 +79,55 @@ class ZeroInput(DivisionError):
     pass
 
 
-class SearchExhausted(DivisionError):
-    def __init__(self, candidates_tried: int):
-        super().__init__(
-            f"rotation search exhausted after {candidates_tried} candidates"
-        )
-        self.candidates_tried = candidates_tried
-
-
 @dataclass
 class DivisionOutcome:
     quotient: Union[Polynomial, TruncatedSeries]
     residual_verified: bool
     certificate: Optional[object] = None
-    rotation: Optional[RationalOrthogonalMatrix] = None
-    rotated_quotient: Optional[TruncatedSeries] = None
-    rotated_numerator: Optional[TruncatedSeries] = None
-    rotated_denominator: Optional[TruncatedSeries] = None
+
+
+def _descending(alpha: MultiIndex) -> Tuple[int, Tuple[int, ...]]:
+    """Heap key that pops the largest monomial under ``mi.graded_key`` first."""
+    return (-sum(alpha), tuple(-a for a in reversed(alpha)))
+
+
+def _divide_form(
+    target: Dict[MultiIndex, Fraction], divisor: Polynomial
+) -> Dict[MultiIndex, Fraction]:
+    """Divide the term dict ``target`` by ``divisor`` in place; return the
+    quotient terms.
+
+    Leading-term reduction, largest monomial first.  A term whose monomial
+    lt(divisor) does not divide is set aside: on return ``target`` holds
+    exactly those terms, the remainder.  Reducing a term changes only
+    smaller monomials, so a term is final once it is popped.
+    """
+    lead, c_lead = divisor.leading_term()
+    # the other terms of the divisor, as exponent offsets from its leading one
+    tail = [
+        (tuple(b - a for a, b in zip(lead, beta)), c)
+        for beta, c in divisor.terms.items()
+        if beta != lead
+    ]
+    quotient: Dict[MultiIndex, Fraction] = {}
+    heap = [(_descending(alpha), alpha) for alpha in target]
+    heapq.heapify(heap)
+    while heap:
+        _, alpha = heapq.heappop(heap)
+        if alpha not in target or not mi.divides(lead, alpha):
+            continue
+        q = target.pop(alpha) / c_lead
+        quotient[mi.sub(alpha, lead)] = q
+        for offset, c in tail:
+            gamma = mi.add(alpha, offset)
+            if gamma not in target:
+                heapq.heappush(heap, (_descending(gamma), gamma))
+            s = target.get(gamma, 0) - q * c
+            if s:
+                target[gamma] = s
+            else:
+                del target[gamma]
+    return quotient
 
 
 def divide_by_harmonic(p: Polynomial, q: Polynomial) -> DivisionOutcome:
@@ -101,37 +141,43 @@ def divide_by_harmonic(p: Polynomial, q: Polynomial) -> DivisionOutcome:
     if not q.laplacian().is_zero():
         raise NotHarmonic("divisor must be harmonic")
 
-    lt_q, c_q = q.leading_term()
-    remainder = p
-    quotient = Polynomial.zero(p.dim)
-    while not remainder.is_zero():
-        lt_r, c_r = remainder.leading_term()
-        if not mi.divides(lt_q, lt_r):
-            raise NotDivisible(
-                f"leading monomial {lt_r} is not a multiple of {lt_q}"
-            )
-        t = Polynomial.monomial(p.dim, mi.sub(lt_r, lt_q), c_r / c_q)
-        quotient = quotient + t
-        remainder = remainder - t * q
-    # remainder reached zero, so Q * quotient == P identically
-    assert (q * quotient) == p
+    remainder = dict(p.terms)
+    quotient = Polynomial(p.dim, _divide_form(remainder, q))
+    if remainder:
+        lt_r = max(remainder, key=mi.graded_key)
+        raise NotDivisible(
+            f"leading monomial {lt_r} is not a multiple of {q.leading_term()[0]}"
+        )
+    if q * quotient != p:
+        raise ResidualNonzero("divisor times quotient does not give the dividend")
     return DivisionOutcome(quotient=quotient, residual_verified=True)
+
+
+def _stereographic_points(dim: int) -> Iterator[Tuple[Fraction, ...]]:
+    """Rational unit vectors (1 - |z|^2, 2z) / (1 + |z|^2), the inverse
+    stereographic images of the integer points z of Z^(dim-1), by increasing
+    |z|^2 and lexicographically within one |z|^2; z = 0 gives e1."""
+    for norm2 in itertools.count(0):
+        m = math.isqrt(norm2)
+        for z in itertools.product(range(-m, m + 1), repeat=dim - 1):
+            if sum(x * x for x in z) == norm2:
+                yield tuple(
+                    Fraction(x, 1 + norm2) for x in (1 - norm2, *(2 * x for x in z))
+                )
 
 
 def normalize_rotation(
     v: Union[Polynomial, TruncatedSeries],
-    grid: Sequence[Fraction] = DEFAULT_CAYLEY_GRID,
-    max_candidates: int = 200_000,
 ) -> Tuple[RationalOrthogonalMatrix, int]:
-    """Find an exact rotation O with (v o O) having a nonzero coefficient at
+    """An exact orthogonal O with (v o O) having a nonzero coefficient at
     (k, 0, ..., 0), where k is the leading degree of v.
 
-    For homogeneous leading part L, the coefficient of x1^k after rotation is
-    L evaluated at the first column of O, so the search only evaluates L on
-    candidate unit vectors.  The candidate stream is identity, axis
-    permutations, then Cayley matrices over a grid of small rational skew
-    parameters; L is a nonzero polynomial, so small grids succeed except in
-    contrived cases, which are reported via SearchExhausted.
+    That coefficient is L(w) for the leading form L of v and w = O e1.  w is
+    the first point of ``_stereographic_points`` with L(w) != 0; O is the
+    identity if w = e1, else the Householder reflection that maps e1 to w.
+    The search ends: L(w) * (1 + |z|^2)^k is a nonzero polynomial in z of
+    degree at most 2k in each variable, so it does not vanish on the whole
+    box [-k, k]^(dim-1) (Schwartz-Zippel).
     """
     if isinstance(v, TruncatedSeries):
         if v.is_zero():
@@ -142,15 +188,16 @@ def normalize_rotation(
         if v.is_zero():
             raise ZeroInput("zero polynomial has no leading part")
         k, leading = v.leading_part()
-    dim = leading.dim
-    tried = 0
-    for cand in search_candidates(dim, grid):
-        tried += 1
-        if tried > max_candidates:
-            break
-        if leading.evaluate(cand.column(0)) != 0:
-            return cand, k
-    raise SearchExhausted(tried)
+    w = next(w for w in _stereographic_points(v.dim) if leading.evaluate(w) != 0)
+    return (identity(v.dim) if w[0] == 1 else reflection_to(w)), k
+
+
+def _forms(s: TruncatedSeries) -> Dict[int, Dict[MultiIndex, Fraction]]:
+    """The coefficients of ``s`` grouped by total degree."""
+    forms: Dict[int, Dict[MultiIndex, Fraction]] = {}
+    for alpha, c in s.coefficients.items():
+        forms.setdefault(sum(alpha), {})[alpha] = c
+    return forms
 
 
 def series_ratio(
@@ -166,7 +213,9 @@ def series_ratio(
     quotient series f satisfies u = v * f exactly through degree n_out + k;
     this is checked coefficient-by-coefficient.  With ``strict`` a failed
     check raises ResidualNonzero, otherwise the outcome carries
-    ``residual_verified=False``.
+    ``residual_verified=False``; every nonzero residual coefficient then sits
+    on a monomial that the leading monomial of v's leading form does not
+    divide.
     """
     u._check_compatible(v)
     if v.is_zero():
@@ -187,66 +236,40 @@ def series_ratio(
             f"denominator leading degree {k}"
         )
 
-    k_tilde = (k,) + (0,) * (u.dim - 1)
-    if v.coefficient(k_tilde) != 0:
-        rot = None
-        u_r, v_r = u, v
-    else:
-        rot, _ = normalize_rotation(v)
-        u_r, v_r = u.rotate(rot), v.rotate(rot)
+    u_forms, v_forms = _forms(u), _forms(v)
+    leading = Polynomial(u.dim, v_forms[k])
+    f_forms: List[List[Tuple[MultiIndex, Fraction]]] = []
+    f_coeffs: Dict[MultiIndex, Fraction] = {}
+    for d in range(n_out + 1):
+        # u_(d+k) - sum_(j >= 1) v_(k+j) * f_(d-j); what L does not divide
+        # is left behind and shows up in the residual check below
+        target = dict(u_forms.get(d + k, {}))
+        for j in range(1, d + 1):
+            for a, ca in v_forms.get(k + j, {}).items():
+                for b, cb in f_forms[d - j]:
+                    gamma = mi.add(a, b)
+                    s = target.get(gamma, 0) - ca * cb
+                    if s:
+                        target[gamma] = s
+                    else:
+                        del target[gamma]
+        f_d = _divide_form(target, leading)
+        f_forms.append(list(f_d.items()))
+        f_coeffs.update(f_d)
+    f = TruncatedSeries(u.dim, u.center, n_out, f_coeffs)
 
-    v_coeffs = v_r.coefficients
-    u_coeffs = u_r.coefficients
-    c = v_coeffs[k_tilde]
-
-    f_coeffs: dict[MultiIndex, Fraction] = {}
-    # prec order over all |beta| <= n_out: every gamma the recursion reads
-    # satisfies gamma prec beta, so it is already solved for
-    betas = sorted(mi.iter_up_to_degree(u.dim, n_out), key=mi.prec_key)
-    for beta in betas:
-        deg_beta = sum(beta)
-        rhs = u_coeffs.get(mi.add(beta, k_tilde), Fraction(0))
-        for gamma, f_gamma in f_coeffs.items():
-            if sum(gamma) > deg_beta:
-                continue
-            if not mi.leq_componentwise(gamma, mi.add(beta, k_tilde)):
-                continue
-            assert mi.prec(gamma, beta)  # well-foundedness of the recursion
-            vc = v_coeffs.get(mi.sub(mi.add(beta, k_tilde), gamma))
-            if vc is not None:
-                rhs -= f_gamma * vc
-        if rhs:
-            f_coeffs[beta] = rhs / c
-
-    f_rot = TruncatedSeries(u.dim, u.center, n_out, f_coeffs)
-    f = f_rot if rot is None else f_rot.rotate(rot.transpose())
-
-    # full residual validation in the original frame, through degree n_out + k
+    # full residual validation through degree n_out + k
     product = v.mul_truncated(f, n_out + k)
     residual = u.truncate(n_out + k) - product
     if residual.is_zero():
-        return DivisionOutcome(
-            quotient=f,
-            residual_verified=True,
-            rotation=rot,
-            rotated_quotient=f_rot,
-            rotated_numerator=u_r,
-            rotated_denominator=v_r,
-        )
+        return DivisionOutcome(quotient=f, residual_verified=True)
     if strict:
         bad = min(residual.coefficients, key=mi.graded_key)
         raise ResidualNonzero(
             f"residual coefficient at {bad} is {residual.coefficients[bad]}; "
             "the inputs do not divide as series"
         )
-    return DivisionOutcome(
-        quotient=f,
-        residual_verified=False,
-        rotation=rot,
-        rotated_quotient=f_rot,
-        rotated_numerator=u_r,
-        rotated_denominator=v_r,
-    )
+    return DivisionOutcome(quotient=f, residual_verified=False)
 
 
 def multi_divide(

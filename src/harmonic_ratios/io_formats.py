@@ -71,21 +71,33 @@ def format_polynomial(p: Polynomial, comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_polynomial(text: str) -> Polynomial:
-    lines = _meaningful_lines(text)
-    if not lines or not lines[0].startswith("dim "):
-        raise FormatError("polynomial file must start with a 'dim n' header")
+def _header_int(line: str) -> int:
     try:
-        dim = int(lines[0].split()[1])
+        return int(line.split()[1])
     except (IndexError, ValueError) as exc:
-        raise FormatError(f"bad dim header {lines[0]!r}") from exc
+        raise FormatError(f"bad header {line!r}") from exc
+
+
+def _parse_terms(lines: List[str], dim: int) -> Dict[MultiIndex, Fraction]:
     terms: Dict[MultiIndex, Fraction] = {}
-    for line in lines[1:]:
+    for line in lines:
         alpha, coeff = _parse_term(line, dim)
         if alpha in terms:
             raise FormatError(f"duplicate term {alpha}")
         terms[alpha] = coeff
-    return Polynomial(dim, terms)
+    return terms
+
+
+def parse_polynomial(text: str) -> Polynomial:
+    lines = _meaningful_lines(text)
+    if not lines or not lines[0].startswith("dim "):
+        raise FormatError("polynomial file must start with a 'dim n' header")
+    dim = _header_int(lines[0])
+    terms = _parse_terms(lines[1:], dim)
+    try:
+        return Polynomial(dim, terms)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def format_series(s: TruncatedSeries, comment: str = "") -> str:
@@ -106,7 +118,7 @@ def parse_series(text: str) -> TruncatedSeries:
         raise FormatError("series file needs dim, center, and maxdeg headers")
     if not lines[0].startswith("dim "):
         raise FormatError("series file must start with a 'dim n' header")
-    dim = int(lines[0].split()[1])
+    dim = _header_int(lines[0])
     if not lines[1].startswith("center"):
         raise FormatError("second header must be 'center ...'")
     center = tuple(_parse_fraction(t) for t in lines[1].split()[1:])
@@ -114,14 +126,12 @@ def parse_series(text: str) -> TruncatedSeries:
         raise FormatError("center length does not match dim")
     if not lines[2].startswith("maxdeg"):
         raise FormatError("third header must be 'maxdeg N'")
-    max_degree = int(lines[2].split()[1])
-    coeffs: Dict[MultiIndex, Fraction] = {}
-    for line in lines[3:]:
-        alpha, coeff = _parse_term(line, dim)
-        if alpha in coeffs:
-            raise FormatError(f"duplicate coefficient {alpha}")
-        coeffs[alpha] = coeff
-    return TruncatedSeries(dim, center, max_degree, coeffs)
+    max_degree = _header_int(lines[2])
+    coeffs = _parse_terms(lines[3:], dim)
+    try:
+        return TruncatedSeries(dim, center, max_degree, coeffs)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def format_certificate(cert: BoundCertificate) -> str:

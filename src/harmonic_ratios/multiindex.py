@@ -16,17 +16,10 @@ Two orders are used throughout the package:
 
 from __future__ import annotations
 
-import enum
 from itertools import combinations
 from typing import Iterator, Sequence, Tuple
 
 MultiIndex = Tuple[int, ...]
-
-
-class Ordering(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
 
 
 def validate(alpha: Sequence[int], dim: int | None = None) -> MultiIndex:
@@ -48,18 +41,6 @@ def prec(gamma: MultiIndex, beta: MultiIndex) -> bool:
     if len(gamma) != len(beta):
         raise ValueError("dimension mismatch")
     return tuple(reversed(gamma)) < tuple(reversed(beta))
-
-
-def order_compare(alpha: MultiIndex, beta: MultiIndex) -> Ordering:
-    """Compare two multi-indices in the last-coordinate-first order."""
-    if len(alpha) != len(beta):
-        raise ValueError("dimension mismatch")
-    ra, rb = tuple(reversed(alpha)), tuple(reversed(beta))
-    if ra < rb:
-        return Ordering.LESS
-    if ra > rb:
-        return Ordering.GREATER
-    return Ordering.EQUAL
 
 
 def prec_key(alpha: MultiIndex) -> Tuple[int, ...]:

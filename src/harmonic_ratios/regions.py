@@ -26,7 +26,7 @@ class Region:
 
     @staticmethod
     def ball(center: Sequence[float], radius: float) -> "Region":
-        if radius <= 0:
+        if not radius > 0:  # also rejects NaN
             raise ValueError("ball radius must be positive")
         return Region(kind="ball", center=tuple(map(float, center)), radius=float(radius))
 
@@ -39,7 +39,7 @@ class Region:
 
     @staticmethod
     def sphere(center: Sequence[float], radius: float) -> "Region":
-        if radius <= 0:
+        if not radius > 0:  # also rejects NaN
             raise ValueError("sphere radius must be positive")
         return Region(kind="sphere", center=tuple(map(float, center)), radius=float(radius))
 

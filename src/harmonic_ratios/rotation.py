@@ -1,17 +1,17 @@
 """Exactly orthogonal matrices with rational entries.
 
 Rational orthogonal matrices are produced by the Cayley transform
-O = (I - S)(I + S)^(-1) of a rational skew-symmetric S, composed with axis
-permutations and reflections.  Orthogonality is always checked exactly, so a
-rotated polynomial keeps its harmonicity with no rounding caveats.
+O = (I - S)(I + S)^(-1) of a rational skew-symmetric S, or as the Householder
+reflection that maps e1 to a rational unit vector.  Orthogonality is always
+checked exactly, so a rotated polynomial keeps its harmonicity with no
+rounding caveats.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 Row = Tuple[Fraction, ...]
 
@@ -80,11 +80,14 @@ def identity(n: int) -> RationalOrthogonalMatrix:
     )
 
 
-def permutation_matrix(perm: Sequence[int]) -> RationalOrthogonalMatrix:
-    """Matrix sending e_{perm[j]} to e_j, i.e. rows[i][j] = [perm[j] == i]."""
-    n = len(perm)
+def reflection_to(w: Sequence) -> RationalOrthogonalMatrix:
+    """Householder reflection I - 2 u u^T / (u^T u), u = e1 - w, which maps
+    e1 to the rational unit vector w (w != e1)."""
+    n = len(w)
+    u = [int(i == 0) - Fraction(x) for i, x in enumerate(w)]
+    uu = sum(x * x for x in u)
     return RationalOrthogonalMatrix(
-        tuple(tuple(Fraction(int(perm[j] == i)) for j in range(n)) for i in range(n))
+        tuple(tuple(int(i == j) - 2 * u[i] * u[j] / uu for j in range(n)) for i in range(n))
     )
 
 
@@ -126,38 +129,6 @@ def cayley_from_params(n: int, params: Sequence) -> RationalOrthogonalMatrix:
     it = iter(params)
     rows = [[next(it) for _ in range(n - i - 1)] for i in range(n)]
     return cayley(rows)
-
-
-DEFAULT_CAYLEY_GRID: Tuple[Fraction, ...] = tuple(
-    Fraction(s, d) for d in (2, 3, 4, 5) for s in (1, -1)
-)
-
-
-def search_candidates(
-    n: int, grid: Sequence[Fraction] = DEFAULT_CAYLEY_GRID
-) -> Iterator[RationalOrthogonalMatrix]:
-    """Deterministic stream of exactly-orthogonal candidates.
-
-    Order: identity, axis permutations, pure Cayley matrices over the grid
-    (each skew entry independently 0 or a grid value), then Cayley matrices
-    composed with each non-identity permutation.
-    """
-    yield identity(n)
-    perms = [p for p in itertools.permutations(range(n)) if p != tuple(range(n))]
-    for p in perms:
-        yield permutation_matrix(p)
-    m = n * (n - 1) // 2
-    choices: List[Fraction] = [Fraction(0)] + list(grid)
-    cayleys = []
-    for combo in itertools.product(choices, repeat=m):
-        if all(v == 0 for v in combo):
-            continue
-        cayleys.append(cayley_from_params(n, combo))
-    yield from cayleys
-    for p in perms:
-        pm = permutation_matrix(p)
-        for c in cayleys:
-            yield c @ pm
 
 
 def random_rotation(n: int, rng, max_num: int = 5) -> RationalOrthogonalMatrix:

@@ -42,6 +42,23 @@ class TestDivide:
     def test_missing_file_exits_two(self, tmp_path):
         assert run(tmp_path, "divide", "--dividend", "no.poly", "--divisor", "nope") == 2
 
+    def test_wrong_quotient_is_a_failed_check(self, tmp_path, monkeypatch):
+        from harmonic_ratios import division
+
+        real = division._divide_form
+
+        def off_by_one(target, divisor):
+            quotient = real(target, divisor)
+            quotient[(0, 0)] = quotient.get((0, 0), 0) + 1
+            return quotient
+
+        monkeypatch.setattr(division, "_divide_form", off_by_one)
+        dividend = write_poly(tmp_path / "P.poly", X**3 * Y - X * Y**3)
+        divisor = write_poly(tmp_path / "Q.poly", X * Y)
+        assert run(tmp_path, "divide", "--dividend", dividend, "--divisor", divisor) == 1
+        report = json.loads((tmp_path / "divide_report.json").read_text())
+        assert not report["passed"] and report["error"] == "ResidualNonzero"
+
 
 def parse_poly_file(path):
     return parse_polynomial(path.read_text())
@@ -66,6 +83,15 @@ class TestCertify:
         report = json.loads((tmp_path / "certify_report.json").read_text())
         assert report["verify"]["passed"]
         assert (tmp_path / "bound.cert").exists()
+
+    def test_ill_formed_certificate_is_a_failed_check(self, tmp_path, monkeypatch):
+        from harmonic_ratios.certificates import BoundCertificate
+
+        monkeypatch.setattr(BoundCertificate, "is_well_formed", lambda self: False)
+        assert run(tmp_path, "certify", "--a", "1", "--c", "1", "--r", "1",
+                   "--k", "1", "--n", "2") == 1
+        report = json.loads((tmp_path / "certify_report.json").read_text())
+        assert not report["passed"] and report["error"] == "IllFormedCertificate"
 
     def test_bad_rational_exits_two(self, tmp_path):
         assert run(tmp_path, "certify", "--a", "x", "--c", "1", "--r", "1",
@@ -156,6 +182,12 @@ class TestInputValidation:
         ("series", "--pair", "expsin,coshsin", "--degree", "2.5"),
         ("verify", "leading", "--pair", "expsin,coshsin", "--degree", "-1"),
         ("catalog", "dump", "--degree", "-1"),
+        ("series", "--numerator", "expsin", "--denominator", "coshsin", "--degree", "5",
+         "--extra-degree", "-3"),
+        ("certify", "--a", "1", "--c", "1", "--r", "1", "--k", "1", "--n", "2",
+         "--n-check", "-1"),
+        ("certify", "--a", "1", "--c", "1", "--r", "1", "--k", "-1", "--n", "2"),
+        ("certify", "--a", "1", "--c", "1", "--r", "1", "--k", "1", "--n", "0"),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, args):
         assert run(tmp_path, *args) == 2
@@ -166,6 +198,41 @@ class TestInputValidation:
         assert run(tmp_path, "verify", "harnack", "--pair", "expsin,coshsin",
                    "--box", "0,0,0,0") == 2
         assert "lo < hi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("nodal", "count", "--fn", "rezk:3", "--ball", "0,0:nan", "--res", "16"),
+        ("verify", "harnack", "--pair", "expsin,coshsin", "--ball", "0,0:nan",
+         "--samples", "100"),
+    ])
+    def test_nan_radius_exits_two(self, tmp_path, capsys, args):
+        assert run(tmp_path, *args) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text", [
+        ("u.series", "dim x\ncenter 0 0\nmaxdeg 3\n"),
+        ("u.series", "dim 2\ncenter 0 0\nmaxdeg 1\n1/1 : 2 0\n"),
+        ("u.poly", "dim 0\n"),
+    ])
+    def test_malformed_file_exits_two(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        if name.endswith(".series"):
+            args = ("series", "--numerator", str(path), "--denominator", str(path),
+                    "--degree", "1")
+        else:
+            args = ("divide", "--dividend", str(path), "--divisor", str(path))
+        assert run(tmp_path / "out", *args) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        # one sample per axis lands on the bounding box's corner, outside the ball
+        ("--ball", "0.5,0.5:0.1", "--samples", "1"),
+        # a floor above 1 rejects every ratio
+        ("--box", "-1,1,-1,1", "--samples", "100", "--floor", "2"),
+    ])
+    def test_degenerate_region_or_vanishing_ratio_exits_two(self, tmp_path, capsys, args):
+        assert run(tmp_path, "verify", "harnack", "--pair", "expsin,coshsin", *args) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_band_zero_and_degree_zero_accepted(self, tmp_path):
         assert run(tmp_path, "nodal", "count", "--fn", "rezk:3", "--box",

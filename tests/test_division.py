@@ -11,7 +11,6 @@ from harmonic_ratios.division import (
     NotDivisible,
     NotHarmonic,
     NotHomogeneous,
-    SearchExhausted,
     ZeroInput,
     normalize_rotation,
 )
@@ -127,9 +126,17 @@ class TestNormalizeRotation:
         rot, k = normalize_rotation(s)
         assert k == 2
 
-    def test_exhaustion_reported(self):
-        with pytest.raises(SearchExhausted):
-            normalize_rotation(X * Y, grid=(), max_candidates=3)
+    def test_first_stereographic_hit_as_reflection(self):
+        # x*y vanishes at e1 and at the first candidates (0, -+1), from
+        # z = -+1; the next, z = -2, gives w = (-3/5, -4/5)
+        rot, k = normalize_rotation(X * Y)
+        assert k == 2
+        assert rot.column(0) == (Fraction(-3, 5), Fraction(-4, 5))
+        assert rot.rows == rot.transpose().rows
+
+    def test_takes_only_the_divisor(self):
+        with pytest.raises(TypeError):
+            normalize_rotation(X * Y, (Fraction(1, 2),))
 
     def test_zero_input(self):
         with pytest.raises(ZeroInput):

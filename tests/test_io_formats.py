@@ -56,6 +56,9 @@ class TestPolynomialFormat:
         "dim 2\nx : 1 0",
         "dim 2\n1/2 : 1 -1",
         "dim 2\n1 : 1 0\n2 : 1 0",
+        "dim x\n1 : 1 0",
+        "dim 0",
+        "dim -1",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(FormatError):
@@ -73,6 +76,17 @@ class TestSeriesFormat:
             parse_series("dim 2\nmaxdeg 3\n1 : 0 0")
         with pytest.raises(FormatError):
             parse_series("dim 2\ncenter 0/1\nmaxdeg 3")
+
+    @pytest.mark.parametrize("bad", [
+        "dim x\ncenter 0 0\nmaxdeg 3",
+        "dim 2\ncenter 0 0\nmaxdeg x",
+        "dim 2\ncenter 0 0\nmaxdeg -1",
+        "dim 2\ncenter 0 0\nmaxdeg 1\n1 : 2 0",
+        "dim 0\ncenter\nmaxdeg 1",
+    ])
+    def test_rejects_bad_header_values_and_degrees(self, bad):
+        with pytest.raises(FormatError):
+            parse_series(bad)
 
     def test_byte_identical_reserialization(self):
         s = TruncatedSeries(2, (0, Fraction(1, 2)), 3, {(1, 2): Fraction(-3, 4)})

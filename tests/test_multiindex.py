@@ -45,18 +45,6 @@ class TestPrec:
             assert mi.prec(mi.add(a, c), mi.add(b, c))
 
 
-class TestOrderCompare:
-    @given(indices(2), indices(2))
-    def test_agrees_with_prec(self, a, b):
-        cmp = mi.order_compare(a, b)
-        if cmp is mi.Ordering.LESS:
-            assert mi.prec(a, b)
-        elif cmp is mi.Ordering.GREATER:
-            assert mi.prec(b, a)
-        else:
-            assert a == b
-
-
 class TestGradedKey:
     @given(indices(3), indices(3))
     def test_degree_dominates(self, a, b):

@@ -11,6 +11,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Region.ball((0, 0), 0.0)
 
+    @pytest.mark.parametrize("make", [Region.ball, Region.sphere])
+    @pytest.mark.parametrize("radius", [float("nan"), -1.0, 0.0])
+    def test_nan_or_nonpositive_radius(self, make, radius):
+        with pytest.raises(ValueError):
+            make((0, 0), radius)
+
     def test_bad_box(self):
         with pytest.raises(ValueError):
             Region.box((0, 1), (1, 0))

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from harmonic_ratios.rotation import (
-    DEFAULT_CAYLEY_GRID,
     RationalOrthogonalMatrix,
     cayley,
     cayley_from_params,
     identity,
-    permutation_matrix,
     random_rotation,
-    search_candidates,
+    reflection_to,
 )
 
 
@@ -56,30 +54,21 @@ def test_apply_exact():
     assert sum(v * v for v in img) == 1
 
 
-def test_permutation_matrix():
-    pm = permutation_matrix((1, 0))
-    assert pm.apply((Fraction(2), Fraction(5))) == (Fraction(5), Fraction(2))
-
-
 def test_column():
     rot = cayley_from_params(2, [Fraction(1, 2)])
     assert rot.column(0) == (Fraction(3, 5), Fraction(4, 5))
 
 
-def test_search_candidates_starts_with_identity():
-    stream = search_candidates(2)
-    assert next(stream).rows == identity(2).rows
-    seen = [next(stream) for _ in range(10)]
-    assert all(isinstance(m, RationalOrthogonalMatrix) for m in seen)
-
-
-def test_search_candidates_distinct_first_columns():
-    cols = set()
-    for i, cand in enumerate(search_candidates(2, DEFAULT_CAYLEY_GRID)):
-        cols.add(cand.column(0))
-        if i > 12:
-            break
-    assert len(cols) > 4  # the stream explores genuinely different directions
+@pytest.mark.parametrize("w", [
+    (Fraction(0), Fraction(1)),
+    (Fraction(-1), Fraction(0)),
+    (Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3)),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)),
+])
+def test_reflection_maps_e1_to_w(w):
+    rot = reflection_to(w)  # the constructor checks exact orthogonality
+    assert rot.column(0) == w
+    assert rot.rows == rot.transpose().rows  # a reflection is symmetric
 
 
 def test_random_rotation_is_exact():
