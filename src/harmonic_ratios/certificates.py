@@ -16,18 +16,22 @@ the per-index inequality
 
     a0 r^|beta+kt| + a0 A sum_{*} R^gamma r^|beta+kt-gamma|  <=  A R^beta
 
-exactly in rational arithmetic for every |beta| <= N (kt = (k,0,...,0); the
-star condition is gamma <= beta+kt componentwise, |gamma| <= |beta|,
-gamma != beta).  The verification is independent of the construction: it
-enumerates and sums, it does not reuse the geometric shortcut.
+exactly for every |beta| <= N (kt = (k,0,...,0); the star condition is
+gamma <= beta+kt componentwise, |gamma| <= |beta|, gamma != beta).  The
+verification is independent of the construction: it enumerates and sums,
+it does not reuse the geometric shortcut.  It clears every denominator once,
+so each slack is one integer, and it sweeps beta depth-first: the sum over
+gamma factors by coordinate, and each coordinate prefix's truncated product
+is folded once for all the indices beta that share it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import multiindex as mi
 from .reports import VerificationReport
@@ -120,71 +124,112 @@ def _scaled_ints(cert: BoundCertificate) -> Tuple[int, int, List[int]]:
     return d, int(cert.r * d), [int(ri * d) for ri in cert.R]
 
 
+def _add_shifted(S: List[int], P: List[int], c: int, shift: int) -> None:
+    """S += c * z^shift * P in place, truncated at len(S) - 1."""
+    S[shift:] = [s + c * p for s, p in zip(S[shift:], P)]
+
+
+def _star_products(
+    R_pows: List[List[int]], k: int, prefix: mi.MultiIndex, P: List[int], R_prefix: int
+) -> Iterator[Tuple[mi.MultiIndex, int, List[int]]]:
+    """Yield (beta, (d*R)^beta, S) for every beta that extends ``prefix``
+    with |beta| <= len(P) - 1, depth-first.
+
+    P is the product over the prefix's coordinates of sum_{e <= bound_i}
+    (d*R_i)^e z^e, truncated at len(P) - 1 (bound_0 carries the extra k).
+    S[m] for m <= |beta| is the sum of (d*R)^gamma over gamma <= beta + kt
+    with |gamma| = m.  S is folded in place: read it before resuming.
+    """
+    i, N = len(prefix), len(P) - 1
+    pows = R_pows[i]
+    lo = k if i == 0 else 0
+    S = list(P)
+    for e in range(1, lo + 1):
+        _add_shifted(S, P, pows[e], e)
+    for b in range(N - sum(prefix) + 1):
+        if b:
+            # bound b + lo - 1 -> b + lo adds one shifted multiple of P
+            _add_shifted(S, P, pows[b + lo], b + lo)
+        beta, R_beta = prefix + (b,), R_prefix * pows[b]
+        if i == len(R_pows) - 1:
+            yield beta, R_beta, S
+        else:
+            yield from _star_products(R_pows, k, beta, S, R_beta)
+
+
 def verify_certificate(cert: BoundCertificate, n_check: int) -> VerificationReport:
     """Exhaustively check the per-index inequality for all |beta| <= n_check.
 
-    All arithmetic is exact.  Internally the inequality is cleared of
-    denominators (each side of the star sum is homogeneous of degree
-    |beta| + k in the radii), so the inner sums run over Python integers.
+    All arithmetic is exact.  The inequality is cleared of every denominator
+    once: the radii by their common denominator d (each side of the star sum
+    is homogeneous of degree |beta| + k in the radii), a0 and A by their own.
+    Each beta's slack is then one Python integer, d^(|beta|+k) * den(a0) *
+    den(A) times the true slack.
+
+    The star sum needs S[m] = sum of (d*R)^gamma over gamma <= beta+kt with
+    |gamma| = m, for m <= |beta|: the coefficients of the product over the
+    coordinates of sum_{e <= bound_i} (d*R_i)^e z^e.  The sweep
+    (``_star_products``) walks beta depth-first, one coordinate at a time,
+    and folds each prefix's product once, truncated at n_check, for every
+    beta that shares the prefix; raising a coordinate's bound from b to b+1
+    adds (d*R_i)^(b+1) z^(b+1) times the parent prefix.  Truncation at
+    n_check leaves the coefficients of degree <= |beta| as they are.  Ties
+    for the worst index and the first violation are resolved in
+    ``mi.iter_up_to_degree`` order (``mi.graded_key``), as if the indices
+    were checked in that order.
     """
-    n, k = cert.n, cert.k
+    if n_check < 0:
+        raise ValueError("n_check must be non-negative")
+    k, N = cert.k, n_check
     d, r_i, R_i = _scaled_ints(cert)
-    max_pow = n_check + k + 1
-    r_pows = [r_i**e for e in range(max_pow)]
+    max_pow = N + k + 1
+    # (d*r)^(N+k-j) at index j: the slice [N-m : N+1] pairs S[0..m] with
+    # the descending powers (d*r)^(m+k) ... (d*r)^k
+    r_desc = [r_i**e for e in range(max_pow)][::-1]
     R_pows = [[Ri**e for e in range(max_pow)] for Ri in R_i]
-    d_pow_k = d**k
+    a_num, a_den = cert.a0.numerator, cert.a0.denominator
+    A_num, A_den = cert.A.numerator, cert.A.denominator
+    # slack = A (dR)^beta d^k - a0 (dr)^(|beta|+k) - a0 A star, times a_den A_den
+    c_rhs = A_num * a_den * d**k
+    c_free = a_num * A_den
+    c_star = a_num * A_num
 
-    worst_slack: Optional[Fraction] = None
+    worst_slack: Optional[int] = None
     worst_beta: Optional[mi.MultiIndex] = None
-    failures = []
-    checked = 0
-
-    for beta in mi.iter_up_to_degree(n, n_check):
+    first_violation: Optional[mi.MultiIndex] = None
+    violations = checked = 0
+    for beta, R_beta, S in _star_products(R_pows, k, (), [1] + [0] * N, 1):
         checked += 1
         db = sum(beta)
-        bounds = (beta[0] + k,) + beta[1:]
-        # S[m] = sum over gamma <= beta+kt with |gamma| = m of (d*R)^gamma,
-        # built coordinate by coordinate as a truncated polynomial product
-        S = [0] * (db + 1)
-        S[0] = 1
-        for i, b in enumerate(bounds):
-            new = [0] * (db + 1)
-            pows = R_pows[i]
-            for m, acc in enumerate(S):
-                if acc == 0:
-                    continue
-                top = min(b, db - m)
-                for e in range(top + 1):
-                    new[m + e] += acc * pows[e]
-            S = new
-        R_beta = 1
-        for i, b in enumerate(beta):
-            R_beta *= R_pows[i][b]
-        S[db] -= R_beta  # exclude gamma = beta
-        # scaled star sum: sum_m S[m] * (d*r)^(|beta|+k-m) = d^(|beta|+k) * true sum
-        star = sum(S[m] * r_pows[db + k - m] for m in range(db + 1))
-        lhs = cert.a0 * r_pows[db + k] + cert.a0 * cert.A * star
-        rhs = cert.A * R_beta * d_pow_k
-        slack = Fraction(rhs) - lhs
-        if worst_slack is None or slack < worst_slack:
+        tail = r_desc[N - db : N + 1]
+        # gamma = beta is excluded: it is the (d*R)^beta term of S[db]
+        star = sum(map(operator.mul, S[: db + 1], tail)) - R_beta * tail[-1]
+        slack = c_rhs * R_beta - c_free * tail[0] - c_star * star
+        if (
+            worst_slack is None
+            or slack < worst_slack
+            or (slack == worst_slack and mi.graded_key(beta) < mi.graded_key(worst_beta))
+        ):
             worst_slack, worst_beta = slack, beta
         if slack < 0:
-            failures.append(beta)
+            violations += 1
+            if first_violation is None or mi.graded_key(beta) < mi.graded_key(first_violation):
+                first_violation = beta
 
     # report the slack in unscaled units at the worst index
-    scale = Fraction(d) ** (sum(worst_beta) + k)
+    scale = a_den * A_den * d ** (sum(worst_beta) + k)
     return VerificationReport(
         name="certificate_inequality",
-        passed=not failures,
+        passed=not violations,
         extremes={
-            "worst_slack": float(worst_slack / scale),
+            "worst_slack": float(Fraction(worst_slack, scale)),
             "worst_beta": list(worst_beta),
-            "violations": len(failures),
+            "violations": violations,
         },
         samples={"indices_checked": checked},
         tolerance=0.0,
         notes=f"exact rational check for all |beta| <= {n_check}"
-        + (f"; first violation at {failures[0]}" if failures else ""),
+        + (f"; first violation at {first_violation}" if violations else ""),
     )
 
 

@@ -1,9 +1,12 @@
 """Construction and exact verification of coefficient-growth certificates."""
 
 from fractions import Fraction
+from typing import Optional
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from harmonic_ratios import multiindex as mi
 from harmonic_ratios import (
     BoundCertificate,
     TruncatedSeries,
@@ -13,7 +16,98 @@ from harmonic_ratios import (
     verify_certificate,
 )
 from harmonic_ratios.catalog import catalog_get
+from harmonic_ratios.certificates import _scaled_ints
 from harmonic_ratios.division import series_ratio
+from harmonic_ratios.reports import VerificationReport
+
+SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def per_beta_oracle(cert: BoundCertificate, n_check: int) -> VerificationReport:
+    """The check before the prefix-shared sweep: S rebuilt from the empty
+    product for every beta, truncated at |beta|, slack as a Fraction."""
+    n, k = cert.n, cert.k
+    d, r_i, R_i = _scaled_ints(cert)
+    max_pow = n_check + k + 1
+    r_pows = [r_i**e for e in range(max_pow)]
+    R_pows = [[Ri**e for e in range(max_pow)] for Ri in R_i]
+    d_pow_k = d**k
+
+    worst_slack: Optional[Fraction] = None
+    worst_beta = None
+    failures = []
+    checked = 0
+    for beta in mi.iter_up_to_degree(n, n_check):
+        checked += 1
+        db = sum(beta)
+        bounds = (beta[0] + k,) + beta[1:]
+        S = [0] * (db + 1)
+        S[0] = 1
+        for i, b in enumerate(bounds):
+            new = [0] * (db + 1)
+            pows = R_pows[i]
+            for m, acc in enumerate(S):
+                if acc == 0:
+                    continue
+                top = min(b, db - m)
+                for e in range(top + 1):
+                    new[m + e] += acc * pows[e]
+            S = new
+        R_beta = 1
+        for i, b in enumerate(beta):
+            R_beta *= R_pows[i][b]
+        S[db] -= R_beta
+        star = sum(S[m] * r_pows[db + k - m] for m in range(db + 1))
+        lhs = cert.a0 * r_pows[db + k] + cert.a0 * cert.A * star
+        rhs = cert.A * R_beta * d_pow_k
+        slack = Fraction(rhs) - lhs
+        if worst_slack is None or slack < worst_slack:
+            worst_slack, worst_beta = slack, beta
+        if slack < 0:
+            failures.append(beta)
+
+    scale = Fraction(d) ** (sum(worst_beta) + k)
+    return VerificationReport(
+        name="certificate_inequality",
+        passed=not failures,
+        extremes={
+            "worst_slack": float(worst_slack / scale),
+            "worst_beta": list(worst_beta),
+            "violations": len(failures),
+        },
+        samples={"indices_checked": checked},
+        tolerance=0.0,
+        notes=f"exact rational check for all |beta| <= {n_check}"
+        + (f"; first violation at {failures[0]}" if failures else ""),
+    )
+
+
+def fractions(lo: int = 1, hi: int = 9):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, hi))
+
+
+@st.composite
+def constructed(draw):
+    """``bound_certificate`` inputs (n 2-5, k 0-3) and a check degree 0-12."""
+    n = draw(st.integers(2, 5))
+    cert = bound_certificate(
+        draw(fractions()), draw(fractions()), draw(fractions(1, 4)),
+        draw(st.integers(0, 3)), n,
+    )
+    return cert, draw(st.integers(0, 12 if n < 5 else 9))
+
+
+@st.composite
+def built(draw):
+    """Certificates built directly, most of them failing the inequality."""
+    n = draw(st.integers(2, 4))
+    cert = BoundCertificate(
+        a0=draw(fractions()), r=draw(fractions()), k=draw(st.integers(0, 3)), n=n,
+        A=draw(fractions(1, 30)), R=tuple(draw(fractions(1, 30)) for _ in range(n)),
+    )
+    return cert, draw(st.integers(0, 8))
 
 
 class TestConstruction:
@@ -81,6 +175,45 @@ class TestVerification:
         )
         report = verify_certificate(cert, n_check=6)
         assert not report.passed
+
+
+class TestSweepAgainstOracle:
+    """The prefix-shared sweep gives the per-beta loop's report."""
+
+    @SETTINGS
+    @given(constructed())
+    def test_constructed(self, case):
+        cert, n_check = case
+        assert verify_certificate(cert, n_check).to_dict() == (
+            per_beta_oracle(cert, n_check).to_dict()
+        )
+
+    @SETTINGS
+    @given(built())
+    def test_built(self, case):
+        cert, n_check = case
+        assert verify_certificate(cert, n_check).to_dict() == (
+            per_beta_oracle(cert, n_check).to_dict()
+        )
+
+    def test_built_failing_cases_occur(self):
+        cert = BoundCertificate(
+            a0=Fraction(1), r=Fraction(1), k=2, n=3,
+            A=Fraction(3), R=(Fraction(2), Fraction(3), Fraction(5, 2)),
+        )
+        report = verify_certificate(cert, 6)
+        assert not report.passed and report.extremes["violations"] > 1
+        assert report.to_dict() == per_beta_oracle(cert, 6).to_dict()
+
+    def test_degree_zero(self):
+        cert = bound_certificate(1, 1, 1, 3, 4)
+        report = verify_certificate(cert, 0)
+        assert report.samples["indices_checked"] == 1
+        assert report.to_dict() == per_beta_oracle(cert, 0).to_dict()
+
+    def test_indices_checked(self):
+        cert = bound_certificate(1, 1, 1, 1, 4)
+        assert verify_certificate(cert, 16).samples["indices_checked"] == 4845
 
 
 class TestMeasureGrowth:
