@@ -164,7 +164,8 @@ def verify_certificate(cert: BoundCertificate, n_check: int) -> VerificationRepo
     once: the radii by their common denominator d (each side of the star sum
     is homogeneous of degree |beta| + k in the radii), a0 and A by their own.
     Each beta's slack is then one Python integer, d^(|beta|+k) * den(a0) *
-    den(A) times the true slack.
+    den(A) times the true slack; the worst index is the one with the least
+    true slack, compared across degrees through powers of d.
 
     The star sum needs S[m] = sum of (d*R)^gamma over gamma <= beta+kt with
     |gamma| = m, for m <= |beta|: the coefficients of the product over the
@@ -194,7 +195,8 @@ def verify_certificate(cert: BoundCertificate, n_check: int) -> VerificationRepo
     c_free = a_num * A_den
     c_star = a_num * A_num
 
-    worst_slack: Optional[int] = None
+    d_pows = [d**e for e in range(N + 1)]
+    worst_key: Optional[int] = None
     worst_beta: Optional[mi.MultiIndex] = None
     first_violation: Optional[mi.MultiIndex] = None
     violations = checked = 0
@@ -205,24 +207,24 @@ def verify_certificate(cert: BoundCertificate, n_check: int) -> VerificationRepo
         # gamma = beta is excluded: it is the (d*R)^beta term of S[db]
         star = sum(map(operator.mul, S[: db + 1], tail)) - R_beta * tail[-1]
         slack = c_rhs * R_beta - c_free * tail[0] - c_star * star
+        # the same multiple d^(N+k) den(a0) den(A) of the true slack for every beta
+        key = slack * d_pows[N - db]
         if (
-            worst_slack is None
-            or slack < worst_slack
-            or (slack == worst_slack and mi.graded_key(beta) < mi.graded_key(worst_beta))
+            worst_key is None
+            or key < worst_key
+            or (key == worst_key and mi.graded_key(beta) < mi.graded_key(worst_beta))
         ):
-            worst_slack, worst_beta = slack, beta
+            worst_key, worst_beta = key, beta
         if slack < 0:
             violations += 1
             if first_violation is None or mi.graded_key(beta) < mi.graded_key(first_violation):
                 first_violation = beta
 
-    # report the slack in unscaled units at the worst index
-    scale = a_den * A_den * d ** (sum(worst_beta) + k)
     return VerificationReport(
         name="certificate_inequality",
         passed=not violations,
         extremes={
-            "worst_slack": float(Fraction(worst_slack, scale)),
+            "worst_slack": float(Fraction(worst_key, a_den * A_den * d ** (N + k))),
             "worst_beta": list(worst_beta),
             "violations": violations,
         },

@@ -1,7 +1,8 @@
 """Construction and exact verification of coefficient-growth certificates."""
 
+import itertools
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -81,6 +82,42 @@ def per_beta_oracle(cert: BoundCertificate, n_check: int) -> VerificationReport:
         tolerance=0.0,
         notes=f"exact rational check for all |beta| <= {n_check}"
         + (f"; first violation at {failures[0]}" if failures else ""),
+    )
+
+
+def naive_worst(cert: BoundCertificate, n_check: int) -> Tuple[Fraction, tuple]:
+    """Least true slack over |beta| <= n_check, and the first index to reach
+    it in ``mi.iter_up_to_degree`` order: every gamma of the star sum
+    enumerated with ``itertools.product``, all arithmetic in Fractions."""
+    k, a0, A, r, R = cert.k, cert.a0, cert.A, cert.r, cert.R
+
+    def R_pow(gamma):
+        out = Fraction(1)
+        for ri, g in zip(R, gamma):
+            out *= ri**g
+        return out
+
+    worst = None
+    for beta in mi.iter_up_to_degree(cert.n, n_check):
+        db = sum(beta)
+        bounds = (beta[0] + k,) + beta[1:]
+        star = sum(
+            (R_pow(gamma) * r ** (db + k - sum(gamma))
+             for gamma in itertools.product(*(range(b + 1) for b in bounds))
+             if sum(gamma) <= db and gamma != beta),
+            Fraction(0),
+        )
+        slack = A * R_pow(beta) - a0 * r ** (db + k) - a0 * A * star
+        if worst is None or slack < worst[0]:
+            worst = (slack, beta)
+    return worst
+
+
+def same_verdict(a: VerificationReport, b: VerificationReport) -> bool:
+    """Everything but the worst index, which the per-beta loop chose by the
+    slack scaled by d^(|beta|+k) instead of the true slack."""
+    return (a.passed, a.extremes["violations"], a.samples, a.notes) == (
+        b.passed, b.extremes["violations"], b.samples, b.notes
     )
 
 
@@ -178,23 +215,46 @@ class TestVerification:
 
 
 class TestSweepAgainstOracle:
-    """The prefix-shared sweep gives the per-beta loop's report."""
+    """The prefix-shared sweep reaches the per-beta loop's verdict, and its
+    worst index is the true minimum of the naive enumeration."""
 
     @SETTINGS
     @given(constructed())
     def test_constructed(self, case):
         cert, n_check = case
-        assert verify_certificate(cert, n_check).to_dict() == (
-            per_beta_oracle(cert, n_check).to_dict()
+        assert same_verdict(
+            verify_certificate(cert, n_check), per_beta_oracle(cert, n_check)
         )
 
     @SETTINGS
     @given(built())
     def test_built(self, case):
         cert, n_check = case
-        assert verify_certificate(cert, n_check).to_dict() == (
-            per_beta_oracle(cert, n_check).to_dict()
+        assert same_verdict(
+            verify_certificate(cert, n_check), per_beta_oracle(cert, n_check)
         )
+
+    @SETTINGS
+    @given(st.one_of(constructed(), built()), st.integers(0, 5))
+    def test_worst_is_true_minimum(self, case, n_check):
+        cert = case[0]
+        report = verify_certificate(cert, n_check)
+        slack, beta = naive_worst(cert, n_check)
+        assert report.extremes["worst_slack"] == float(slack)
+        assert report.extremes["worst_beta"] == list(beta)
+
+    def test_worst_compared_across_degrees(self):
+        # d = 3: the slack scaled by d^|beta| is least at (0, 0, 0), the
+        # true slack at (8, 0, 0)
+        cert = BoundCertificate(
+            a0=Fraction(1, 100), r=Fraction(1, 3), k=0, n=3,
+            A=Fraction(1, 20), R=(Fraction(2, 3), Fraction(4, 3), Fraction(4, 3)),
+        )
+        report = verify_certificate(cert, 8)
+        slack, beta = naive_worst(cert, 8)
+        assert report.extremes["worst_beta"] == list(beta) != [0, 0, 0]
+        assert report.extremes["worst_slack"] == float(slack)
+        assert per_beta_oracle(cert, 8).extremes["worst_beta"] == [0, 0, 0]
 
     def test_built_failing_cases_occur(self):
         cert = BoundCertificate(
@@ -203,7 +263,9 @@ class TestSweepAgainstOracle:
         )
         report = verify_certificate(cert, 6)
         assert not report.passed and report.extremes["violations"] > 1
-        assert report.to_dict() == per_beta_oracle(cert, 6).to_dict()
+        assert same_verdict(report, per_beta_oracle(cert, 6))
+        slack, beta = naive_worst(cert, 6)
+        assert report.extremes["worst_beta"] == list(beta)
 
     def test_degree_zero(self):
         cert = bound_certificate(1, 1, 1, 3, 4)
