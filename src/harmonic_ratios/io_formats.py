@@ -155,7 +155,7 @@ def parse_certificate(text: str) -> BoundCertificate:
         key, value = line.split("=", 1)
         fields[key.strip()] = value.strip()
     try:
-        cert = BoundCertificate(
+        return BoundCertificate(
             a0=_parse_fraction(fields["a0"]),
             r=_parse_fraction(fields["r"]),
             k=int(fields["k"]),
@@ -165,4 +165,7 @@ def parse_certificate(text: str) -> BoundCertificate:
         )
     except KeyError as exc:
         raise FormatError(f"certificate missing field {exc}") from exc
-    return cert
+    except FormatError:
+        raise
+    except ValueError as exc:  # int() of k or n, or the constants' checks
+        raise FormatError(f"bad certificate: {exc}") from exc

@@ -107,3 +107,20 @@ class TestCertificateFormat:
     def test_missing_equals(self):
         with pytest.raises(FormatError):
             parse_certificate("a0 1/1")
+
+    @pytest.mark.parametrize("key,value", [
+        ("k", "x"),
+        ("n", "2.5"),
+        ("A", "-2"),
+        ("k", "-1"),
+        ("R", "8/1"),
+        ("r", "1/0"),
+    ])
+    def test_bad_values_raise_format_error(self, key, value):
+        cert = bound_certificate(1, 1, 1, 1, 2)
+        lines = [
+            f"{key} = {value}" if line.split("=")[0].strip() == key else line
+            for line in format_certificate(cert).splitlines()
+        ]
+        with pytest.raises(FormatError):
+            parse_certificate("\n".join(lines))
