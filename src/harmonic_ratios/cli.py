@@ -140,15 +140,15 @@ def parse_count(text: str) -> int:
 
 
 def parse_degree(text: str) -> int:
-    """Non-negative integer flag (a truncation degree); errors as in
-    ``parse_count``."""
+    """Non-negative integer flag (a truncation degree or an expected count);
+    errors as in ``parse_count``."""
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad degree {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
     if value < 0:
         raise argparse.ArgumentTypeError(
-            f"degree must be a non-negative integer, got {text!r}"
+            f"value must be a non-negative integer, got {text!r}"
         )
     return value
 
@@ -163,6 +163,20 @@ def parse_tolerance(text: str) -> float:
     if not 0 <= value < float("inf"):
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
+def parse_positive(text: str) -> float:
+    """Finite positive float flag (a step or a radius); errors as in
+    ``parse_count``."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"value must be a finite number > 0, got {text!r}"
         )
     return value
 
@@ -513,14 +527,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=parse_count, default=10000)
     p.add_argument("--boundary-samples", type=parse_count, default=4096)
     p.add_argument("--interior-samples", type=parse_count, default=4096)
-    p.add_argument("--tol", type=float, default=1e-9, help="check tolerance")
-    p.add_argument("--floor", type=float, default=1e-9, help="harnack zero floor")
+    p.add_argument("--tol", type=parse_tolerance, default=1e-9, help="check tolerance")
+    p.add_argument(
+        "--floor", type=parse_tolerance, default=1e-9, help="harnack zero floor"
+    )
     p.add_argument("--q", default=None, help="homogeneous harmonic polynomial")
     p.add_argument("--q2", default="1", help="lower-degree polynomial, or 1")
-    p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
-    p.add_argument("--h0", type=float, default=0.05, help="initial grid step")
-    p.add_argument("--halvings", type=int, default=3)
-    p.add_argument("--min-order", type=float, default=1.9)
+    p.add_argument("--radius", type=parse_positive, default=1.0, help="sphere radius")
+    p.add_argument("--h0", type=parse_positive, default=0.05, help="initial grid step")
+    p.add_argument(
+        "--halvings", type=parse_count, default=3, help="step halvings (>= 1)"
+    )
+    p.add_argument(
+        "--min-order", type=parse_tolerance, default=1.9, help="least decay order"
+    )
     p.add_argument(
         "--degree", type=parse_degree, default=8, help="series degree (leading)"
     )
@@ -540,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tol", type=parse_tolerance, default=1e-8)
     p.add_argument(
-        "--expect", type=int, default=None, help="fail unless the count matches"
+        "--expect", type=parse_degree, default=None, help="fail unless the count matches"
     )
     p.set_defaults(func=cmd_nodal)
 

@@ -188,6 +188,20 @@ class TestInputValidation:
          "--n-check", "-1"),
         ("certify", "--a", "1", "--c", "1", "--r", "1", "--k", "-1", "--n", "2"),
         ("certify", "--a", "1", "--c", "1", "--r", "1", "--k", "1", "--n", "0"),
+        ("verify", "elliptic", "--pair", "expsin,coshsin", "--halvings", "-1"),
+        ("verify", "elliptic", "--pair", "expsin,coshsin", "--halvings", "0"),
+        ("verify", "elliptic", "--pair", "expsin,coshsin", "--h0", "0"),
+        ("verify", "elliptic", "--pair", "expsin,coshsin", "--h0", "nan"),
+        ("verify", "elliptic", "--pair", "expsin,coshsin", "--min-order", "nan"),
+        ("verify", "harnack", "--pair", "expsin,coshsin", "--floor", "nan"),
+        ("verify", "harnack", "--pair", "expsin,coshsin", "--floor", "-1"),
+        ("verify", "max", "--pair", "expsin,coshsin", "--tol", "nan"),
+        ("verify", "ortho", "--q", "rezk:3", "--radius", "-1"),
+        ("verify", "ortho", "--q", "rezk:3", "--radius", "inf"),
+        ("nodal", "count", "--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "64",
+         "--expect", "-1"),
+        ("nodal", "count", "--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "64",
+         "--expect", "x"),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, args):
         assert run(tmp_path, *args) == 2
@@ -233,6 +247,16 @@ class TestInputValidation:
     def test_degenerate_region_or_vanishing_ratio_exits_two(self, tmp_path, capsys, args):
         assert run(tmp_path, "verify", "harnack", "--pair", "expsin,coshsin", *args) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_checked_verify_flags_accept_valid_values(self, tmp_path):
+        assert run(tmp_path, "verify", "elliptic", "--pair", "expsin,coshsin",
+                   "--samples", "200", "--h0", "0.05", "--halvings", "1",
+                   "--min-order", "1.5") == 0
+        assert run(tmp_path, "verify", "harnack", "--pair", "expsin,coshsin",
+                   "--samples", "100", "--floor", "0") == 0
+        assert run(tmp_path, "verify", "max", "--pair", "expsin,coshsin",
+                   "--boundary-samples", "64", "--interior-samples", "64",
+                   "--tol", "0") == 0
 
     def test_band_zero_and_degree_zero_accepted(self, tmp_path):
         assert run(tmp_path, "nodal", "count", "--fn", "rezk:3", "--box",
