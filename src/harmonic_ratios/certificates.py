@@ -275,8 +275,9 @@ def coefficient_bound_check(
     """Check |f_beta| <= A * R^beta for every computed coefficient, exactly."""
     worst_ratio = Fraction(0)
     worst_beta: Optional[mi.MultiIndex] = None
-    failures = 0
+    failures = checked = 0
     for beta in mi.iter_up_to_degree(f.dim, f.max_degree):
+        checked += 1
         bound = cert.A
         for ri, b in zip(cert.R, beta):
             bound *= ri**b
@@ -294,7 +295,7 @@ def coefficient_bound_check(
             "worst_beta": list(worst_beta) if worst_beta is not None else None,
             "violations": failures,
         },
-        samples={"coefficients_checked": sum(1 for _ in mi.iter_up_to_degree(f.dim, f.max_degree))},
+        samples={"coefficients_checked": checked},
         tolerance=0.0,
         notes="exact comparison against A * R^beta",
     )

@@ -83,7 +83,6 @@ class ZeroInput(DivisionError):
 class DivisionOutcome:
     quotient: Union[Polynomial, TruncatedSeries]
     residual_verified: bool
-    certificate: Optional[object] = None
 
 
 def _descending(alpha: MultiIndex) -> Tuple[int, Tuple[int, ...]]:

@@ -311,6 +311,7 @@ class TestCoefficientBound:
         report = coefficient_bound_check(f, cert)
         assert report.passed
         assert report.extremes["worst_ratio"] <= 1.0
+        assert report.samples["coefficients_checked"] == 28  # |beta| <= 6 in 2D
 
     def test_adversarial_coefficient_fails(self):
         f, cert = self._ratio_and_cert()
