@@ -133,7 +133,7 @@ def constructed(draw):
         draw(fractions()), draw(fractions()), draw(fractions(1, 4)),
         draw(st.integers(0, 3)), n,
     )
-    return cert, draw(st.integers(0, 12 if n < 5 else 9))
+    return cert, draw(st.integers(0, 12))
 
 
 @st.composite
