@@ -3,8 +3,7 @@
 A polynomial is a dimension plus a map from multi-index to ``Fraction``.
 Zero coefficients are never stored, so structural equality of the term maps
 is polynomial identity.  All arithmetic is exact; floating-point evaluation
-is a separate code path (`evaluate_float`, `evaluate_array`) used only by
-the numeric verification layer.
+is a separate code path (`evaluate_array`) used only by the numeric layers.
 """
 
 from __future__ import annotations
@@ -246,24 +245,6 @@ class Polynomial:
             total += m
         return total
 
-    def evaluate_and_gradient(self, point: Sequence):
-        """Value and gradient vector at a point, exact for rational input."""
-        val = self.evaluate(point)
-        grad = [g.evaluate(point) for g in self.gradient()]
-        return val, grad
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        if len(point) != self.dim:
-            raise ValueError("point dimension mismatch")
-        total = 0.0
-        for a, c in self.terms.items():
-            m = float(c)
-            for x, e in zip(point, a):
-                if e:
-                    m *= float(x) ** e
-            total += m
-        return total
-
     def evaluate_array(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized float evaluation; coords is one array per variable.
 
@@ -286,6 +267,20 @@ class Polynomial:
 
     # -- substitution ------------------------------------------------------
 
+    def _substitute_forms(self, forms: Sequence["Polynomial"]) -> "Polynomial":
+        """P(l_1, ..., l_n) for polynomials l_i, each power l_i^e built once."""
+        cache: Dict[Tuple[int, int], Polynomial] = {}
+        out = Polynomial.zero(self.dim)
+        for a, coeff in self.terms.items():
+            term = Polynomial.constant(self.dim, coeff)
+            for i, e in enumerate(a):
+                if e:
+                    if (i, e) not in cache:
+                        cache[i, e] = forms[i] ** e
+                    term = term * cache[i, e]
+            out = out + term
+        return out
+
     def compose_linear(self, columns: Sequence[Sequence]) -> "Polynomial":
         """Substitute x_i <- sum_j M[i][j] * x_j for a rational matrix M.
 
@@ -294,70 +289,21 @@ class Polynomial:
         rows = [[Fraction(v) for v in row] for row in columns]
         if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
             raise ValueError("matrix shape mismatch")
-        linear_forms = [
+        return self._substitute_forms([
             Polynomial(self.dim, {tuple(int(j == t) for t in range(self.dim)): rows[i][j]
                                   for j in range(self.dim) if rows[i][j] != 0})
             for i in range(self.dim)
-        ]
-        cache: Dict[Tuple[int, int], Polynomial] = {}
-
-        def form_pow(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in cache:
-                cache[key] = linear_forms[i] ** e
-            return cache[key]
-
-        out = Polynomial.zero(self.dim)
-        for a, c in self.terms.items():
-            term = Polynomial.constant(self.dim, c)
-            for i, e in enumerate(a):
-                if e:
-                    term = term * form_pow(i, e)
-            out = out + term
-        return out
+        ])
 
     def shift(self, center: Sequence) -> "Polynomial":
         """Taylor shift: return Q with Q(x) = P(x + center), exact."""
         c = [Fraction(v) for v in center]
         if len(c) != self.dim:
             raise ValueError("center dimension mismatch")
-        shifted_vars = [
+        return self._substitute_forms([
             Polynomial.variable(self.dim, i) + Polynomial.constant(self.dim, c[i])
             for i in range(self.dim)
-        ]
-        cache: Dict[Tuple[int, int], Polynomial] = {}
-
-        def var_pow(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in cache:
-                cache[key] = shifted_vars[i] ** e
-            return cache[key]
-
-        out = Polynomial.zero(self.dim)
-        for a, coeff in self.terms.items():
-            term = Polynomial.constant(self.dim, coeff)
-            for i, e in enumerate(a):
-                if e:
-                    term = term * var_pow(i, e)
-            out = out + term
-        return out
-
-    def substitute(self, idx: int, value) -> "Polynomial":
-        """Fix variable idx to a rational constant, dropping that variable."""
-        if self.dim < 2:
-            raise ValueError("cannot drop the only variable")
-        v = Fraction(value)
-        out: Terms = {}
-        for a, c in self.terms.items():
-            coeff = c * v ** a[idx]
-            key = a[:idx] + a[idx + 1 :]
-            if coeff:
-                s = out.get(key, Fraction(0)) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Polynomial(self.dim - 1, out)
+        ])
 
 
 def harmonic_basis(dim: int, degree: int) -> List[Polynomial]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -26,9 +25,6 @@ class VerificationReport:
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.name}: {self.notes or self.extremes}"
@@ -50,6 +46,3 @@ class NodalAnalysisReport:
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

@@ -149,11 +149,6 @@ class TruncatedSeries:
         p = rotate(self.as_polynomial(), matrix)
         return TruncatedSeries(self.dim, self.center, self.max_degree, dict(p.terms))
 
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        """Float value of the truncation at a point (displacement applied)."""
-        disp = [float(x) - float(c) for x, c in zip(point, self.center)]
-        return self.as_polynomial().evaluate_float(disp)
-
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")

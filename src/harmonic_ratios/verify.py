@@ -19,12 +19,20 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .division import series_ratio
+from .nodal import _bisect_edges
 from .polynomial import Polynomial
 from .regions import Region
 from .reports import VerificationReport
 from .series import TruncatedSeries
 
 Func = Callable[..., np.ndarray]
+
+# the ratio series is trusted this far from its center (a fixed radius until
+# it comes from the certified polydisc of a BoundCertificate)
+TRUST_RADIUS = 0.25
+# elliptic residual samples, with their whole stencils, keep |v| at least
+# this fraction of its scale over the region
+RESIDUAL_GUARD = 1e-3
 
 
 class RatioVanishes(ArithmeticError):
@@ -40,17 +48,17 @@ class DegenerateRegion(ValueError):
 class RatioEvaluator:
     """Evaluate f = u/v with a series fallback near zeros of v.
 
-    Inside the guard band (|v| below ``guard`` times the local scale of v) the
-    direct quotient is noise; there the ratio series centered at a common zero
-    is used instead, within its trust radius.  Points that are in the band and
-    out of the series' reach are reported invalid rather than guessed at.
+    Inside the guard band (|v| below ``guard`` times the largest |v| of the
+    batch) the direct quotient is noise; there the ratio series centered at a
+    common zero is used instead, within ``TRUST_RADIUS`` of its center, and
+    all such points are evaluated as one array.  Points that are in the band
+    and out of the series' reach are reported invalid rather than guessed at.
     """
 
     u: Func
     v: Func
     guard: float = 1e-9
     ratio_series: Optional[TruncatedSeries] = None
-    trust_radius: float = 0.25
 
     @staticmethod
     def for_pair(pair, series_degree: int = 12) -> "RatioEvaluator":
@@ -84,19 +92,20 @@ class RatioEvaluator:
         near = ~safe
         if self.ratio_series is not None and np.any(near):
             center = np.array([float(c) for c in self.ratio_series.center])
-            dist = np.linalg.norm(pts[near] - center, axis=1)
-            reachable = dist <= self.trust_radius
+            disp = pts[near] - center
+            reachable = np.linalg.norm(disp, axis=1) <= TRUST_RADIUS
             idx = np.flatnonzero(near)[reachable]
-            for i in idx:
-                out[i] = self.ratio_series.evaluate_float(pts[i])
-                valid[i] = True
+            out[idx] = self.ratio_series.as_polynomial().evaluate_array(
+                list(disp[reachable].T)
+            )
+            valid[idx] = True
         return out, valid
 
 
-def _ratio(u, v, ratio_series=None, guard=1e-9) -> RatioEvaluator:
+def _ratio(u, v) -> RatioEvaluator:
     if isinstance(u, RatioEvaluator):
         return u
-    return RatioEvaluator(u=u, v=v, ratio_series=ratio_series, guard=guard)
+    return RatioEvaluator(u=u, v=v)
 
 
 def max_principle_check(
@@ -107,12 +116,11 @@ def max_principle_check(
     interior_samples: int,
     tol: float = 1e-9,
     seed: int = 0,
-    ratio_series: Optional[TruncatedSeries] = None,
 ) -> VerificationReport:
     """Interior extremes of f = u/v must not exceed the boundary extremes."""
     if boundary_samples < 4 or interior_samples < 1:
         raise DegenerateRegion("need at least 4 boundary and 1 interior samples")
-    evaluator = _ratio(u, v, ratio_series)
+    evaluator = _ratio(u, v)
     rng = np.random.default_rng(seed)
     bd = region.sample_boundary(boundary_samples)
     it = region.sample_interior(interior_samples, rng)
@@ -149,7 +157,6 @@ def harnack_constant(
     region: Region,
     samples: int,
     floor: float = 1e-9,
-    ratio_series: Optional[TruncatedSeries] = None,
 ) -> VerificationReport:
     """Empirical Harnack constant C* = sup|f| / inf|f| over the compact set.
 
@@ -157,7 +164,7 @@ def harnack_constant(
     so monotone ratios attain their true extremes up to grid resolution.
     Finiteness is the claim being verified; the value itself is reported.
     """
-    evaluator = _ratio(u, v, ratio_series)
+    evaluator = _ratio(u, v)
     dim = region.dim
     per_axis = max(int(round(samples ** (1.0 / dim))), 1)
     lo, hi = region.bounding_box()
@@ -291,6 +298,30 @@ def _divergence_form_residual(
     return res
 
 
+def _stencil_samples(
+    v: Func, region: Region, h: float, samples: int, seed: int
+) -> np.ndarray:
+    """Up to ``samples`` random interior points whose stencils of step h all
+    keep |v| at least ``RESIDUAL_GUARD`` times its scale over the draw."""
+    rng = np.random.default_rng(seed)
+    raw = region.sample_interior(samples * 4, rng)
+    coords = [raw[:, i] for i in range(raw.shape[1])]
+    vv = np.abs(v(*coords))
+    scale = float(np.max(vv))
+    keep = vv >= RESIDUAL_GUARD * scale
+    # the full stencil must stay clear of the zero set and inside the domain
+    for i in range(raw.shape[1]):
+        for sgn in (1.0, -1.0):
+            shifted = raw.copy()
+            shifted[:, i] += sgn * h
+            vv_s = np.abs(v(*[shifted[:, j] for j in range(raw.shape[1])]))
+            keep &= vv_s >= RESIDUAL_GUARD * scale
+    pts = raw[keep][:samples]
+    if len(pts) == 0:
+        raise DegenerateRegion("no sample point clears the guard band")
+    return pts
+
+
 def elliptic_residual(
     u: Func,
     v: Func,
@@ -298,31 +329,15 @@ def elliptic_residual(
     h: float,
     samples: int,
     seed: int = 0,
-    guard: float = 1e-3,
 ) -> VerificationReport:
     """Finite-difference residual of the degenerate equation div(v^2 grad f)=0.
 
     Sample points (and their whole stencils) are kept where |v| is at least
-    ``guard`` times its scale over the region, so the direct quotient is
-    accurate; the residual of the analytic ratio is zero and the measured
-    values decay at second order in h.
+    ``RESIDUAL_GUARD`` times its scale over the region, so the direct
+    quotient is accurate; the residual of the analytic ratio is zero and the
+    measured values decay at second order in h.
     """
-    rng = np.random.default_rng(seed)
-    raw = region.sample_interior(samples * 4, rng)
-    coords = [raw[:, i] for i in range(raw.shape[1])]
-    vv = np.abs(v(*coords))
-    scale = float(np.max(vv))
-    keep = vv >= guard * scale
-    # the full stencil must stay clear of the zero set and inside the domain
-    for i in range(raw.shape[1]):
-        for sgn in (1.0, -1.0):
-            shifted = raw.copy()
-            shifted[:, i] += sgn * h
-            vv_s = np.abs(v(*[shifted[:, j] for j in range(raw.shape[1])]))
-            keep &= vv_s >= guard * scale
-    pts = raw[keep][:samples]
-    if len(pts) == 0:
-        raise DegenerateRegion("no sample point clears the guard band")
+    pts = _stencil_samples(v, region, h, samples, seed)
     evaluator = RatioEvaluator(u=u, v=v, guard=0.0)
     res = _divergence_form_residual(evaluator, v, pts, h)
     max_res = float(np.max(np.abs(res)))
@@ -344,25 +359,10 @@ def residual_convergence(
     halvings: int,
     samples: int,
     seed: int = 0,
-    guard: float = 1e-3,
     min_order: float = 1.9,
 ) -> VerificationReport:
     """Halve h repeatedly and fit the decay order of the residual."""
-    rng = np.random.default_rng(seed)
-    raw = region.sample_interior(samples * 4, rng)
-    coords = [raw[:, i] for i in range(raw.shape[1])]
-    vv = np.abs(v(*coords))
-    scale = float(np.max(vv))
-    keep = vv >= guard * scale
-    for i in range(raw.shape[1]):
-        for sgn in (1.0, -1.0):
-            shifted = raw.copy()
-            shifted[:, i] += sgn * h0
-            vv_s = np.abs(v(*[shifted[:, j] for j in range(raw.shape[1])]))
-            keep &= vv_s >= guard * scale
-    pts = raw[keep][:samples]
-    if len(pts) == 0:
-        raise DegenerateRegion("no sample point clears the guard band")
+    pts = _stencil_samples(v, region, h0, samples, seed)
     evaluator = RatioEvaluator(u=u, v=v, guard=0.0)
     hs, residuals = [], []
     h = h0
@@ -395,17 +395,18 @@ def leading_zero_inclusion(
 ) -> VerificationReport:
     """Zeros of the leading part of v must be zeros of the leading part of u.
 
-    Zeros of v's leading part are located on the unit sphere by bisecting
-    sign changes along circles (the full circle in 2D, random great circles
-    in 3D), then |u_k| is required to be below tol relative to its scale.
+    Zeros of v's leading part v_k are located on the unit sphere along
+    circles (the full circle in 2D, random great circles in 3D): sample
+    points where v_k is exactly 0, and the chords between neighbouring
+    samples where v_k changes sign, bisected all together and projected onto
+    the sphere (v_k is homogeneous, so the projection keeps its zeros).
+    Then |u_k| is required to be below tol relative to its scale.
     """
     u_lead = u.homogeneous_part(u.leading_degree())
     v_lead = v.homogeneous_part(v.leading_degree())
     dim = u.dim
-
-    def circle(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-        theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        return np.outer(np.cos(theta), a) + np.outer(np.sin(theta), b)
+    n = max(samples, 16)
+    theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
 
     rng = np.random.default_rng(seed)
     circles = []
@@ -417,47 +418,32 @@ def leading_zero_inclusion(
             qmat, _ = np.linalg.qr(m)
             circles.append((qmat[:, 0], qmat[:, 1]))
 
-    def eval_on(pts: np.ndarray, poly: Polynomial) -> np.ndarray:
-        return poly.evaluate_array([pts[:, i] for i in range(dim)])
-
+    # one circle at a time, so memory stays O(samples); columns are points
     u_scale = 0.0
-    zeros = []
+    on_grid, starts, ends, f_starts = [], [], [], []
     for a, b in circles:
-        pts = circle(a, b, max(samples, 16))
-        vals = eval_on(pts, v_lead)
-        u_scale = max(u_scale, float(np.max(np.abs(eval_on(pts, u_lead)))))
-        theta = np.linspace(0.0, 2 * np.pi, len(pts), endpoint=False)
-        for i in range(len(pts)):
-            j = (i + 1) % len(pts)
-            if vals[i] == 0.0:
-                zeros.append(pts[i])
-                continue
-            if vals[i] * vals[j] < 0:
-                t0, t1 = theta[i], theta[i] + (theta[1] - theta[0])
-                f0 = vals[i]
-                for _ in range(80):
-                    tm = 0.5 * (t0 + t1)
-                    pm = np.cos(tm) * a + np.sin(tm) * b
-                    fm = float(eval_on(pm[None, :], v_lead)[0])
-                    if fm == 0.0:
-                        break
-                    if f0 * fm < 0:
-                        t1 = tm
-                    else:
-                        t0, f0 = tm, fm
-                tm = 0.5 * (t0 + t1)
-                zeros.append(np.cos(tm) * a + np.sin(tm) * b)
-    u_scale = max(u_scale, 1e-300)
-    worst = 0.0
-    for z in zeros:
-        val = abs(float(eval_on(np.array(z)[None, :], u_lead)[0]))
-        worst = max(worst, val / u_scale)
+        pts = np.outer(a, np.cos(theta)) + np.outer(b, np.sin(theta))
+        vals = v_lead.evaluate_array(list(pts))
+        u_vals = u_lead.evaluate_array(list(pts))
+        u_scale = max(u_scale, float(np.max(np.abs(u_vals))))
+        cross = vals * np.roll(vals, -1) < 0
+        on_grid.append(pts[:, vals == 0.0])
+        starts.append(pts[:, cross])
+        ends.append(np.roll(pts, -1, axis=1)[:, cross])
+        f_starts.append(vals[cross])
+    crossings = _bisect_edges(
+        v_lead, *(np.concatenate(p, axis=-1) for p in (starts, ends, f_starts))
+    )
+    crossings /= np.linalg.norm(crossings, axis=0)
+    zeros = np.concatenate(on_grid + [crossings], axis=1)
+    u_at_zeros = np.abs(u_lead.evaluate_array(list(zeros)))
+    worst = float(np.max(u_at_zeros, initial=0.0)) / max(u_scale, 1e-300)
     passed = worst <= tol
     return VerificationReport(
         name="leading_zero_inclusion",
         passed=passed,
-        extremes={"worst_relative_u": worst, "zeros_found": len(zeros)},
-        samples={"circle_points": max(samples, 16), "circles": len(circles)},
+        extremes={"worst_relative_u": worst, "zeros_found": zeros.shape[1]},
+        samples={"circle_points": n, "circles": len(circles)},
         tolerance=tol,
         notes="zeros of the divisor's leading part, checked against the numerator's",
     )

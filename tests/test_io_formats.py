@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from harmonic_ratios import Polynomial, TruncatedSeries, bound_certificate
 from harmonic_ratios.io_formats import (
@@ -124,3 +124,58 @@ class TestCertificateFormat:
         ]
         with pytest.raises(FormatError):
             parse_certificate("\n".join(lines))
+
+
+# Words of the three formats.  No 'e': an exponent-form rational such as
+# 1e99999999 is accepted by Fraction and takes minutes to build.
+WORDS = [
+    "dim", "center", "maxdeg", "a0", "r", "k", "n", "A", "R", "polydisc",
+    "0", "1", "2", "3", "-1", "1/2", "-3/4", "1/0", "x", "2.5", ":", "=", "#",
+]
+VALID = {
+    "polynomial": "dim 2\n1/2 : 1 0\n-3 : 0 2\n",
+    "series": "dim 2\ncenter 0 1/2\nmaxdeg 3\n1 : 1 1\n",
+    "certificate": format_certificate(bound_certificate(1, 1, 1, 1, 2)),
+}
+PARSERS = {
+    "polynomial": parse_polynomial,
+    "series": parse_series,
+    "certificate": parse_certificate,
+}
+
+
+def _swap_word(case):
+    line, i, word = case
+    parts = line.split() or [""]
+    parts[i % len(parts)] = word
+    return " ".join(parts)
+
+
+def text_like(valid: str):
+    """Arbitrary text, or a valid document with each line kept, edited or
+    replaced by format words, in order or shuffled, so that many inputs get
+    past the first checks."""
+    lines = valid.splitlines()
+    words = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
+
+    def variants(line):
+        edited = st.tuples(st.just(line), st.integers(0, 5), st.sampled_from(WORDS))
+        return st.one_of(st.just(line), edited.map(_swap_word), words)
+
+    in_order = st.tuples(*[variants(line) for line in lines]).map("\n".join)
+    shuffled = st.lists(
+        st.sampled_from(lines).flatmap(variants), max_size=10
+    ).map("\n".join)
+    return st.one_of(st.text(max_size=200), in_order, shuffled)
+
+
+class TestParsersRaiseOnlyFormatError:
+    @pytest.mark.parametrize("kind", sorted(PARSERS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_text(self, kind, data):
+        text = data.draw(text_like(VALID[kind]))
+        try:
+            PARSERS[kind](text)
+        except FormatError:
+            pass

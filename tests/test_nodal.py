@@ -189,8 +189,7 @@ class TestZeroSetSample:
     def test_points_are_zeros(self):
         w = catalog_get("rezk:3").polynomial
         points, _ = zero_set_sample(w, Region.box((-1, -1), (1, 1)), 48)
-        for p in points:
-            assert abs(w.evaluate_float(p)) < 1e-9
+        assert np.all(np.abs(w.evaluate_array(list(np.array(points).T))) < 1e-9)
 
     def test_missed_accuracy_raises(self):
         with pytest.raises(BisectionError):
@@ -204,8 +203,7 @@ class TestZeroSetSample:
         points, segments = zero_set_sample(PAPER_H, Region.ball((0, 0, 0), 0.5), 12)
         assert segments == []
         assert points
-        for p in points:
-            assert abs(PAPER_H.evaluate_float(p)) < 1e-9
+        assert np.all(np.abs(PAPER_H.evaluate_array(list(np.array(points).T))) < 1e-9)
 
 
 class TestArtifacts:

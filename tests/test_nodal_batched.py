@@ -1,11 +1,11 @@
 """The batched nodal refinements against their one-point-at-a-time forms.
 
 ``reference_gauss_newton`` and ``reference_zero_set`` are the per-seed
-Gauss-Newton and the scalar bisection that ``critical_set_sample`` and
-``zero_set_sample`` ran before they refined all points as one batch.  The
-critical points must agree bit for bit; bisected points may differ in the
-last bits only, because the scalar form evaluates with ``evaluate_float``
-(libm ``pow``) and the batch with ``evaluate_array`` (numpy ``power``).
+Gauss-Newton and the per-edge bisection that ``critical_set_sample`` and
+``zero_set_sample`` ran before they refined all points as one batch; both
+evaluate w through ``evaluate_array``, one point at a time.  The critical
+points must agree bit for bit.  Bisected points are held to 2 ulp; on the
+cases below they agree bit for bit as well.
 """
 
 import numpy as np
@@ -89,7 +89,7 @@ def reference_bisect(w, p, q, fp):
     fa = fp
     for _ in range(100):
         m = 0.5 * (a + b)
-        fm = w.evaluate_float(list(m))
+        fm = w.evaluate_array(list(m))
         if fm == 0.0:
             return m
         if fa * fm < 0:

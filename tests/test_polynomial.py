@@ -134,11 +134,6 @@ class TestEvaluation:
         for val, pt in zip(arr, pts):
             assert val == pytest.approx(float(p.evaluate(pt)), abs=1e-12)
 
-    def test_evaluate_and_gradient(self):
-        p = X**2 * Y
-        val, grad = p.evaluate_and_gradient((2, 3))
-        assert val == 12 and grad == [12, 4]
-
     @given(
         st.integers(1, 3).flatmap(
             lambda dim: st.tuples(
@@ -175,11 +170,28 @@ class TestSubstitution:
             moved = tuple(x + ci for x, ci in zip(pt, c))
             assert shifted.evaluate(pt) == p.evaluate(moved)
 
-    def test_substitute_drops_variable(self):
-        p = X * X * Y + Y
-        q = p.substitute(1, Fraction(2))
-        assert q.dim == 1
-        assert q == Polynomial(1, {(2,): 2, (0,): 2})
+    @given(
+        polynomials(max_degree=3),
+        st.lists(st.fractions(-3, 3, max_denominator=5), min_size=4, max_size=4),
+        st.lists(st.fractions(-3, 3, max_denominator=5), min_size=2, max_size=2),
+    )
+    def test_affine_substitution_matches_evaluation(self, p, m, c):
+        # M need not be orthogonal, nor even invertible
+        rows = [m[:2], m[2:]]
+
+        def times_m(x):
+            return [rows[i][0] * x[0] + rows[i][1] * x[1] for i in range(2)]
+
+        composed = p.compose_linear(rows)
+        composed_then_shifted = composed.shift(c)
+        shifted_then_composed = p.shift(c).compose_linear(rows)
+        for pt in [(0, 0), (1, -1), (Fraction(2, 5), 3)]:
+            moved = [x + ci for x, ci in zip(pt, c)]
+            assert composed.evaluate(pt) == p.evaluate(times_m(pt))
+            assert composed_then_shifted.evaluate(pt) == p.evaluate(times_m(moved))
+            assert shifted_then_composed.evaluate(pt) == p.evaluate(
+                [a + ci for a, ci in zip(times_m(pt), c)]
+            )
 
     def test_compose_linear_swap(self):
         swapped = (X - Y).compose_linear([[0, 1], [1, 0]])

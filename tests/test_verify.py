@@ -46,6 +46,18 @@ class TestRatioEvaluator:
         assert bool(ok[0])
         assert vals[0] == pytest.approx(np.exp(0.1) / np.cosh(0.1), abs=1e-9)
 
+    def test_series_fallback_is_batch_independent(self, evaluator):
+        # on x = 0 every point is in the guard band and takes the series
+        y = np.linspace(-0.24, 0.24, 121)
+        pts = np.column_stack([np.zeros_like(y), y])
+        vals, ok = evaluator(pts)
+        assert np.all(ok)
+        assert np.allclose(vals, 1.0 + np.tanh(y), rtol=0, atol=1e-9)
+        for k in range(len(pts)):
+            alone, ok_alone = evaluator(pts[k:k + 1])
+            assert bool(ok_alone[0])
+            assert alone[0].tobytes() == vals[k].tobytes()
+
     def test_invalid_outside_trust_radius(self):
         ev = RatioEvaluator(u=PAIR.u, v=PAIR.v, ratio_series=None)
         vals, ok = ev(np.array([[0.0, 0.5]]))
@@ -160,4 +172,23 @@ class TestLeadingZeroInclusion:
         u = TruncatedSeries.from_polynomial(2 * X * Y, 4)      # zeros on axes
         v = TruncatedSeries.from_polynomial(X * X - Y * Y, 4)  # zeros on diagonals
         report = leading_zero_inclusion(u, v, samples=512)
+        assert not report.passed
+
+    def test_3d_shared_zero_pair_passes(self):
+        pair = shared_pair("paperH", "paperH")
+        u = pair.u.taylor((0, 0, 0), 8)
+        v = pair.v.taylor((0, 0, 0), 8)
+        report = leading_zero_inclusion(u, v, samples=10_000, seed=0)
+        assert report.passed
+        assert report.extremes["zeros_found"] == 624
+        assert report.samples == {"circle_points": 10_000, "circles": 156}
+
+    def test_3d_disjoint_zero_sets_fail(self):
+        from harmonic_ratios import TruncatedSeries
+
+        x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+        u = TruncatedSeries.from_polynomial(x * y, 4)          # planes x = 0, y = 0
+        v = TruncatedSeries.from_polynomial(x * x - y * y, 4)  # planes x = +-y
+        report = leading_zero_inclusion(u, v, samples=1024)
+        assert report.extremes["zeros_found"] > 0
         assert not report.passed
