@@ -174,6 +174,16 @@ class TestLeadingZeroInclusion:
         report = leading_zero_inclusion(u, v, samples=512)
         assert not report.passed
 
+    def test_zero_on_a_sample_point_counts_once(self):
+        from harmonic_ratios import TruncatedSeries
+
+        # xy is exactly 0 at the sample angle 0; its other zeros fall
+        # between samples
+        v = TruncatedSeries.from_polynomial(X * Y, 4)
+        report = leading_zero_inclusion(v, v, samples=512)
+        assert report.passed
+        assert report.extremes["zeros_found"] == 4
+
     def test_3d_shared_zero_pair_passes(self):
         pair = shared_pair("paperH", "paperH")
         u = pair.u.taylor((0, 0, 0), 8)
