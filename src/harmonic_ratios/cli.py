@@ -3,7 +3,8 @@
 Every subcommand writes a machine-readable JSON report next to its other
 artifacts and prints a short human summary.  Exit status: 0 when all
 requested checks pass, 1 when a check fails (the report path is printed),
-2 when inputs fail to parse.
+2 when inputs fail to parse, 3 on any other error (an ``internal error:``
+line on stderr naming the exception; this is a bug).
 
 The output directory defaults to the ``HARMONIC_RATIOS_OUT`` environment
 variable, then to the current directory.  Runs are deterministic: a fixed
@@ -181,6 +182,15 @@ def parse_positive(text: str) -> float:
     return value
 
 
+def parse_rational(text: str) -> Fraction:
+    """Rational flag in the ``p/q`` form of the file formats; errors as in
+    ``parse_count``."""
+    try:
+        return io._parse_fraction(text)
+    except io.FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _pair(args: argparse.Namespace) -> _catalog.SharedZeroPair:
     try:
         u_name, v_name = args.pair.split(",")
@@ -302,10 +312,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     try:
-        cert = bound_certificate(
-            Fraction(args.a), Fraction(args.c), Fraction(args.r), args.k, args.n
-        )
-    except (ValueError, ZeroDivisionError) as exc:
+        cert = bound_certificate(args.a, args.c, args.r, args.k, args.n)
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     except IllFormedCertificate as exc:
         return _fail(args.out, "certify", "certificate construction", exc)
@@ -507,9 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("certify", help="build and verify a coefficient bound")
-    p.add_argument("--a", required=True, help="coefficient growth bound (rational)")
-    p.add_argument("--c", required=True, help="divisor leading coefficient (rational)")
-    p.add_argument("--r", required=True, help="measurement radius (rational)")
+    p.add_argument(
+        "--a", type=parse_rational, required=True,
+        help="coefficient growth bound (rational p/q)",
+    )
+    p.add_argument(
+        "--c", type=parse_rational, required=True,
+        help="divisor leading coefficient (rational p/q)",
+    )
+    p.add_argument(
+        "--r", type=parse_rational, required=True,
+        help="measurement radius (rational p/q)",
+    )
     p.add_argument(
         "--k", type=parse_degree, required=True, help="divisor vanishing order"
     )
@@ -607,6 +624,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, io.FormatError, DegenerateRegion, RatioVanishes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

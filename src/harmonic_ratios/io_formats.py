@@ -29,6 +29,10 @@ def _format_fraction(q: Fraction) -> str:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    # Fraction also reads exponent form, where a few bytes such as 1e9999999
+    # build a huge integer; the format is p/q (or a plain decimal)
+    if "e" in text or "E" in text:
+        raise FormatError(f"bad rational {text!r} (want p/q, no exponent)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -6,14 +6,14 @@ the sample counts, and the tolerance the pass/fail decision used.  Functions
 entries qualify).
 
 The ratio u/v is evaluated directly where |v| is safely away from zero and
-through a precomputed ratio series inside a guard band around the zero set
-(the ratio extends real-analytically across shared zeros, but the quotient of
-floats does not).
+through an exact ratio series inside a guard band around the zero set (the
+ratio extends real-analytically across shared zeros, but the quotient of
+floats does not).  The series is built the first time a point needs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,29 +53,35 @@ class RatioEvaluator:
     common zero is used instead, within ``TRUST_RADIUS`` of its center, and
     all such points are evaluated as one array.  Points that are in the band
     and out of the series' reach are reported invalid rather than guessed at.
+
+    ``for_pair`` defers the exact series work: the first batch with a point
+    in the guard band builds the series into ``ratio_series`` (None until
+    then, and after a failed build), and every later batch reuses it.
     """
 
     u: Func
     v: Func
     guard: float = 1e-9
     ratio_series: Optional[TruncatedSeries] = None
+    # for_pair's pending series build; run at most once, then dropped
+    _build: Optional[Callable[[], Optional[TruncatedSeries]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def for_pair(pair, series_degree: int = 12) -> "RatioEvaluator":
         """Build from a SharedZeroPair, with a ratio series at the origin
-        whenever both members expose exact Taylor data."""
-        series = None
-        try:
-            dim = pair.u.dimension
-            k = None
-            v_t = pair.v.taylor((0,) * dim, series_degree + 4)
-            k = v_t.leading_degree()
-            u_t = pair.u.taylor((0,) * dim, series_degree + k)
-            v_t = pair.v.taylor((0,) * dim, series_degree + k)
-            series = series_ratio(u_t, v_t, series_degree).quotient
-        except (ValueError, ArithmeticError):
-            series = None
-        return RatioEvaluator(u=pair.u, v=pair.v, ratio_series=series)
+        whenever both members expose exact Taylor data; the series is
+        computed on first need."""
+        evaluator = RatioEvaluator(u=pair.u, v=pair.v)
+        evaluator._build = lambda: _pair_series(pair, series_degree)
+        return evaluator
+
+    def _series(self) -> Optional[TruncatedSeries]:
+        if self._build is not None:
+            self.ratio_series = self._build()
+            self._build = None
+        return self.ratio_series
 
     def __call__(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Return (values, valid mask) for an (m, dim) array of points."""
@@ -90,16 +96,31 @@ class RatioEvaluator:
         out[safe] = uv[safe] / vv[safe]
         valid = safe.copy()
         near = ~safe
-        if self.ratio_series is not None and np.any(near):
-            center = np.array([float(c) for c in self.ratio_series.center])
+        series = self._series() if np.any(near) else None
+        if series is not None:
+            center = np.array([float(c) for c in series.center])
             disp = pts[near] - center
             reachable = np.linalg.norm(disp, axis=1) <= TRUST_RADIUS
             idx = np.flatnonzero(near)[reachable]
-            out[idx] = self.ratio_series.as_polynomial().evaluate_array(
+            out[idx] = series.as_polynomial().evaluate_array(
                 list(disp[reachable].T)
             )
             valid[idx] = True
         return out, valid
+
+
+def _pair_series(pair, series_degree: int) -> Optional[TruncatedSeries]:
+    """The ratio series of a SharedZeroPair at the origin, or None when a
+    member has no exact Taylor data or the series division fails."""
+    try:
+        dim = pair.u.dimension
+        v_t = pair.v.taylor((0,) * dim, series_degree + 4)
+        k = v_t.leading_degree()
+        u_t = pair.u.taylor((0,) * dim, series_degree + k)
+        v_t = pair.v.taylor((0,) * dim, series_degree + k)
+        return series_ratio(u_t, v_t, series_degree).quotient
+    except (ValueError, ArithmeticError):
+        return None
 
 
 def _ratio(u, v) -> RatioEvaluator:
@@ -299,10 +320,11 @@ def _divergence_form_residual(
 
 
 def _stencil_samples(
-    v: Func, region: Region, h: float, samples: int, seed: int
+    v: Func, region: Region, steps: Sequence[float], samples: int, seed: int
 ) -> np.ndarray:
-    """Up to ``samples`` random interior points whose stencils of step h all
-    keep |v| at least ``RESIDUAL_GUARD`` times its scale over the draw."""
+    """Up to ``samples`` random interior points whose stencils, at every step
+    in ``steps``, all keep |v| at least ``RESIDUAL_GUARD`` times its scale
+    over the draw."""
     rng = np.random.default_rng(seed)
     raw = region.sample_interior(samples * 4, rng)
     coords = [raw[:, i] for i in range(raw.shape[1])]
@@ -310,12 +332,13 @@ def _stencil_samples(
     scale = float(np.max(vv))
     keep = vv >= RESIDUAL_GUARD * scale
     # the full stencil must stay clear of the zero set and inside the domain
-    for i in range(raw.shape[1]):
-        for sgn in (1.0, -1.0):
-            shifted = raw.copy()
-            shifted[:, i] += sgn * h
-            vv_s = np.abs(v(*[shifted[:, j] for j in range(raw.shape[1])]))
-            keep &= vv_s >= RESIDUAL_GUARD * scale
+    for h in steps:
+        for i in range(raw.shape[1]):
+            for sgn in (1.0, -1.0):
+                shifted = raw.copy()
+                shifted[:, i] += sgn * h
+                vv_s = np.abs(v(*[shifted[:, j] for j in range(raw.shape[1])]))
+                keep &= vv_s >= RESIDUAL_GUARD * scale
     pts = raw[keep][:samples]
     if len(pts) == 0:
         raise DegenerateRegion("no sample point clears the guard band")
@@ -337,7 +360,7 @@ def elliptic_residual(
     quotient is accurate; the residual of the analytic ratio is zero and the
     measured values decay at second order in h.
     """
-    pts = _stencil_samples(v, region, h, samples, seed)
+    pts = _stencil_samples(v, region, [h], samples, seed)
     evaluator = RatioEvaluator(u=u, v=v, guard=0.0)
     res = _divergence_form_residual(evaluator, v, pts, h)
     max_res = float(np.max(np.abs(res)))
@@ -362,15 +385,13 @@ def residual_convergence(
     min_order: float = 1.9,
 ) -> VerificationReport:
     """Halve h repeatedly and fit the decay order of the residual."""
-    pts = _stencil_samples(v, region, h0, samples, seed)
+    hs = [h0 * 0.5**j for j in range(halvings + 1)]
+    pts = _stencil_samples(v, region, hs, samples, seed)
     evaluator = RatioEvaluator(u=u, v=v, guard=0.0)
-    hs, residuals = [], []
-    h = h0
-    for _ in range(halvings + 1):
+    residuals = []
+    for h in hs:
         res = _divergence_form_residual(evaluator, v, pts, h)
-        hs.append(h)
         residuals.append(float(np.max(np.abs(res))))
-        h *= 0.5
     orders = [
         float(np.log2(residuals[i] / residuals[i + 1]))
         for i in range(len(residuals) - 1)

@@ -97,6 +97,14 @@ class TestCertify:
         assert run(tmp_path, "certify", "--a", "x", "--c", "1", "--r", "1",
                    "--k", "0", "--n", "2") == 2
 
+    @pytest.mark.parametrize("flag", ["--a", "--c", "--r"])
+    @pytest.mark.parametrize("value", ["1e5", "1E-2", "1/0"])
+    def test_exponent_or_zero_denominator_exits_two(self, tmp_path, capsys, flag, value):
+        args = {"--a": "1", "--c": "1", "--r": "1", flag: value}
+        argv = [tok for item in args.items() for tok in item]
+        assert run(tmp_path, "certify", *argv, "--k", "0", "--n", "2") == 2
+        assert f"argument {flag}: bad rational" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_harnack_box_flag(self, tmp_path):
@@ -262,6 +270,20 @@ class TestInputValidation:
         assert run(tmp_path, "nodal", "count", "--fn", "rezk:3", "--box",
                    "-1,1,-1,1", "--res", "64", "--band", "0", "--expect", "6") == 0
         assert run(tmp_path, "series", "--pair", "expsin,coshsin", "--degree", "0") == 0
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_three(self, tmp_path, capsys, monkeypatch):
+        import harmonic_ratios.cli as cli
+
+        def broken(args):
+            raise RuntimeError("boom\non two lines")
+
+        monkeypatch.setattr(cli, "cmd_catalog", broken)
+        assert run(tmp_path, "catalog", "list") == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom on two lines\n"
+        assert captured.out == ""
 
 
 class TestCatalog:

@@ -55,6 +55,8 @@ class TestPolynomialFormat:
         "dim 2\n1/0 : 1 0",
         "dim 2\nx : 1 0",
         "dim 2\n1/2 : 1 -1",
+        "dim 1\n1e3 : 0",
+        "dim 1\n1E-2 : 0",
         "dim 2\n1 : 1 0\n2 : 1 0",
         "dim x\n1 : 1 0",
         "dim 0",
@@ -83,6 +85,8 @@ class TestSeriesFormat:
         "dim 2\ncenter 0 0\nmaxdeg -1",
         "dim 2\ncenter 0 0\nmaxdeg 1\n1 : 2 0",
         "dim 0\ncenter\nmaxdeg 1",
+        "dim 1\ncenter 1E-2\nmaxdeg 1",
+        "dim 1\ncenter 0\nmaxdeg 1\n1e3 : 0",
     ])
     def test_rejects_bad_header_values_and_degrees(self, bad):
         with pytest.raises(FormatError):
@@ -115,6 +119,8 @@ class TestCertificateFormat:
         ("k", "-1"),
         ("R", "8/1"),
         ("r", "1/0"),
+        ("r", "1E-2"),
+        ("A", "1e3"),
     ])
     def test_bad_values_raise_format_error(self, key, value):
         cert = bound_certificate(1, 1, 1, 1, 2)
@@ -126,11 +132,12 @@ class TestCertificateFormat:
             parse_certificate("\n".join(lines))
 
 
-# Words of the three formats.  No 'e': an exponent-form rational such as
-# 1e99999999 is accepted by Fraction and takes minutes to build.
+# Words of the three formats, with small exponent forms, which the parsers
+# reject (a large one such as 1e99999999 would take minutes to build).
 WORDS = [
     "dim", "center", "maxdeg", "a0", "r", "k", "n", "A", "R", "polydisc",
     "0", "1", "2", "3", "-1", "1/2", "-3/4", "1/0", "x", "2.5", ":", "=", "#",
+    "1e3", "2E-1",
 ]
 VALID = {
     "polynomial": "dim 2\n1/2 : 1 0\n-3 : 0 2\n",

@@ -1,8 +1,11 @@
 """Numeric checks on ratios of harmonic functions with a shared zero set."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import harmonic_ratios.verify as verify_module
 from harmonic_ratios import (
     Polynomial,
     RatioEvaluator,
@@ -17,7 +20,12 @@ from harmonic_ratios import (
     sign_change_check,
     sphere_orthogonality,
 )
-from harmonic_ratios.verify import DegenerateRegion, elliptic_residual
+from harmonic_ratios.division import series_ratio
+from harmonic_ratios.verify import (
+    RESIDUAL_GUARD,
+    DegenerateRegion,
+    elliptic_residual,
+)
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -62,6 +70,98 @@ class TestRatioEvaluator:
         ev = RatioEvaluator(u=PAIR.u, v=PAIR.v, ratio_series=None)
         vals, ok = ev(np.array([[0.0, 0.5]]))
         assert not bool(ok[0]) and np.isnan(vals[0])
+
+
+@pytest.fixture
+def series_ratio_calls(monkeypatch):
+    """Every call of series_ratio made from the verify layer."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return series_ratio(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "series_ratio", spy)
+    return calls
+
+
+class NoTaylorEntry:
+    """A callable pair member without exact Taylor data."""
+
+    dimension = 2
+
+    def __init__(self, f):
+        self.f = f
+        self.taylor_calls = 0
+
+    def __call__(self, *coords):
+        return self.f(*coords)
+
+    def taylor(self, center, max_degree):
+        self.taylor_calls += 1
+        raise ValueError("no exact coefficients")
+
+
+class TestLazySeries:
+    def test_no_series_when_no_point_is_in_the_band(self, series_ratio_calls):
+        # the disk spans 0.4 <= x <= 1.2, clear of the shared zero x = 0
+        report = max_principle_check(
+            RatioEvaluator.for_pair(PAIR), None, Region.ball((0.8, 0.3), 0.4),
+            boundary_samples=256, interior_samples=256,
+        )
+        assert report.passed and report.samples["skipped"] == 0
+        assert series_ratio_calls == []
+
+    def test_series_built_once_for_a_symmetric_box(self, series_ratio_calls):
+        # 21 points per axis put one grid column on x = 0
+        ev = RatioEvaluator.for_pair(PAIR)
+        report = harnack_constant(
+            ev, None, Region.box((-0.2, -0.2), (0.2, 0.2)), samples=21**2
+        )
+        assert report.samples == {"grid_points": 441, "skipped": 0}
+        assert len(series_ratio_calls) == 1
+        vals, ok = ev(np.array([[0.0, 0.1]]))
+        assert bool(ok[0])
+        assert vals[0] == pytest.approx(1.0 + np.tanh(0.1), abs=1e-9)
+        assert len(series_ratio_calls) == 1
+
+    def test_same_result_as_the_eager_series(self):
+        v_t = PAIR.v.taylor((0, 0), 16)
+        k = v_t.leading_degree()
+        eager = RatioEvaluator(
+            u=PAIR.u,
+            v=PAIR.v,
+            ratio_series=series_ratio(
+                PAIR.u.taylor((0, 0), 12 + k), PAIR.v.taylor((0, 0), 12 + k), 12
+            ).quotient,
+        )
+        lazy = RatioEvaluator.for_pair(PAIR)
+        y = np.linspace(-0.6, 0.6, 25)
+        # band points on x = 0 inside and outside the trust radius, and
+        # direct points beside them
+        pts = np.concatenate([
+            np.column_stack([np.zeros_like(y), y]),
+            np.column_stack([np.full_like(y, 0.3), y]),
+        ])
+        want_vals, want_ok = eager(pts)
+        assert np.any(want_ok[:25]) and not np.all(want_ok[:25])
+        for _ in range(2):
+            vals, ok = lazy(pts)
+            assert np.array_equal(ok, want_ok)
+            assert vals.tobytes() == want_vals.tobytes()
+
+    def test_failed_taylor_marks_band_points_invalid(self, series_ratio_calls):
+        pair = SimpleNamespace(u=NoTaylorEntry(PAIR.u), v=NoTaylorEntry(PAIR.v))
+        ev = RatioEvaluator.for_pair(pair)
+        pts = np.array([[0.0, 0.1], [0.5, 0.3]])
+        for _ in range(2):
+            vals, ok = ev(pts)
+            assert ok.tolist() == [False, True]
+            assert np.isnan(vals[0])
+            assert vals[1] == pytest.approx(np.exp(0.3) / np.cosh(0.3))
+        # the failed build is remembered, not retried
+        assert pair.v.taylor_calls == 1
+        assert series_ratio_calls == []
 
 
 class TestMaxPrinciple:
@@ -157,6 +257,36 @@ class TestEllipticResidual:
         )
         assert report.passed
         assert all(o >= 1.9 for o in report.extremes["orders"])
+
+    def test_every_stencil_node_clears_the_guard_band(self, monkeypatch):
+        # the box hugs the zero line x = 0 and every step is a sizeable part
+        # of its width, so many stencils reach across the line
+        region = Region.box((-0.2, -0.2), (0.2, 0.2))
+        h0, halvings, samples, seed = 0.1, 2, 1000, 3
+        calls = []
+        real = verify_module._divergence_form_residual
+
+        def recording(evaluator, v, pts, h):
+            calls.append((pts.copy(), h))
+            return real(evaluator, v, pts, h)
+
+        monkeypatch.setattr(verify_module, "_divergence_form_residual", recording)
+        report = residual_convergence(
+            PAIR.u, PAIR.v, region, h0=h0, halvings=halvings, samples=samples,
+            seed=seed,
+        )
+        assert [h for _, h in calls] == [0.1, 0.05, 0.025]
+        assert all(len(pts) == report.samples["points"] for pts, _ in calls)
+        # the scale is max |v| over the draw the samples were taken from
+        draw = region.sample_interior(samples * 4, np.random.default_rng(seed))
+        floor = RESIDUAL_GUARD * float(np.max(np.abs(PAIR.v(*draw.T))))
+        for pts, h in calls:
+            assert np.all(np.abs(PAIR.v(*pts.T)) >= floor)
+            for i in range(2):
+                for sgn in (1.0, -1.0):
+                    node = pts.copy()
+                    node[:, i] += sgn * h
+                    assert np.all(np.abs(PAIR.v(*node.T)) >= floor), (h, i, sgn)
 
 
 class TestLeadingZeroInclusion:
