@@ -123,8 +123,14 @@ def parse_region(args: argparse.Namespace) -> Region:
     raise CliError("a region is required: --ball or --box")
 
 
+# the largest count flag: 10**9 samples or grid cells per axis would
+# already need more than 10 GB of points or cells
+MAX_COUNT = 10**9
+
+
 def parse_count(text: str) -> int:
-    """Positive integer flag that also accepts scientific notation like 1e6.
+    """Positive integer flag up to ``MAX_COUNT`` that also accepts
+    scientific notation like 1e6.
 
     Raises ``argparse.ArgumentTypeError``, which argparse reports as a usage
     error (an ``error:`` line and exit status 2).
@@ -133,9 +139,9 @@ def parse_count(text: str) -> int:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad count {text!r}") from exc
-    if not 0 < value < float("inf") or value != int(value):
+    if not 0 < value <= MAX_COUNT or value != int(value):
         raise argparse.ArgumentTypeError(
-            f"count must be a positive integer, got {text!r}"
+            f"count must be a positive integer up to {MAX_COUNT}, got {text!r}"
         )
     return int(value)
 
@@ -370,6 +376,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             q, q2, r=args.radius, quad_points=args.samples, tol=args.tol
         )
     elif args.check == "elliptic":
+        if not args.h0 * 0.5**args.halvings >= sys.float_info.min:
+            raise CliError(
+                f"--h0 {args.h0!r} halved {args.halvings} times is no longer "
+                "a positive normal float"
+            )
         report = residual_convergence(
             pair.u,
             pair.v,

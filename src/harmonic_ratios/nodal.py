@@ -162,27 +162,44 @@ def critical_set_sample(
     )
 
 
+class _UnionFind:
+    """Disjoint sets over 0, 1, ... that grow on demand (``add``)."""
+
+    def __init__(self, n: int = 0) -> None:
+        self.parent = list(range(n))
+
+    def add(self, n: int) -> None:
+        size = len(self.parent)
+        self.parent.extend(range(size, size + n))
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> bool:
+        """Join the sets of i and j; True if they were different sets."""
+        ri, rj = self.find(i), self.find(j)
+        self.parent[ri] = rj
+        return ri != rj
+
+
 def _classify_curve_points(
     points: List[np.ndarray], depths: List[Dict[str, object]], h: float
 ) -> List[Dict[str, object]]:
     """Chain nearby critical points; constant depth along a chain of at
     least 3 points marks them good (sufficient condition only)."""
     n = len(points)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    chains = _UnionFind(n)
     for i in range(n):
         for j in range(i + 1, n):
             if np.linalg.norm(points[i] - points[j]) <= 2.5 * h:
-                parent[find(i)] = find(j)
+                chains.union(i, j)
     clusters: Dict[int, List[int]] = {}
     for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
+        clusters.setdefault(chains.find(i), []).append(i)
     out = []
     for members in clusters.values():
         ds = {depths[i]["depth"] for i in members}
@@ -293,17 +310,72 @@ def nodal_domain_count(
     the grid): by the maximum principle no nodal domain lies compactly
     inside the region, so an enclosed component is a fragment the band
     cut off.  Every component counts for other w.
+
+    Memory: about 1 byte per cell (the int8 sign grid) plus one chunk of
+    32 planes for labelling (see ``_count_domains``); paperH in the ball of
+    radius 0.5 at resolution 512 peaks at about 250 MB resident.
     """
     signs, shell = _sign_grid(w, region, resolution, band_rel)
+    return _count_domains(signs, shell, w.is_harmonic())
+
+
+_CHUNK_PLANES = 32  # axis-0 planes labelled at once; chunks share one plane
+
+
+def _count_domains(signs: np.ndarray, shell: np.ndarray, harmonic: bool) -> int:
+    """Number of same-sign components of the sign grid ``signs`` under the
+    full 3^dim neighbourhood; if ``harmonic``, only those holding a cell of
+    ``shell`` (sorted flat indices) count.
+
+    The grid is labelled ``_CHUNK_PLANES`` axis-0 planes at a time, and each
+    chunk shares its last plane with the next one, so every pair of
+    adjacent planes lies inside one chunk.  On a shared plane, each signed
+    cell links its label in one chunk to its label in the next; a union-find
+    over all chunk labels merges the linked ones into the grid's
+    components.  Besides the sign grid, only one chunk's mask and labels are
+    ever allocated.
+    """
     structure = ndimage.generate_binary_structure(signs.ndim, signs.ndim)
-    harmonic = w.is_harmonic()
+    planes = signs.shape[0]
+    plane = signs[0].size
+    chunks = []  # first and end plane, and the bounds of the chunk's shell
+    for start in range(0, max(planes - 1, 1), _CHUNK_PLANES - 1):
+        stop = min(start + _CHUNK_PLANES, planes)
+        lo, hi = np.searchsorted(shell, (start * plane, stop * plane))
+        chunks.append((start, stop, lo, hi))
+    shape = (min(planes, _CHUNK_PLANES),) + signs.shape[1:]
+    mask = np.empty(shape, dtype=bool)
+    buffer = np.empty(shape, dtype=np.int32)
     total = 0
     for s in (1, -1):
-        labels, count = ndimage.label(signs == s, structure=structure)
+        components = _UnionFind(1)  # label 0 is the background
+        labelled = merged = 0
+        reached = []  # per chunk, the labels of its shell cells
+        # the previous chunk's labels on the shared plane, and how many
+        # labels came before that chunk's
+        last, offset = None, 0
+        for start, stop, lo, hi in chunks:
+            size = stop - start
+            labels = buffer[:size]
+            np.equal(signs[start:stop], s, out=mask[:size])
+            count = ndimage.label(mask[:size], structure, output=labels)
+            components.add(count)
+            if last is not None:
+                linked = last > 0
+                links = last[linked].astype(np.int64) * (count + 1) + labels[0][linked]
+                for link in np.unique(links).tolist():
+                    a, b = divmod(link, count + 1)
+                    merged += components.union(offset + a, labelled + b)
+            if harmonic:
+                hit = labels.ravel()[shell[lo:hi] - start * plane]
+                reached.append(np.unique(hit[hit > 0]) + labelled)
+            last, offset = labels[-1].copy(), labelled
+            labelled += count
         if harmonic:
-            count = int(np.count_nonzero(np.unique(labels.ravel()[shell])))
-        total += count
-        del labels  # two live label grids would double the peak memory
+            roots = np.unique(np.concatenate(reached)).tolist()
+            total += len({components.find(i) for i in roots})
+        else:
+            total += labelled - merged
     return total
 
 

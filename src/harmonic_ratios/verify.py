@@ -189,9 +189,13 @@ def harnack_constant(
     dim = region.dim
     per_axis = max(int(round(samples ** (1.0 / dim))), 1)
     lo, hi = region.bounding_box()
-    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    # the points of the "ij" mesh of the axes in row-major order, written
+    # into one array without a mesh of coordinates per axis
+    grid = np.empty((per_axis,) * dim + (dim,))
+    for i in range(dim):
+        axis = np.linspace(lo[i], hi[i], per_axis)
+        grid[..., i] = axis.reshape((-1,) + (1,) * (dim - 1 - i))
+    pts = grid.reshape(-1, dim)
     if region.kind != "box":
         pts = pts[region.contains(pts)]
     f, ok = evaluator(pts)

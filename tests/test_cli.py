@@ -216,6 +216,22 @@ class TestInputValidation:
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args", [
+        # past the count bound, numpy refused the size with a ValueError
+        ("verify", "harnack", "--pair", "expsin,coshsin", "--samples", "1e300"),
+        ("nodal", "count", "--fn", "paperH", "--ball", "0,0,0:0.5", "--res", "1e300"),
+        # h0 * 0.5**2000 underflows to 0, and the residual divided by zero
+        ("verify", "elliptic", "--pair", "expsin,coshsin", "--halvings", "2000"),
+        # 0.5**1022 is the smallest positive normal float
+        ("verify", "elliptic", "--pair", "expsin,coshsin", "--h0", "1",
+         "--halvings", "1023"),
+    ])
+    def test_oversized_count_exits_two(self, tmp_path, capsys, args):
+        assert run(tmp_path, *args) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "internal error" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_zero_volume_box_exits_two(self, tmp_path, capsys):
         assert run(tmp_path, "verify", "harnack", "--pair", "expsin,coshsin",
                    "--box", "0,0,0,0") == 2

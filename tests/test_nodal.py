@@ -1,9 +1,11 @@
 """Nodal-set analysis: depth, critical points, domain counts, level sets."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from harmonic_ratios import (
@@ -18,8 +20,10 @@ from harmonic_ratios import (
     zero_set_sample,
 )
 from harmonic_ratios.nodal import (
+    _CHUNK_PLANES,
     BisectionError,
     NotAZero,
+    _count_domains,
     _sign_grid,
     write_points_csv,
     write_svg,
@@ -135,6 +139,101 @@ class TestNodalDomainCount:
     def test_enclosed_domain_counts_for_non_harmonic_input(self):
         w = X * X + Y * Y - Polynomial.constant(2, Fraction(1, 4))
         assert nodal_domain_count(w, Region.ball((0, 0), 1.0), 128) == 2
+
+
+def whole_grid_count(signs, shell, harmonic):
+    """The domain count from one labelling of the whole sign grid per sign."""
+    structure = ndimage.generate_binary_structure(signs.ndim, signs.ndim)
+    total = 0
+    for s in (1, -1):
+        labels, count = ndimage.label(signs == s, structure=structure)
+        if harmonic:
+            count = int(np.count_nonzero(np.unique(labels.ravel()[shell])))
+        total += count
+    return total
+
+
+def box_shell(shape):
+    """Sorted flat indices of the cells on the faces of a grid."""
+    inner = np.zeros(shape, dtype=bool)
+    inner[(slice(1, -1),) * len(shape)] = True
+    return np.flatnonzero(~inner)
+
+
+class TestChunkedCount:
+    """``_count_domains`` labels the sign grid in overlapping chunks of
+    axis-0 planes; its count must equal the whole-grid labelling's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_grids_match_whole_grid_labelling(self, data):
+        dim = data.draw(st.sampled_from([2, 3]), label="dim")
+        planes = data.draw(st.integers(1, 3 * _CHUNK_PLANES + 2), label="planes")
+        side = st.integers(1, 6 if dim == 2 else 4)
+        shape = (planes, *data.draw(st.tuples(*[side] * (dim - 1)), label="rest"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        zeros = data.draw(st.floats(0.0, 0.9), label="zero fraction")
+        signs = rng.choice(
+            np.array([-1, 0, 1], dtype=np.int8), size=shape,
+            p=[(1 - zeros) / 2, zeros, (1 - zeros) / 2],
+        )
+        shell = np.flatnonzero(rng.random(signs.size) < data.draw(st.floats(0, 1)))
+        for harmonic in (True, False):
+            assert _count_domains(signs, shell, harmonic) == whole_grid_count(
+                signs, shell, harmonic
+            )
+
+    @pytest.mark.parametrize("resolution", [1, 2, 32, 33, 34, 63, 64, 65])
+    @pytest.mark.parametrize("w, region", [
+        (PAPER_H, Region.ball((0, 0, 0), 0.5)),
+        (rotate(PAPER_H, cayley_from_params(3, [2, Fraction(2, 5), 1])),
+         Region.ball((0.02, -0.01, 0.03), 0.45)),
+        (catalog_get("rezk:3").polynomial, Region.ball((0, 0), 1.0)),
+        (catalog_get("imzk:10").polynomial * (Polynomial.constant(2, 2) + X * X),
+         Region.box((-1, -0.8), (0.9, 1))),
+    ])
+    def test_chunk_edges_match_whole_grid_labelling(self, w, region, resolution):
+        # the chunks hold planes 0-31, 31-62 and 62-93: 32 and 63 planes
+        # end on a chunk's last plane, 33, 34, 64 and 65 one or two planes
+        # into the next chunk
+        signs, shell = _sign_grid(w, region, resolution, 1e-10)
+        expected = whole_grid_count(signs, shell, w.is_harmonic())
+        assert nodal_domain_count(w, region, resolution) == expected
+
+    @pytest.mark.parametrize("shape", [(64, 3), (64, 3, 3)])
+    def test_component_crossing_a_chunk_edge_at_a_corner(self, shape):
+        # planes 30, 31 and 32 hold one cell each, touching only at corners;
+        # plane 31 is the last plane of the first chunk and the first of
+        # the second
+        signs = np.zeros(shape, dtype=np.int8)
+        for step, plane in enumerate((30, 31, 32)):
+            signs[(plane,) + (step,) * (len(shape) - 1)] = 1
+        far_end = np.ravel_multi_index((32,) + (2,) * (len(shape) - 1), shape)
+        for harmonic in (True, False):
+            assert _count_domains(signs, np.array([far_end]), harmonic) == 1
+        assert _count_domains(signs, np.array([], dtype=np.intp), True) == 0
+
+    def test_enclosed_component_counts_only_for_non_harmonic_input(self):
+        # a block across the edge of the first two chunks, clear of the faces
+        signs = -np.ones((70, 9, 9), dtype=np.int8)
+        signs[20:50, 3:6, 3:6] = 0
+        signs[21:49, 4, 4] = 1
+        shell = box_shell(signs.shape)
+        assert _count_domains(signs, shell, False) == 2
+        assert _count_domains(signs, shell, True) == 1
+
+    def test_peak_memory_stays_under_three_bytes_per_cell(self):
+        # the whole-grid labelling held a bool grid and an int32 label grid
+        # beside the int8 sign grid: 6.15 bytes per cell at this size
+        resolution = 256
+        tracemalloc.start()
+        try:
+            count = nodal_domain_count(PAPER_H, Region.ball((0, 0, 0), 0.5), resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2
+        assert peak <= 3 * resolution**3
 
 
 def dense_sign_grid(w, region, resolution, band_rel):

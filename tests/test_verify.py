@@ -199,6 +199,27 @@ class TestHarnack:
         report = harnack_constant(ev, None, BOX, samples=10_000)
         assert report.extremes["C_star"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("region, samples", [
+        (Region.box((-1, -0.5, 0.25), (0.5, 1, 2)), 7**3),
+        (Region.ball((0.1, -0.2), 0.7), 30**2),
+    ])
+    def test_samples_are_the_ij_mesh_in_order(self, region, samples):
+        seen = []
+
+        class Recorder(RatioEvaluator):
+            def __call__(self, pts):
+                seen.append(pts.copy())
+                return np.ones(len(pts)), np.ones(len(pts), dtype=bool)
+
+        harnack_constant(Recorder(u=None, v=None), None, region, samples)
+        lo, hi = region.bounding_box()
+        per_axis = round(samples ** (1 / region.dim))
+        axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        expected = np.column_stack([m.ravel() for m in mesh])
+        expected = expected[region.contains(expected)]
+        assert len(seen) == 1 and np.array_equal(seen[0], expected)
+
     def test_differing_zero_sets_detected(self):
         # u vanishes where v does not: the "ratio" dips to zero
         u = lambda x, y: x * x - y * y
