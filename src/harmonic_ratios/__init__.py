@@ -49,6 +49,7 @@ from .verify import (
     DegenerateRegion,
     RatioEvaluator,
     RatioVanishes,
+    ResidualVanishes,
     harnack_constant,
     leading_zero_inclusion,
     max_principle_check,

@@ -14,6 +14,7 @@ seed plus the same inputs give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,6 +43,7 @@ from .verify import (
     DegenerateRegion,
     RatioEvaluator,
     RatioVanishes,
+    ResidualVanishes,
     harnack_constant,
     leading_zero_inclusion,
     max_principle_check,
@@ -206,6 +208,15 @@ def _pair(args: argparse.Namespace) -> _catalog.SharedZeroPair:
         return _catalog.shared_pair(u_name.strip(), v_name.strip())
     except (_catalog.UnknownEntry, ValueError) as exc:
         raise CliError(str(exc)) from exc
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+    return pages * size if pages > 0 and size > 0 else None
 
 
 def write_report(out_dir: str, name: str, payload: Dict) -> str:
@@ -412,6 +423,14 @@ def cmd_nodal(args: argparse.Namespace) -> int:
     w = load_polynomial(args.fn)
     region = parse_region(args)
     if args.action == "count":
+        cells = args.res**region.dim
+        memory = _physical_memory()
+        if memory is not None and cells > memory:
+            raise CliError(
+                f"--res {args.res} asks for a sign grid of {cells} cells, which "
+                f"needs {cells} bytes (one per cell), more than the {memory} "
+                "bytes of physical memory"
+            )
         count = nodal_domain_count(w, region, args.res, band_rel=args.band)
         passed = args.expect is None or count == args.expect
         payload = {
@@ -492,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--out",
-        default=os.environ.get("HARMONIC_RATIOS_OUT", "."),
+        default=None,
         help="output directory for reports and artifacts "
         "(default: $HARMONIC_RATIOS_OUT or .)",
     )
@@ -503,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dividend", required=True, help="polynomial file or catalog name")
     p.add_argument("--divisor", required=True, help="polynomial file or catalog name")
     p.add_argument("--quotient-out", default=None, help="quotient file path")
-    p.set_defaults(func=cmd_divide)
 
     p = sub.add_parser("series", help="ratio of two Taylor series to a degree")
     p.add_argument("--pair", default=None, help="u,v catalog pair")
@@ -523,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="write the quotient even when the residual check fails",
     )
-    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("certify", help="build and verify a coefficient bound")
     p.add_argument(
@@ -545,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n-check", type=parse_degree, default=12, help="verification degree"
     )
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="numeric property checks on ratio pairs")
     p.add_argument("check", choices=["max", "harnack", "ortho", "elliptic", "leading"])
@@ -572,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--degree", type=parse_degree, default=8, help="series degree (leading)"
     )
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("nodal", help="nodal-set plots and analyses")
     p.add_argument("action", choices=["plot", "count", "critical"])
@@ -590,14 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--expect", type=parse_degree, default=None, help="fail unless the count matches"
     )
-    p.set_defaults(func=cmd_nodal)
 
     p = sub.add_parser("catalog", help="inspect the built-in catalog")
     p.add_argument("action", choices=["list", "dump"])
     p.add_argument(
         "--degree", type=parse_degree, default=6, help="taylor degree in dumps"
     )
-    p.set_defaults(func=cmd_catalog)
 
     return parser
 
@@ -621,18 +634,40 @@ def _join_region_flags(argv: List[str]) -> List[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and then reused: the
+    parser holds no per-call state, and building it costs about as much as
+    a small command."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command line (default ``sys.argv[1:]``) and return its exit
+    status, with the codes of the module docstring.
+
+    ``main`` may be called any number of times in one process: the parser is
+    built on the first call only, and ``$HARMONIC_RATIOS_OUT`` is read on
+    every call that gives no ``--out``.  Bad input exits 2, among others a
+    ``verify elliptic`` residual that is exactly 0 (no decay order to fit)
+    and a ``nodal count`` sign grid of more bytes, one per cell, than the
+    machine's physical memory.
+    """
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_region_flags(list(argv)))
+        args = _parser().parse_args(_join_region_flags(list(argv)))
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
+    if args.out is None:
+        args.out = os.environ.get("HARMONIC_RATIOS_OUT", ".")
     try:
-        return args.func(args)
-    except (CliError, io.FormatError, DegenerateRegion, RatioVanishes) as exc:
+        # looked up by name on every call, so a rebound cmd_* takes effect
+        return globals()[f"cmd_{args.command}"](args)
+    except (
+        CliError, io.FormatError, DegenerateRegion, RatioVanishes, ResidualVanishes
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -9,6 +9,7 @@ sampled boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -110,11 +111,13 @@ class Region:
         return np.vstack(out)
 
     def sample_boundary(self, count: int) -> np.ndarray:
-        """Deterministic boundary sweep, shape (count, dim).
+        """Deterministic boundary sweep of about count points, shape (m, dim).
 
         Disks: uniform angles starting at 0 (includes the four axis points
         whenever count is a multiple of 4).  Boxes: corners plus a uniform
-        walk of the edges (2D) or faces grid (3D).
+        walk of the edges (2D, 4 * max(count // 4, 1) points), or an n x n grid
+        on each of the six faces, edges and corners included, with
+        n = floor(sqrt(count / 6)) (3D).
         """
         if self.kind in ("ball", "annulus", "sphere"):
             if self.dim == 2:
@@ -146,7 +149,17 @@ class Region:
                 top = np.column_stack([x1 - t * (x1 - x0), np.full(per, y1)])
                 left = np.column_stack([np.full(per, x0), y1 - t * (y1 - y0)])
                 return np.vstack([bottom, right, top, left])
-            raise ValueError("box boundary sampling implemented for dim 2")
+            if self.dim == 3:
+                n = max(math.isqrt(count // 6), 1)
+                grids = [np.linspace(a, b, n) for a, b in zip(self.lo, self.hi)]
+                faces = []
+                for axis in range(3):
+                    for side in (self.lo[axis], self.hi[axis]):
+                        axes = grids[:axis] + [np.array([side])] + grids[axis + 1:]
+                        mesh = np.meshgrid(*axes, indexing="ij")
+                        faces.append(np.stack(mesh, axis=-1).reshape(-1, 3))
+                return np.vstack(faces)
+            raise ValueError(f"box boundary sampling unsupported in dim {self.dim}")
         raise ValueError(f"unknown region kind {self.kind}")
 
     def grid_axes(self, resolution: int) -> Tuple[List[np.ndarray], float]:

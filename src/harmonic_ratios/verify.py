@@ -44,6 +44,11 @@ class DegenerateRegion(ValueError):
     pass
 
 
+class ResidualVanishes(ArithmeticError):
+    """A divergence-form residual came out exactly 0, so its decay under
+    halving h has no order to fit (f is constant, or x +- h rounds to x)."""
+
+
 @dataclass
 class RatioEvaluator:
     """Evaluate f = u/v with a series fallback near zeros of v.
@@ -396,6 +401,10 @@ def residual_convergence(
     for h in hs:
         res = _divergence_form_residual(evaluator, v, pts, h)
         residuals.append(float(np.max(np.abs(res))))
+        if residuals[-1] == 0.0:
+            raise ResidualVanishes(
+                f"residual vanishes at h = {h!r}; no decay order to fit"
+            )
     orders = [
         float(np.log2(residuals[i] / residuals[i + 1]))
         for i in range(len(residuals) - 1)

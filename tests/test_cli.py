@@ -318,3 +318,101 @@ class TestEnvironment:
         monkeypatch.setenv("HARMONIC_RATIOS_OUT", str(tmp_path))
         assert main(["catalog", "list"]) == 0
         assert (tmp_path / "catalog_list_report.json").exists()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_several_calls_build_the_parser_once(self, tmp_path, monkeypatch):
+        import harmonic_ratios.cli as cli
+
+        builds = []
+        real = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        assert run(tmp_path, "catalog", "list") == 0
+        assert run(tmp_path, "series", "--pair", "expsin,coshsin", "--degree", "-1") == 2
+        assert run(tmp_path, "series", "--pair", "expsin,coshsin", "--degree", "2") == 0
+        assert len(builds) == 1
+
+    def test_out_dir_env_is_read_on_each_call(self, tmp_path, monkeypatch):
+        first, env, flag = tmp_path / "first", tmp_path / "env", tmp_path / "flag"
+        monkeypatch.delenv("HARMONIC_RATIOS_OUT", raising=False)
+        assert run(first, "catalog", "list") == 0
+        monkeypatch.setenv("HARMONIC_RATIOS_OUT", str(env))
+        assert main(["catalog", "list"]) == 0
+        assert (env / "catalog_list_report.json").exists()
+        (env / "catalog_list_report.json").unlink()
+        # --out still takes precedence over the environment
+        assert run(flag, "catalog", "list") == 0
+        assert (flag / "catalog_list_report.json").exists()
+        assert not list(env.iterdir())
+
+    def test_usage_error_leaves_no_state_behind(self, tmp_path, capsys):
+        import harmonic_ratios.cli as cli
+
+        argv = ["verify", "max", "--pair", "expsin,coshsin",
+                "--boundary-samples", "64", "--interior-samples", "64"]
+        cli._parser.cache_clear()
+        assert run(tmp_path / "alone", *argv) == 0
+        # a failed parse that set other values of the same flags
+        assert main(["--out", str(tmp_path / "bad"), "--seed", "5", *argv,
+                     "--tol", "nan"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert run(tmp_path / "after", *argv) == 0
+        assert not (tmp_path / "bad").exists()
+        assert (tmp_path / "after" / "verify_max_report.json").read_bytes() == \
+               (tmp_path / "alone" / "verify_max_report.json").read_bytes()
+
+    def test_help_is_the_parser_help(self, capsys):
+        import harmonic_ratios.cli as cli
+
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == cli.build_parser().format_help()
+
+
+class TestExitTwoInputs:
+    """Inputs that once ended in an internal error (exit 3)."""
+
+    def test_max_on_a_3d_box_exits_zero(self, tmp_path):
+        # the pair's default region is the box [-1, 1]^3
+        assert run(tmp_path, "verify", "max", "--pair", "paperH,paperH") == 0
+        report = json.loads((tmp_path / "verify_max_report.json").read_text())
+        assert report["passed"] and report["samples"]["boundary"] == 6 * 26 * 26
+
+    @pytest.mark.parametrize("args", [
+        # f = 1, so every residual is exactly 0
+        ("--pair", "saddle2d,saddle2d"),
+        # x +- h rounds to x at the smallest steps
+        ("--pair", "expsin,coshsin", "--halvings", "60"),
+    ])
+    def test_vanishing_residual_exits_two(self, tmp_path, capsys, args):
+        assert run(tmp_path, "verify", "elliptic", *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: residual vanishes at h = ")
+        assert "no decay order to fit" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ("--fn", "paperH", "--ball", "0,0,0:0.5", "--res", "1e6"),
+        ("--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "1e9"),
+    ])
+    def test_sign_grid_beyond_physical_memory_exits_two(self, tmp_path, capsys, args):
+        # 10**18 cells of one byte: no machine has that much memory
+        assert run(tmp_path, "nodal", "count", *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err
+        assert f"{10**18} cells" in err and f"{10**18} bytes" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_physical_memory_without_sysconf(self, monkeypatch):
+        import harmonic_ratios.cli as cli
+
+        assert cli._physical_memory() > 0
+        monkeypatch.delattr(os, "sysconf")
+        assert cli._physical_memory() is None

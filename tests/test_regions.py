@@ -152,3 +152,23 @@ class TestGrids:
         axes, mask, h = Region.ball((0, 0), 1.0).grid(8)
         assert mask.shape == (8, 8)
         assert mask[4, 4] and not mask[0, 0]
+
+
+class TestBoxBoundary3D:
+    def test_every_point_lies_exactly_on_a_face(self):
+        r = Region.box((-1.0, -0.3, 0.1), (0.7, 2.0, 0.9))
+        pts = r.sample_boundary(4096)
+        lo, hi = np.array(r.lo), np.array(r.hi)
+        assert pts.shape == (6 * 26 * 26, 3)
+        assert np.all((pts >= lo) & (pts <= hi))
+        assert np.all(np.any((pts == lo) | (pts == hi), axis=1))
+        # every face is sampled, and all eight corners are among the points
+        for axis in range(3):
+            assert np.count_nonzero(pts[:, axis] == lo[axis]) >= 26 * 26
+            assert np.count_nonzero(pts[:, axis] == hi[axis]) >= 26 * 26
+        corners = {tuple(c) for c in np.array(np.meshgrid(*zip(lo, hi))).reshape(3, -1).T}
+        assert corners <= {tuple(p) for p in pts}
+
+    def test_fewer_than_six_samples_still_sample_each_face(self):
+        pts = Region.box((0, 0, 0), (1, 1, 1)).sample_boundary(1)
+        assert pts.shape == (6, 3)

@@ -353,3 +353,14 @@ class TestLeadingZeroInclusion:
         report = leading_zero_inclusion(u, v, samples=1024)
         assert report.extremes["zeros_found"] > 0
         assert not report.passed
+
+
+class TestVanishingResidual:
+    def test_constant_ratio_raises_a_typed_error(self):
+        from harmonic_ratios import ResidualVanishes
+
+        pair = shared_pair("saddle2d", "saddle2d")
+        with pytest.raises(ResidualVanishes, match="residual vanishes at h = 0.05"):
+            residual_convergence(
+                pair.u, pair.v, pair.region, h0=0.05, halvings=2, samples=40
+            )
