@@ -21,7 +21,7 @@ pair = shared_pair("expsin", "coshsin")
 ev = RatioEvaluator.for_pair(pair)
 box = Region.box((-1, -1), (1, 1))
 
-rep = harnack_constant(ev, None, box, samples=10**6)
+rep = harnack_constant(ev, box, samples=10**6)
 print(rep.summary())
 print(f"C* = {rep.extremes['C_star']:.9f}, e^2 = {np.e**2:.9f}")
 print()
@@ -30,7 +30,7 @@ rng = np.random.default_rng(1)
 for i in range(3):
     center = rng.uniform(-1.5, 1.5, size=2)
     radius = rng.uniform(0.1, 0.5)
-    mp = max_principle_check(ev, None, Region.ball(center, radius),
+    mp = max_principle_check(ev, Region.ball(center, radius),
                              boundary_samples=256, interior_samples=256)
     print(f"disk at ({center[0]:+.2f}, {center[1]:+.2f}) r={radius:.2f}: "
           f"{mp.summary()}")

@@ -12,11 +12,9 @@ from .catalog import (
     CatalogEntry,
     SharedZeroPair,
     UnknownEntry,
-    ZeroAtAnchor,
     catalog_get,
     catalog_names,
     manifest,
-    normalize_at,
     shared_pair,
 )
 from .division import (
@@ -28,7 +26,6 @@ from .division import (
     ResidualNonzero,
     ZeroInput,
     divide_by_harmonic,
-    multi_divide,
     normalize_rotation,
     series_ratio,
 )
@@ -54,8 +51,6 @@ from .verify import (
     leading_zero_inclusion,
     max_principle_check,
     residual_convergence,
-    elliptic_residual,
-    sign_change_check,
     sphere_orthogonality,
 )
 

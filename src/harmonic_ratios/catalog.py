@@ -24,7 +24,6 @@ that provenance note in the manifest.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -42,10 +41,6 @@ class UnknownEntry(KeyError):
     pass
 
 
-class ZeroAtAnchor(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -56,48 +51,27 @@ class CatalogEntry:
     polynomial: Optional[Polynomial] = None
     series_at_origin: Optional[Callable[[int], Dict[tuple, Fraction]]] = None
     eval_arrays: Optional[Callable[..., np.ndarray]] = None
-    scale: float = 1.0
 
     def taylor(self, center: Sequence, max_degree: int) -> TruncatedSeries:
         """Exact Taylor truncation about a rational center."""
         if max_degree < 0:
             raise ValueError("degree must be non-negative")
         if self.kind == "polynomial":
-            s = TruncatedSeries.from_polynomial(self.polynomial, max_degree, center)
-        else:
-            if any(Fraction(c) != 0 for c in center):
-                raise ValueError(
-                    f"entry {self.name} has exact coefficients at the origin only"
-                )
-            coeffs = self.series_at_origin(max_degree)
-            s = TruncatedSeries(
-                self.dimension, (Fraction(0),) * self.dimension, max_degree, coeffs
+            return TruncatedSeries.from_polynomial(self.polynomial, max_degree, center)
+        if any(Fraction(c) != 0 for c in center):
+            raise ValueError(
+                f"entry {self.name} has exact coefficients at the origin only"
             )
-        if self.scale != 1.0:
-            # float rescales come from normalize_at and are for numeric use only
-            raise ValueError("exact Taylor data is unavailable on a rescaled entry")
-        return s
+        coeffs = self.series_at_origin(max_degree)
+        return TruncatedSeries(
+            self.dimension, (Fraction(0),) * self.dimension, max_degree, coeffs
+        )
 
     def __call__(self, *coords: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation."""
         if self.kind == "polynomial":
-            out = self.polynomial.evaluate_array(list(coords))
-        else:
-            out = self.eval_arrays(*coords)
-        return out * self.scale if self.scale != 1.0 else out
-
-    def rescaled(self, factor: float) -> "CatalogEntry":
-        return CatalogEntry(
-            name=self.name,
-            dimension=self.dimension,
-            kind=self.kind,
-            zero_set=self.zero_set,
-            provenance=self.provenance,
-            polynomial=self.polynomial,
-            series_at_origin=self.series_at_origin,
-            eval_arrays=self.eval_arrays,
-            scale=self.scale * factor,
-        )
+            return self.polynomial.evaluate_array(list(coords))
+        return self.eval_arrays(*coords)
 
 
 @dataclass(frozen=True)
@@ -308,21 +282,6 @@ def shared_pair(u_name: str, v_name: str) -> SharedZeroPair:
     raise UnknownEntry(f"no registered shared-zero pair ({u_name}, {v_name})")
 
 
-def normalize_at(pair: SharedZeroPair, x0: Sequence[float]) -> SharedZeroPair:
-    """Rescale both members so they take value 1 at the anchor point."""
-    pt = [np.asarray([float(c)]) for c in x0]
-    u0 = float(pair.u(*pt)[0])
-    v0 = float(pair.v(*pt)[0])
-    if u0 == 0.0 or v0 == 0.0:
-        raise ZeroAtAnchor(f"pair member vanishes at anchor {tuple(x0)}")
-    return SharedZeroPair(
-        u=pair.u.rescaled(1.0 / u0),
-        v=pair.v.rescaled(1.0 / v0),
-        common_zero=pair.common_zero,
-        region=pair.region,
-    )
-
-
 def manifest(max_degree: int = 6) -> List[Dict[str, object]]:
     """JSON-ready description of every static entry."""
     out = []
@@ -344,6 +303,3 @@ def manifest(max_degree: int = 6) -> List[Dict[str, object]]:
         out.append(item)
     return out
 
-
-def manifest_json() -> str:
-    return json.dumps(manifest(), indent=2, sort_keys=True)

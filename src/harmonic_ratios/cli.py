@@ -97,8 +97,9 @@ def load_series(arg: str, degree: int) -> TruncatedSeries:
     return entry.taylor((0,) * entry.dimension, degree)
 
 
-def parse_region(args: argparse.Namespace) -> Region:
-    """--ball 'cx,cy[,cz]:r' or --box 'x0,x1,y0,y1[,z0,z1]'."""
+def parse_region(args: argparse.Namespace, dim: int) -> Region:
+    """--ball 'cx,cy[,cz]:r' or --box 'x0,x1,y0,y1[,z0,z1]', of dimension
+    ``dim``."""
     if getattr(args, "ball", None) and getattr(args, "box", None):
         raise CliError("give either --ball or --box, not both")
     if getattr(args, "ball", None):
@@ -106,10 +107,10 @@ def parse_region(args: argparse.Namespace) -> Region:
         try:
             center_txt, radius_txt = spec.split(":")
             center = [float(c) for c in center_txt.split(",")]
-            return Region.ball(center, float(radius_txt))
+            region = Region.ball(center, float(radius_txt))
         except ValueError as exc:
             raise CliError(f"bad --ball spec {spec!r} (want cx,cy[,cz]:r)") from exc
-    if getattr(args, "box", None):
+    elif getattr(args, "box", None):
         spec = args.box
         try:
             vals = [float(c) for c in spec.split(",")]
@@ -117,12 +118,15 @@ def parse_region(args: argparse.Namespace) -> Region:
             raise CliError(f"bad --box spec {spec!r}") from exc
         if len(vals) % 2 or len(vals) < 4:
             raise CliError("--box wants per-axis pairs: x0,x1,y0,y1[,z0,z1]")
-        lo, hi = vals[0::2], vals[1::2]
         try:
-            return Region.box(lo, hi)
+            region = Region.box(vals[0::2], vals[1::2])
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    raise CliError("a region is required: --ball or --box")
+    else:
+        raise CliError("a region is required: --ball or --box")
+    if region.dim != dim:
+        raise CliError(f"the region has dimension {region.dim}, the function {dim}")
+    return region
 
 
 # the largest count flag: 10**9 samples or grid cells per axis would
@@ -200,6 +204,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _pair(args: argparse.Namespace) -> _catalog.SharedZeroPair:
+    if args.pair is None:
+        raise CliError("--pair is required")
     try:
         u_name, v_name = args.pair.split(",")
     except ValueError as exc:
@@ -217,6 +223,18 @@ def _physical_memory() -> Optional[int]:
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         return None
     return pages * size if pages > 0 and size > 0 else None
+
+
+def _check_memory(flag: str, value: int, points: int, size: int) -> None:
+    """Refuse, before it is allocated, a grid of ``points`` values of
+    ``size`` bytes each that has more bytes than physical memory."""
+    memory = _physical_memory()
+    if memory is not None and points * size > memory:
+        raise CliError(
+            f"{flag} {value} asks for a grid of {points} points of {size} "
+            f"byte(s) each, {points * size} bytes, more than the {memory} "
+            "bytes of physical memory"
+        )
 
 
 def write_report(out_dir: str, name: str, payload: Dict) -> str:
@@ -360,12 +378,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.check in ("max", "harnack", "elliptic", "leading"):
         pair = _pair(args)
-        region = parse_region(args) if (args.ball or args.box) else pair.region
+        region = (
+            parse_region(args, pair.u.dimension) if (args.ball or args.box)
+            else pair.region
+        )
     if args.check == "max":
         evaluator = RatioEvaluator.for_pair(pair)
         report = max_principle_check(
             evaluator,
-            None,
             region,
             boundary_samples=args.boundary_samples,
             interior_samples=args.interior_samples,
@@ -375,17 +395,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.check == "harnack":
         evaluator = RatioEvaluator.for_pair(pair)
         report = harnack_constant(
-            evaluator, None, region, samples=args.samples, floor=args.floor
+            evaluator, region, samples=args.samples, floor=args.floor
         )
     elif args.check == "ortho":
+        if args.q is None:
+            raise CliError("verify ortho needs --q")
         q = load_polynomial(args.q)
         if args.q2 == "1":
             q2 = Polynomial.constant(q.dim, 1)
         else:
             q2 = load_polynomial(args.q2)
-        report = sphere_orthogonality(
-            q, q2, r=args.radius, quad_points=args.samples, tol=args.tol
-        )
+        try:
+            report = sphere_orthogonality(
+                q, q2, r=args.radius, quad_points=args.samples, tol=args.tol
+            )
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     elif args.check == "elliptic":
         if not args.h0 * 0.5**args.halvings >= sys.float_info.min:
             raise CliError(
@@ -421,16 +446,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_nodal(args: argparse.Namespace) -> int:
     w = load_polynomial(args.fn)
-    region = parse_region(args)
+    region = parse_region(args, w.dim)
     if args.action == "count":
-        cells = args.res**region.dim
-        memory = _physical_memory()
-        if memory is not None and cells > memory:
-            raise CliError(
-                f"--res {args.res} asks for a sign grid of {cells} cells, which "
-                f"needs {cells} bytes (one per cell), more than the {memory} "
-                "bytes of physical memory"
-            )
+        # a sign grid of one byte per cell
+        _check_memory("--res", args.res, args.res**w.dim, 1)
         count = nodal_domain_count(w, region, args.res, band_rel=args.band)
         passed = args.expect is None or count == args.expect
         payload = {
@@ -442,6 +461,8 @@ def cmd_nodal(args: argparse.Namespace) -> int:
         }
         return _emit(args.out, "nodal_count", payload, [str(count)])[1]
     if args.action == "plot":
+        # float values at the (res + 1)^dim grid nodes
+        _check_memory("--res", args.res, (args.res + 1) ** w.dim, 8)
         points, segments = zero_set_sample(w, region, args.res)
         os.makedirs(args.out, exist_ok=True)
         if w.dim == 2:
@@ -464,6 +485,8 @@ def cmd_nodal(args: argparse.Namespace) -> int:
             [f"{len(points)} zero points -> {art}"],
         )[1]
     if args.action == "critical":
+        # float values at the grid^dim seeds
+        _check_memory("--grid", args.grid, args.grid**w.dim, 8)
         report = critical_set_sample(
             w,
             region,
@@ -650,8 +673,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     built on the first call only, and ``$HARMONIC_RATIOS_OUT`` is read on
     every call that gives no ``--out``.  Bad input exits 2, among others a
     ``verify elliptic`` residual that is exactly 0 (no decay order to fit)
-    and a ``nodal count`` sign grid of more bytes, one per cell, than the
-    machine's physical memory.
+    and a ``nodal`` grid of more bytes than the machine's physical memory.
     """
     if argv is None:
         argv = sys.argv[1:]

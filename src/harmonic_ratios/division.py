@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 from . import multiindex as mi
 from .multiindex import MultiIndex
@@ -57,18 +57,10 @@ class NotDivisible(DivisionError):
     dividend's leading degree is too low.  Signals that the divisor's zero
     set is not contained in the dividend's."""
 
-    def __init__(self, message: str, divisor_index: Optional[int] = None):
-        super().__init__(message)
-        self.divisor_index = divisor_index
-
 
 class ResidualNonzero(DivisionError):
     """The computed quotient does not multiply back to the dividend; the
     inputs do not divide as series."""
-
-    def __init__(self, message: str, divisor_index: Optional[int] = None):
-        super().__init__(message)
-        self.divisor_index = divisor_index
 
 
 class InsufficientDegree(DivisionError):
@@ -270,52 +262,3 @@ def series_ratio(
         )
     return DivisionOutcome(quotient=f, residual_verified=False)
 
-
-def multi_divide(
-    u: TruncatedSeries,
-    divisors: Sequence[TruncatedSeries],
-    n_out: int,
-) -> DivisionOutcome:
-    """Divide u by several series in sequence: u = f * prod(divisors).
-
-    Failures from any stage are re-raised annotated with the 1-based index of
-    the divisor that failed.  The final quotient is validated against the
-    full product of the divisors.
-    """
-    if not divisors:
-        raise ValueError("need at least one divisor")
-    ks = []
-    for i, d in enumerate(divisors, start=1):
-        if d.is_zero():
-            raise ZeroInput(f"divisor {i} is the zero series")
-        ks.append(d.leading_degree())
-    total_k = sum(ks)
-    if u.max_degree < n_out + total_k:
-        raise InsufficientDegree(
-            f"numerator must be truncated at degree >= {n_out + total_k}"
-        )
-
-    current = u
-    for i, d in enumerate(divisors, start=1):
-        target = n_out + sum(ks[i:])
-        if d.max_degree < target + ks[i - 1]:
-            raise InsufficientDegree(
-                f"divisor {i} must be truncated at degree >= {target + ks[i - 1]}"
-            )
-        try:
-            current = series_ratio(current, d, target).quotient
-        except (NotDivisible, ResidualNonzero) as exc:
-            exc.divisor_index = i
-            raise
-
-    f = current
-    product = divisors[0].truncate(n_out + total_k)
-    for d in divisors[1:]:
-        product = product.mul_truncated(d, n_out + total_k)
-    residual = u.truncate(n_out + total_k) - product.mul_truncated(f, n_out + total_k)
-    if not residual.is_zero():
-        raise ResidualNonzero(
-            "final residual against the product of divisors is nonzero",
-            divisor_index=len(divisors),
-        )
-    return DivisionOutcome(quotient=f, residual_verified=True)

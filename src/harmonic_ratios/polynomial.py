@@ -9,7 +9,7 @@ is a separate code path (`evaluate_array`) used only by the numeric layers.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 

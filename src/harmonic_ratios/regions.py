@@ -10,15 +10,15 @@ sampled boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Region:
-    kind: str  # ball | box | sphere | annulus
+    kind: str  # ball | box | annulus
     center: Tuple[float, ...] = ()
     radius: float = 0.0
     inner: float = 0.0
@@ -37,12 +37,6 @@ class Region:
         if len(lo) != len(hi) or not all(a < b for a, b in zip(lo, hi)):
             raise ValueError("box needs lo < hi per axis")
         return Region(kind="box", lo=lo, hi=hi)
-
-    @staticmethod
-    def sphere(center: Sequence[float], radius: float) -> "Region":
-        if not radius > 0:  # also rejects NaN
-            raise ValueError("sphere radius must be positive")
-        return Region(kind="sphere", center=tuple(map(float, center)), radius=float(radius))
 
     @staticmethod
     def annulus(center: Sequence[float], inner: float, outer: float) -> "Region":
@@ -89,17 +83,12 @@ class Region:
         d = np.sqrt(d2)
         if self.kind == "ball":
             return d <= self.radius
-        if self.kind == "annulus":
-            return (d > self.inner) & (d <= self.radius)
-        # sphere surface: a measure-zero set; use a tight relative band
-        return np.abs(d - self.radius) <= 1e-12 * max(self.radius, 1.0)
+        return (d > self.inner) & (d <= self.radius)
 
     # -- sampling ------------------------------------------------------------
 
     def sample_interior(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform interior samples, shape (count, dim)."""
-        if self.kind == "sphere":
-            raise ValueError("a sphere surface has no interior")
         lo, hi = self.bounding_box()
         out: List[np.ndarray] = []
         need = count
@@ -119,7 +108,7 @@ class Region:
         on each of the six faces, edges and corners included, with
         n = floor(sqrt(count / 6)) (3D).
         """
-        if self.kind in ("ball", "annulus", "sphere"):
+        if self.kind in ("ball", "annulus"):
             if self.dim == 2:
                 theta = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
                 c = np.array(self.center)

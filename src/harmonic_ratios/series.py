@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from . import multiindex as mi
 from .multiindex import MultiIndex
@@ -95,15 +95,6 @@ class TruncatedSeries:
             raise ValueError("cannot extend a truncation")
         coeffs = {a: c for a, c in self.coefficients.items() if sum(a) <= max_degree}
         return TruncatedSeries(self.dim, self.center, max_degree, coeffs)
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(
-            self.dim,
-            self.center,
-            self.max_degree,
-            {a: c * v for a, v in self.coefficients.items()},
-        )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)

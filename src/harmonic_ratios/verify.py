@@ -3,7 +3,8 @@
 Every check returns a ``VerificationReport`` recording the measured extremes,
 the sample counts, and the tolerance the pass/fail decision used.  Functions
 ``u`` and ``v`` are vectorized callables ``f(*coords) -> array`` (catalog
-entries qualify).
+entries qualify); the maximum-principle and Harnack checks take their ratio
+as a ``RatioEvaluator``.
 
 The ratio u/v is evaluated directly where |v| is safely away from zero and
 through an exact ratio series inside a guard band around the zero set (the
@@ -128,15 +129,8 @@ def _pair_series(pair, series_degree: int) -> Optional[TruncatedSeries]:
         return None
 
 
-def _ratio(u, v) -> RatioEvaluator:
-    if isinstance(u, RatioEvaluator):
-        return u
-    return RatioEvaluator(u=u, v=v)
-
-
 def max_principle_check(
-    u: Func,
-    v: Func,
+    evaluator: RatioEvaluator,
     region: Region,
     boundary_samples: int,
     interior_samples: int,
@@ -146,7 +140,6 @@ def max_principle_check(
     """Interior extremes of f = u/v must not exceed the boundary extremes."""
     if boundary_samples < 4 or interior_samples < 1:
         raise DegenerateRegion("need at least 4 boundary and 1 interior samples")
-    evaluator = _ratio(u, v)
     rng = np.random.default_rng(seed)
     bd = region.sample_boundary(boundary_samples)
     it = region.sample_interior(interior_samples, rng)
@@ -178,8 +171,7 @@ def max_principle_check(
 
 
 def harnack_constant(
-    u: Func,
-    v: Func,
+    evaluator: RatioEvaluator,
     region: Region,
     samples: int,
     floor: float = 1e-9,
@@ -190,7 +182,6 @@ def harnack_constant(
     so monotone ratios attain their true extremes up to grid resolution.
     Finiteness is the claim being verified; the value itself is reported.
     """
-    evaluator = _ratio(u, v)
     dim = region.dim
     per_axis = max(int(round(samples ** (1.0 / dim))), 1)
     lo, hi = region.bounding_box()
@@ -278,27 +269,6 @@ def sphere_orthogonality(
     )
 
 
-def sign_change_check(
-    q1: Polynomial, region: Region, samples: int, seed: int = 0
-) -> VerificationReport:
-    """Does q1 take both signs on the region?  (A non-constant divisor of a
-    homogeneous harmonic polynomial must.)"""
-    if q1.total_degree() < 1:
-        raise ValueError("q1 must be non-constant")
-    rng = np.random.default_rng(seed)
-    pts = region.sample_interior(samples, rng)
-    vals = q1.evaluate_array([pts[:, i] for i in range(q1.dim)])
-    pos, neg = bool(np.any(vals > 0)), bool(np.any(vals < 0))
-    return VerificationReport(
-        name="sign_change",
-        passed=pos and neg,
-        extremes={"max": float(np.max(vals)), "min": float(np.min(vals))},
-        samples={"points": samples},
-        tolerance=0.0,
-        notes="both signs observed" if pos and neg else "only one sign observed",
-    )
-
-
 def _divergence_form_residual(
     evaluator: RatioEvaluator, v: Func, pts: np.ndarray, h: float
 ) -> np.ndarray:
@@ -352,35 +322,6 @@ def _stencil_samples(
     if len(pts) == 0:
         raise DegenerateRegion("no sample point clears the guard band")
     return pts
-
-
-def elliptic_residual(
-    u: Func,
-    v: Func,
-    region: Region,
-    h: float,
-    samples: int,
-    seed: int = 0,
-) -> VerificationReport:
-    """Finite-difference residual of the degenerate equation div(v^2 grad f)=0.
-
-    Sample points (and their whole stencils) are kept where |v| is at least
-    ``RESIDUAL_GUARD`` times its scale over the region, so the direct
-    quotient is accurate; the residual of the analytic ratio is zero and the
-    measured values decay at second order in h.
-    """
-    pts = _stencil_samples(v, region, [h], samples, seed)
-    evaluator = RatioEvaluator(u=u, v=v, guard=0.0)
-    res = _divergence_form_residual(evaluator, v, pts, h)
-    max_res = float(np.max(np.abs(res)))
-    return VerificationReport(
-        name="elliptic_residual",
-        passed=True,
-        extremes={"max_abs_residual": max_res, "h": h},
-        samples={"points": len(pts)},
-        tolerance=0.0,
-        notes="residual magnitude is reported; convergence is judged across h",
-    )
 
 
 def residual_convergence(

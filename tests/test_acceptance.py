@@ -133,10 +133,10 @@ def test_05_harnack_constant():
     pair = shared_pair("expsin", "coshsin")
     ev = RatioEvaluator.for_pair(pair)
     box = Region.box((-1, -1), (1, 1))
-    rep = harnack_constant(ev, None, box, samples=10**6)
+    rep = harnack_constant(ev, box, samples=10**6)
     c_star = rep.extremes["C_star"]
     same = RatioEvaluator.for_pair(shared_pair("expsin", "expsin"))
-    rep_same = harnack_constant(same, None, box, samples=10**4)
+    rep_same = harnack_constant(same, box, samples=10**4)
     ok = abs(c_star - float(np.e**2)) < 1e-3 and \
         abs(rep_same.extremes["C_star"] - 1.0) < 1e-12
     report(5, ok, f"C* = {c_star:.6f} vs e^2 = {float(np.e**2):.6f} at 1e6 "
@@ -152,7 +152,7 @@ def test_06_max_principle_100_random_subdisks():
         center = rng.uniform(-1.5, 1.5, size=2)
         radius = rng.uniform(0.1, 0.5)
         rep = max_principle_check(
-            ev, None, Region.ball(center, radius),
+            ev, Region.ball(center, radius),
             boundary_samples=256, interior_samples=256, tol=1e-9, seed=i,
         )
         assert rep.passed, (center, radius, rep.extremes)

@@ -1,6 +1,5 @@
 """The built-in catalog of harmonic functions and shared-zero pairs."""
 
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +7,9 @@ import pytest
 
 from harmonic_ratios.catalog import (
     UnknownEntry,
-    ZeroAtAnchor,
     catalog_get,
     catalog_names,
     manifest,
-    manifest_json,
-    normalize_at,
     shared_pair,
 )
 
@@ -114,21 +110,6 @@ class TestPairs:
         with pytest.raises(ValueError):
             shared_pair("paperH", "saddle2d")
 
-    def test_normalize_at(self):
-        pair = normalize_at(shared_pair("expsin", "coshsin"), (0.5, 0.5))
-        pt = (np.array([0.5]), np.array([0.5]))
-        assert float(pair.u(*pt)[0]) == pytest.approx(1.0, abs=1e-14)
-        assert float(pair.v(*pt)[0]) == pytest.approx(1.0, abs=1e-14)
-
-    def test_normalize_at_zero_anchor(self):
-        with pytest.raises(ZeroAtAnchor):
-            normalize_at(shared_pair("expsin", "coshsin"), (0.0, 0.7))
-
-    def test_rescaled_entry_refuses_exact_taylor(self):
-        pair = normalize_at(shared_pair("expsin", "coshsin"), (0.5, 0.5))
-        with pytest.raises(ValueError):
-            pair.u.taylor((0, 0), 4)
-
 
 class TestManifest:
     def test_every_static_entry_listed(self):
@@ -137,6 +118,3 @@ class TestManifest:
         assert names == {"saddle2d", "imz2", "paperH", "expsin", "coshsin"}
         for e in entries:
             assert e["zero_set"] and e["provenance"]
-
-    def test_json_round_trips(self):
-        assert json.loads(manifest_json()) == manifest()

@@ -210,6 +210,18 @@ class TestInputValidation:
          "--expect", "-1"),
         ("nodal", "count", "--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "64",
          "--expect", "x"),
+        # a required input flag left out
+        ("verify", "max"),
+        ("verify", "harnack"),
+        ("verify", "elliptic"),
+        ("verify", "leading"),
+        ("verify", "ortho"),
+        # a region or a polynomial of the wrong dimension
+        ("nodal", "plot", "--fn", "paperH", "--ball", "0,0:0.5"),
+        ("nodal", "count", "--fn", "rezk:2", "--ball", "0,0,0:1"),
+        ("verify", "max", "--pair", "expsin,coshsin", "--ball", "0,0,0:1"),
+        ("verify", "ortho", "--q", "paperH"),
+        ("verify", "ortho", "--q", "rezk:2", "--q2", "paperH"),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, args):
         assert run(tmp_path, *args) == 2
@@ -399,15 +411,22 @@ class TestExitTwoInputs:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args", [
-        ("--fn", "paperH", "--ball", "0,0,0:0.5", "--res", "1e6"),
-        ("--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "1e9"),
+        ("count", "--fn", "paperH", "--ball", "0,0,0:0.5", "--res", "1e6"),
+        ("count", "--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "1e9"),
+        ("plot", "--fn", "paperH", "--ball", "0,0,0:0.5", "--res", "1e6"),
+        ("critical", "--fn", "paperH", "--ball", "0,0,0:0.5", "--grid", "1e6"),
     ])
     def test_sign_grid_beyond_physical_memory_exits_two(self, tmp_path, capsys, args):
-        # 10**18 cells of one byte: no machine has that much memory
-        assert run(tmp_path, "nodal", "count", *args) == 2
+        # about 10**18 grid points: no machine has that much memory
+        points, size = {
+            "count": (10**18, 1),  # sign grid cells, one byte each
+            "plot": ((10**6 + 1) ** 3, 8),  # float64 values at the grid nodes
+            "critical": (10**18, 8),  # float64 values at the seeds
+        }[args[0]]
+        assert run(tmp_path, "nodal", *args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "internal error" not in err
-        assert f"{10**18} cells" in err and f"{10**18} bytes" in err
+        assert f"{points} points" in err and f"{points * size} bytes" in err
         assert not list(tmp_path.iterdir())
 
     def test_physical_memory_without_sysconf(self, monkeypatch):

@@ -9,7 +9,6 @@ from harmonic_ratios import (
     Polynomial,
     TruncatedSeries,
     catalog_get,
-    multi_divide,
     series_ratio,
 )
 from harmonic_ratios import multiindex as mi
@@ -203,26 +202,3 @@ class TestOffOriginCenter:
         # the quotient series must expand f_true about the same center
         expected = poly_series(f_true, 4, center)
         assert out.quotient.coefficients == expected.coefficients
-
-
-class TestMultiDivide:
-    def test_two_divisors(self):
-        f_true = X * X - Y
-        d1, d2 = X * Y, X + Y
-        u = poly_series(f_true * d1 * d2, 12)
-        out = multi_divide(u, [poly_series(d1, 12), poly_series(d2, 12)], 4)
-        assert out.quotient.as_polynomial() == f_true
-        assert out.residual_verified
-
-    def test_failure_carries_divisor_index(self):
-        u = poly_series((X * X - Y * Y) * X, 10)
-        good = poly_series(X, 10)
-        bad = poly_series(X * Y, 10)
-        with pytest.raises((NotDivisible, ResidualNonzero)) as err:
-            multi_divide(u, [good, bad], 3)
-        assert err.value.divisor_index == 2
-
-    def test_insufficient_numerator_degree(self):
-        u = poly_series(X * X, 4)
-        with pytest.raises(InsufficientDegree):
-            multi_divide(u, [poly_series(X, 4), poly_series(X, 4)], 4)

@@ -17,15 +17,10 @@ from harmonic_ratios import (
     max_principle_check,
     residual_convergence,
     shared_pair,
-    sign_change_check,
     sphere_orthogonality,
 )
 from harmonic_ratios.division import series_ratio
-from harmonic_ratios.verify import (
-    RESIDUAL_GUARD,
-    DegenerateRegion,
-    elliptic_residual,
-)
+from harmonic_ratios.verify import RESIDUAL_GUARD, DegenerateRegion
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -106,7 +101,7 @@ class TestLazySeries:
     def test_no_series_when_no_point_is_in_the_band(self, series_ratio_calls):
         # the disk spans 0.4 <= x <= 1.2, clear of the shared zero x = 0
         report = max_principle_check(
-            RatioEvaluator.for_pair(PAIR), None, Region.ball((0.8, 0.3), 0.4),
+            RatioEvaluator.for_pair(PAIR), Region.ball((0.8, 0.3), 0.4),
             boundary_samples=256, interior_samples=256,
         )
         assert report.passed and report.samples["skipped"] == 0
@@ -116,7 +111,7 @@ class TestLazySeries:
         # 21 points per axis put one grid column on x = 0
         ev = RatioEvaluator.for_pair(PAIR)
         report = harnack_constant(
-            ev, None, Region.box((-0.2, -0.2), (0.2, 0.2)), samples=21**2
+            ev, Region.box((-0.2, -0.2), (0.2, 0.2)), samples=21**2
         )
         assert report.samples == {"grid_points": 441, "skipped": 0}
         assert len(series_ratio_calls) == 1
@@ -167,7 +162,7 @@ class TestLazySeries:
 class TestMaxPrinciple:
     def test_holds_for_harmonic_ratio(self, evaluator):
         report = max_principle_check(
-            evaluator, None, BOX, boundary_samples=512, interior_samples=512
+            evaluator, BOX, boundary_samples=512, interior_samples=512
         )
         assert report.passed
         assert report.extremes["interior_max"] <= report.extremes["boundary_max"] + 1e-9
@@ -177,26 +172,26 @@ class TestMaxPrinciple:
         bump = lambda x, y: 1.0 - x**2 - y**2
         one = lambda x, y: np.ones_like(x)
         report = max_principle_check(
-            bump, one, Region.ball((0, 0), 1.0), boundary_samples=64,
-            interior_samples=512,
+            RatioEvaluator(u=bump, v=one), Region.ball((0, 0), 1.0),
+            boundary_samples=64, interior_samples=512,
         )
         assert not report.passed
 
     def test_degenerate_sampling_rejected(self, evaluator):
         with pytest.raises(DegenerateRegion):
-            max_principle_check(evaluator, None, BOX, 2, 0)
+            max_principle_check(evaluator, BOX, 2, 0)
 
 
 class TestHarnack:
     def test_reference_constant(self, evaluator):
-        report = harnack_constant(evaluator, None, BOX, samples=250_000)
+        report = harnack_constant(evaluator, BOX, samples=250_000)
         assert report.passed
         assert report.extremes["C_star"] == pytest.approx(np.e**2, abs=1e-3)
 
     def test_equal_pair_gives_one(self):
         pair = shared_pair("expsin", "expsin")
         ev = RatioEvaluator.for_pair(pair)
-        report = harnack_constant(ev, None, BOX, samples=10_000)
+        report = harnack_constant(ev, BOX, samples=10_000)
         assert report.extremes["C_star"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("region, samples", [
@@ -211,7 +206,7 @@ class TestHarnack:
                 seen.append(pts.copy())
                 return np.ones(len(pts)), np.ones(len(pts), dtype=bool)
 
-        harnack_constant(Recorder(u=None, v=None), None, region, samples)
+        harnack_constant(Recorder(u=None, v=None), region, samples)
         lo, hi = region.bounding_box()
         per_axis = round(samples ** (1 / region.dim))
         axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
@@ -225,7 +220,7 @@ class TestHarnack:
         u = lambda x, y: x * x - y * y
         v = lambda x, y: np.ones_like(x)
         with pytest.raises(RatioVanishes):
-            harnack_constant(u, v, BOX, samples=10_000)
+            harnack_constant(RatioEvaluator(u=u, v=v), BOX, samples=10_000)
 
 
 class TestOrthogonality:
@@ -253,25 +248,7 @@ class TestOrthogonality:
             sphere_orthogonality(X * X, Polynomial.constant(2, 1), 1.0, 128)
 
 
-class TestSignChange:
-    def test_harmonic_factor_changes_sign(self):
-        report = sign_change_check(X * Y, Region.ball((0, 0), 1.0), 500)
-        assert report.passed
-
-    def test_positive_polynomial_does_not(self):
-        report = sign_change_check(
-            X * X + Y * Y + Polynomial.constant(2, 1),
-            Region.ball((0, 0), 1.0),
-            500,
-        )
-        assert not report.passed
-
-
 class TestEllipticResidual:
-    def test_single_h_reports_magnitude(self):
-        report = elliptic_residual(PAIR.u, PAIR.v, BOX, h=0.02, samples=50)
-        assert report.extremes["max_abs_residual"] < 1.0
-
     def test_second_order_decay(self):
         report = residual_convergence(
             PAIR.u, PAIR.v, BOX, h0=0.05, halvings=2, samples=40
