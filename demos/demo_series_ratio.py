@@ -17,7 +17,7 @@ out = series_ratio(u, v, N)
 print(f"f = u/v to total degree {N}, residual verified: {out.residual_verified}")
 print()
 print("nonzero coefficients (all on the pure-y axis):")
-for alpha, c in out.quotient.sorted_coefficients():
+for alpha, c in out.quotient.sorted_terms():
     print(f"  f_{alpha} = {c}")
 print()
 print("compare with tanh y = y - y^3/3 + 2 y^5/15 - 17 y^7/315 + ...")

@@ -81,6 +81,19 @@ class SharedZeroPair:
     common_zero: str
     region: Region
 
+    def expand(
+        self, n_out: int, probe_degree: int
+    ) -> Optional[Tuple[TruncatedSeries, TruncatedSeries]]:
+        """u and v at the origin to degree n_out + k, the inputs of a ratio
+        series of degree ``n_out``; k is v's leading degree, read off its
+        expansion to ``probe_degree``.  None if v vanishes through that degree.
+        """
+        origin = (0,) * self.v.dimension
+        k = self.v.taylor(origin, probe_degree).leading_degree()
+        if k < 0:
+            return None
+        return self.u.taylor(origin, n_out + k), self.v.taylor(origin, n_out + k)
+
 
 # -- polynomial bodies -------------------------------------------------------
 
@@ -298,7 +311,7 @@ def manifest(max_degree: int = 6) -> List[Dict[str, object]]:
             item["body"] = format_polynomial(e.polynomial)
         else:
             item["taylor_at_origin"] = format_polynomial(
-                e.taylor((0,) * e.dimension, max_degree).as_polynomial()
+                e.taylor((0,) * e.dimension, max_degree)
             )
         out.append(item)
     return out

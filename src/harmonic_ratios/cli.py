@@ -278,6 +278,8 @@ def _fail(out_dir: str, command: str, what: str, exc: Exception) -> int:
 def cmd_divide(args: argparse.Namespace) -> int:
     p = load_polynomial(args.dividend)
     q = load_polynomial(args.divisor)
+    if p.dim != q.dim:
+        raise CliError(f"the dividend has dimension {p.dim}, the divisor {q.dim}")
     try:
         outcome = divide_by_harmonic(p, q)
     except DivisionError as exc:
@@ -307,19 +309,26 @@ def cmd_series(args: argparse.Namespace) -> int:
     degree = args.degree
     if args.pair:
         pair = _pair(args)
-        in_degree = degree + args.extra_degree
+        probe = degree + args.extra_degree
         try:
-            v = pair.v.taylor((0,) * pair.v.dimension, in_degree)
-            k = v.leading_degree()
-            u = pair.u.taylor((0,) * pair.u.dimension, degree + k)
-            v = pair.v.taylor((0,) * pair.v.dimension, degree + k)
+            expanded = pair.expand(degree, probe)
         except (ValueError, ArithmeticError) as exc:
             raise CliError(str(exc)) from exc
+        if expanded is None:
+            raise CliError(
+                f"{pair.v.name} vanishes through degree {probe} (--degree plus "
+                "--extra-degree), so its leading degree is unknown; raise --extra-degree"
+            )
+        u, v = expanded
     else:
         if not (args.numerator and args.denominator):
             raise CliError("give --pair or both --numerator and --denominator")
         u = load_series(args.numerator, degree + args.extra_degree)
         v = load_series(args.denominator, degree + args.extra_degree)
+        if u.dim != v.dim:
+            raise CliError(f"the numerator has dimension {u.dim}, the denominator {v.dim}")
+        if u.center != v.center:
+            raise CliError("the numerator and the denominator have different centers")
     try:
         outcome = series_ratio(u, v, degree, strict=args.strict)
     except DivisionError as exc:

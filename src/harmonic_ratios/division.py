@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, Tuple, Union
 
 from . import multiindex as mi
 from .multiindex import MultiIndex
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _accumulate_product
 from .rotation import RationalOrthogonalMatrix, identity, reflection_to
 from .series import TruncatedSeries
 
@@ -105,7 +105,7 @@ def _divide_form(
     heapq.heapify(heap)
     while heap:
         _, alpha = heapq.heappop(heap)
-        if alpha not in target or not mi.divides(lead, alpha):
+        if alpha not in target or not mi.leq_componentwise(lead, alpha):
             continue
         q = target.pop(alpha) / c_lead
         quotient[mi.sub(alpha, lead)] = q
@@ -157,9 +157,7 @@ def _stereographic_points(dim: int) -> Iterator[Tuple[Fraction, ...]]:
                 )
 
 
-def normalize_rotation(
-    v: Union[Polynomial, TruncatedSeries],
-) -> Tuple[RationalOrthogonalMatrix, int]:
+def normalize_rotation(v: Polynomial) -> Tuple[RationalOrthogonalMatrix, int]:
     """An exact orthogonal O with (v o O) having a nonzero coefficient at
     (k, 0, ..., 0), where k is the leading degree of v.
 
@@ -168,17 +166,12 @@ def normalize_rotation(
     identity if w = e1, else the Householder reflection that maps e1 to w.
     The search ends: L(w) * (1 + |z|^2)^k is a nonzero polynomial in z of
     degree at most 2k in each variable, so it does not vanish on the whole
-    box [-k, k]^(dim-1) (Schwartz-Zippel).
+    box [-k, k]^(dim-1) (Schwartz-Zippel).  A truncated series is the
+    polynomial of its displacement.
     """
-    if isinstance(v, TruncatedSeries):
-        if v.is_zero():
-            raise ZeroInput("zero series has no leading part")
-        k = v.leading_degree()
-        leading = v.homogeneous_part(k)
-    else:
-        if v.is_zero():
-            raise ZeroInput("zero polynomial has no leading part")
-        k, leading = v.leading_part()
+    if v.is_zero():
+        raise ZeroInput("zero polynomial has no leading part")
+    k, leading = v.leading_part()
     w = next(w for w in _stereographic_points(v.dim) if leading.evaluate(w) != 0)
     return (identity(v.dim) if w[0] == 1 else reflection_to(w)), k
 
@@ -186,7 +179,7 @@ def normalize_rotation(
 def _forms(s: TruncatedSeries) -> Dict[int, Dict[MultiIndex, Fraction]]:
     """The coefficients of ``s`` grouped by total degree."""
     forms: Dict[int, Dict[MultiIndex, Fraction]] = {}
-    for alpha, c in s.coefficients.items():
+    for alpha, c in s.terms.items():
         forms.setdefault(sum(alpha), {})[alpha] = c
     return forms
 
@@ -208,7 +201,10 @@ def series_ratio(
     on a monomial that the leading monomial of v's leading form does not
     divide.
     """
-    u._check_compatible(v)
+    if u.dim != v.dim:
+        raise ValueError("dimension mismatch")
+    if u.center != v.center:
+        raise ValueError("series have different centers")
     if v.is_zero():
         raise ZeroInput("division by a zero series")
     k = v.leading_degree()
@@ -229,35 +225,30 @@ def series_ratio(
 
     u_forms, v_forms = _forms(u), _forms(v)
     leading = Polynomial(u.dim, v_forms[k])
-    f_forms: List[List[Tuple[MultiIndex, Fraction]]] = []
+    f_forms: List[Dict[MultiIndex, Fraction]] = []
     f_coeffs: Dict[MultiIndex, Fraction] = {}
     for d in range(n_out + 1):
         # u_(d+k) - sum_(j >= 1) v_(k+j) * f_(d-j); what L does not divide
         # is left behind and shows up in the residual check below
         target = dict(u_forms.get(d + k, {}))
         for j in range(1, d + 1):
-            for a, ca in v_forms.get(k + j, {}).items():
-                for b, cb in f_forms[d - j]:
-                    gamma = mi.add(a, b)
-                    s = target.get(gamma, 0) - ca * cb
-                    if s:
-                        target[gamma] = s
-                    else:
-                        del target[gamma]
+            _accumulate_product(target, v_forms.get(k + j, {}), f_forms[d - j], sign=-1)
         f_d = _divide_form(target, leading)
-        f_forms.append(list(f_d.items()))
+        f_forms.append(f_d)
         f_coeffs.update(f_d)
     f = TruncatedSeries(u.dim, u.center, n_out, f_coeffs)
 
-    # full residual validation through degree n_out + k
-    product = v.mul_truncated(f, n_out + k)
-    residual = u.truncate(n_out + k) - product
-    if residual.is_zero():
+    # full residual validation through degree n_out + k: an independent
+    # multiplication u - v * f, not the remainders of the divisions above
+    cut = n_out + k
+    residual = {a: c for a, c in u.terms.items() if sum(a) <= cut}
+    _accumulate_product(residual, v.terms, f.terms, sign=-1, max_degree=cut)
+    if not residual:
         return DivisionOutcome(quotient=f, residual_verified=True)
     if strict:
-        bad = min(residual.coefficients, key=mi.graded_key)
+        bad = min(residual, key=mi.graded_key)
         raise ResidualNonzero(
-            f"residual coefficient at {bad} is {residual.coefficients[bad]}; "
+            f"residual coefficient at {bad} is {residual[bad]}; "
             "the inputs do not divide as series"
         )
     return DivisionOutcome(quotient=f, residual_verified=False)

@@ -65,14 +65,16 @@ def _parse_term(line: str, dim: int) -> Tuple[MultiIndex, Fraction]:
     return alpha, coeff
 
 
-def format_polynomial(p: Polynomial, comment: str = "") -> str:
-    lines = []
-    if comment:
-        lines.extend(f"# {c}" for c in comment.splitlines())
-    lines.append(f"dim {p.dim}")
+def _format_terms(p: Polynomial, headers: List[str], comment: str) -> str:
+    """Comment lines, then ``headers``, then one line per term of p."""
+    lines = [f"# {c}" for c in comment.splitlines()] + headers
     for alpha, coeff in p.sorted_terms():
         lines.append(f"{_format_fraction(coeff)} : " + " ".join(map(str, alpha)))
     return "\n".join(lines) + "\n"
+
+
+def format_polynomial(p: Polynomial, comment: str = "") -> str:
+    return _format_terms(p, [f"dim {p.dim}"], comment)
 
 
 def _header_int(line: str) -> int:
@@ -105,15 +107,8 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 def format_series(s: TruncatedSeries, comment: str = "") -> str:
-    lines = []
-    if comment:
-        lines.extend(f"# {c}" for c in comment.splitlines())
-    lines.append(f"dim {s.dim}")
-    lines.append("center " + " ".join(_format_fraction(c) for c in s.center))
-    lines.append(f"maxdeg {s.max_degree}")
-    for alpha, coeff in s.sorted_coefficients():
-        lines.append(f"{_format_fraction(coeff)} : " + " ".join(map(str, alpha)))
-    return "\n".join(lines) + "\n"
+    center = "center " + " ".join(_format_fraction(c) for c in s.center)
+    return _format_terms(s, [f"dim {s.dim}", center, f"maxdeg {s.max_degree}"], comment)
 
 
 def parse_series(text: str) -> TruncatedSeries:

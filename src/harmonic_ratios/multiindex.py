@@ -32,10 +32,6 @@ def validate(alpha: Sequence[int], dim: int | None = None) -> MultiIndex:
     return t
 
 
-def degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
 def prec(gamma: MultiIndex, beta: MultiIndex) -> bool:
     """Strict order: True iff gamma comes before beta (last coordinate decides)."""
     if len(gamma) != len(beta):
@@ -54,7 +50,8 @@ def graded_key(alpha: MultiIndex) -> Tuple[int, Tuple[int, ...]]:
 
 
 def leq_componentwise(alpha: MultiIndex, beta: MultiIndex) -> bool:
-    """Partial order: alpha <= beta in every coordinate."""
+    """Partial order: alpha <= beta in every coordinate, that is, the
+    monomial of alpha divides the monomial of beta."""
     return all(a <= b for a, b in zip(alpha, beta))
 
 
@@ -68,11 +65,6 @@ def sub(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
     if any(x < 0 for x in d):
         raise ValueError(f"{alpha} - {beta} has a negative entry")
     return d
-
-
-def divides(alpha: MultiIndex, beta: MultiIndex) -> bool:
-    """True iff the monomial of alpha divides the monomial of beta."""
-    return leq_componentwise(alpha, beta)
 
 
 def iter_degree(dim: int, total: int) -> Iterator[MultiIndex]:

@@ -8,7 +8,7 @@ of critical points, and bisection-refined level-set extraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -27,23 +27,19 @@ class BisectionError(ArithmeticError):
     """A refined zero-crossing point misses the requested accuracy."""
 
 
-def depth_of_zero(w: Union[Polynomial, TruncatedSeries], x: Sequence) -> int:
+def depth_of_zero(w: Polynomial, x: Sequence) -> int:
     """Degree of the first nonzero homogeneous term of w expanded at x.
 
     Exact: the point must be an exact rational zero of w.  A truncated
     series is analyzed through its truncation polynomial, so the answer is
     reliable whenever the depth does not exceed the truncation degree.
     """
+    point = tuple(Fraction(c) for c in x)
     if isinstance(w, TruncatedSeries):
-        point = tuple(Fraction(c) - a for c, a in zip(x, w.center))
-        poly = w.as_polynomial()
-    else:
-        point = tuple(Fraction(c) for c in x)
-        poly = w
-    if poly.evaluate(point) != 0:
+        point = tuple(c - a for c, a in zip(point, w.center))
+    if w.evaluate(point) != 0:
         raise NotAZero(f"w({tuple(map(str, point))}) != 0")
-    shifted = poly.shift(point)
-    return shifted.leading_degree()
+    return w.shift(point).leading_degree()
 
 
 def _gauss_newton_critical(

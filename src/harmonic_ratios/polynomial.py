@@ -8,6 +8,7 @@ is a separate code path (`evaluate_array`) used only by the numeric layers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -18,6 +19,29 @@ from .multiindex import MultiIndex
 
 Rational = Fraction
 Terms = Dict[MultiIndex, Fraction]
+
+
+def _accumulate_product(
+    out: Terms, p: Terms, q: Terms, sign: int = 1, max_degree: float = math.inf
+) -> None:
+    """out += sign * p * q in place, for term maps p and q.
+
+    Only products of total degree <= ``max_degree`` are kept, and a sum
+    that cancels is dropped.  New monomials go in in the order of the plain
+    nested loop over p, then q.
+    """
+    q_items = [(b, cb, sum(b)) for b, cb in q.items()]
+    for a, ca in p.items():
+        room, ca = max_degree - sum(a), sign * ca
+        for b, cb, db in q_items:
+            if db > room:
+                continue
+            key = mi.add(a, b)
+            s = out.get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
 
 
 class Polynomial:
@@ -151,14 +175,7 @@ class Polynomial:
             return self.scale(other)
         self._check_dim(other)
         out: Terms = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = mi.add(a, b)
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+        _accumulate_product(out, self.terms, other.terms)
         p = Polynomial.__new__(Polynomial)
         p.dim, p.terms = self.dim, out
         return p

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .catalog import SharedZeroPair
 from .division import series_ratio
 from .nodal import _bisect_edges
 from .polynomial import Polynomial
@@ -108,9 +109,7 @@ class RatioEvaluator:
             disp = pts[near] - center
             reachable = np.linalg.norm(disp, axis=1) <= TRUST_RADIUS
             idx = np.flatnonzero(near)[reachable]
-            out[idx] = series.as_polynomial().evaluate_array(
-                list(disp[reachable].T)
-            )
+            out[idx] = series.evaluate_array(list(disp[reachable].T))
             valid[idx] = True
         return out, valid
 
@@ -119,12 +118,9 @@ def _pair_series(pair, series_degree: int) -> Optional[TruncatedSeries]:
     """The ratio series of a SharedZeroPair at the origin, or None when a
     member has no exact Taylor data or the series division fails."""
     try:
-        dim = pair.u.dimension
-        v_t = pair.v.taylor((0,) * dim, series_degree + 4)
-        k = v_t.leading_degree()
-        u_t = pair.u.taylor((0,) * dim, series_degree + k)
-        v_t = pair.v.taylor((0,) * dim, series_degree + k)
-        return series_ratio(u_t, v_t, series_degree).quotient
+        # called on the class: any pair-like object with members u and v will do
+        expanded = SharedZeroPair.expand(pair, series_degree, series_degree + 4)
+        return series_ratio(*expanded, series_degree).quotient if expanded else None
     except (ValueError, ArithmeticError):
         return None
 

@@ -410,6 +410,37 @@ class TestExitTwoInputs:
         assert "no decay order to fit" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, first, second", [
+        ("divide", "dim 2\n1/1 : 1 1\n", "dim 3\n1/1 : 1 0 0\n"),
+        ("series", "dim 2\ncenter 0 0\nmaxdeg 4\n1/1 : 1 1\n",
+         "dim 3\ncenter 0 0 0\nmaxdeg 4\n1/1 : 1 0 0\n"),
+        ("series", "dim 2\ncenter 0 0\nmaxdeg 4\n1/1 : 1 1\n",
+         "dim 2\ncenter 1/2 0\nmaxdeg 4\n1/1 : 1 0\n"),
+    ], ids=["divide-dims", "series-dims", "series-centers"])
+    def test_mismatched_exact_inputs_exit_two(self, tmp_path, capsys, command, first, second):
+        suffix = ".poly" if command == "divide" else ".series"
+        paths = [tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"]
+        for path, text in zip(paths, (first, second)):
+            path.write_text(text)
+        if command == "divide":
+            args = ("divide", "--dividend", str(paths[0]), "--divisor", str(paths[1]))
+        else:
+            args = ("series", "--numerator", str(paths[0]), "--denominator",
+                    str(paths[1]), "--degree", "2")
+        assert run(tmp_path / "out", *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err
+        assert ("centers" if "1/2" in second else "dimension") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_pair_divisor_vanishing_through_the_probe_exits_two(self, tmp_path, capsys):
+        # coshsin = x + ... has leading degree 1, beyond a probe of degree 0
+        assert run(tmp_path, "series", "--pair", "expsin,coshsin", "--degree", "0",
+                   "--extra-degree", "0") == 2
+        err = capsys.readouterr().err
+        assert "coshsin vanishes through degree 0" in err and "--extra-degree" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("args", [
         ("count", "--fn", "paperH", "--ball", "0,0,0:0.5", "--res", "1e6"),
         ("count", "--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "1e9"),

@@ -142,7 +142,10 @@ def test_no_strict_residual_sits_off_the_leading_monomial(zero_pivot, data):
     u = as_series(data.draw(dense_polys(dim, k, n_out + k)), n_out + k)
     v = as_series(q, n_out + k)
     out = series_ratio(u, v, n_out, strict=False)
-    residual = u - v.mul_truncated(out.quotient, n_out + k)
+    full = u - v * out.quotient
+    residual = TruncatedSeries(dim, u.center, n_out + k, {
+        alpha: c for alpha, c in full.terms.items() if sum(alpha) <= n_out + k
+    })
     assert out.residual_verified == residual.is_zero()
     if not out.residual_verified:
         with pytest.raises(ResidualNonzero):
@@ -150,7 +153,7 @@ def test_no_strict_residual_sits_off_the_leading_monomial(zero_pivot, data):
         with pytest.raises(NotDivisible):
             divide_by_harmonic(u.as_polynomial(), q)
     lead = max(q.terms, key=mi.graded_key)
-    assert not any(mi.divides(lead, alpha) for alpha in residual.coefficients)
+    assert not any(mi.leq_componentwise(lead, alpha) for alpha in residual.coefficients)
 
 
 def stereographic_points(dim):

@@ -68,8 +68,8 @@ class TestArithmetic:
             mi.sub((1, 0), (0, 1))
 
     def test_divides(self):
-        assert mi.divides((1, 1), (2, 3))
-        assert not mi.divides((2, 0), (1, 5))
+        assert mi.leq_componentwise((1, 1), (2, 3))
+        assert not mi.leq_componentwise((2, 0), (1, 5))
 
     def test_validate_rejects_negative(self):
         with pytest.raises(ValueError):
