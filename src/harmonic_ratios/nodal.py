@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy import ndimage
 
 from .polynomial import Polynomial
@@ -42,6 +43,28 @@ def depth_of_zero(w: Polynomial, x: Sequence) -> int:
     return w.shift(point).leading_degree()
 
 
+def _raise_svd_error(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solutions of a stack of systems, one LAPACK call.
+
+    For ``a`` of shape ``(n, m, k)`` and ``b`` of shape ``(n, m)``, row i
+    is ``np.linalg.lstsq(a[i], b[i], rcond=None)[0]`` bit for bit: this is
+    the gufunc that ``np.linalg.lstsq`` calls, with its signature, its
+    default rcond and its error state.  The gufunc hands each matrix of
+    the stack to LAPACK's ``dgelsd`` on its own, so every matrix gets the
+    call it would get alone.  An SVD that does not converge raises
+    ``LinAlgError``.
+    """
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(call=_raise_svd_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(a, b[..., None], rcond, signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
 def _gauss_newton_critical(
     w: Polynomial,
     grads: Sequence[Polynomial],
@@ -54,10 +77,12 @@ def _gauss_newton_critical(
 
     The system stacks w and its gradient ``grads``; the Jacobian rows are
     the gradient and the Hessian ``hess``.  Each iteration evaluates them
-    once, on all seeds still iterating; each seed then takes its own
-    least-squares step and stops on its own: a non-finite step or a point
-    beyond norm 1e6 rejects it, a step below norm 1e-15 ends it.  Returns
-    the refined points, with a NaN row for every rejected seed.
+    once and solves the stack of all seeds still iterating in one
+    ``_lstsq_stack`` call, which gives each seed the step that
+    ``np.linalg.lstsq`` gives it alone.  Each seed stops on its own: a
+    non-finite step or a point beyond norm 1e6 rejects it, a step below
+    norm 1e-15 ends it.  Returns the refined points, with a NaN row for
+    every rejected seed.
     """
     x = np.array(seeds, dtype=float).T.copy()  # one contiguous row per axis
     out = np.full(x.shape, np.nan)
@@ -69,17 +94,16 @@ def _gauss_newton_critical(
         f = np.stack([p.evaluate_array(coords) for p in [w, *grads]])
         hvals = [np.stack([h.evaluate_array(coords) for h in row]) for row in hess]
         jac = np.moveaxis(np.stack([f[1:]] + hvals), 2, 0)  # (seeds, dim + 1, dim)
-        # each seed solves its own system, and its norms are 1-D norms:
-        # np.linalg.norm along an axis of a stack rounds differently
-        steps = np.array(
-            [np.linalg.lstsq(j, -r, rcond=None)[0] for j, r in zip(jac, f.T)]
-        )
+        steps = _lstsq_stack(jac, -f.T)
         finite = np.isfinite(steps).all(axis=1)
         active, steps = active[finite], steps[finite]
         x[:, active] += steps.T
-        points = x[:, active].T
-        ended = np.array([np.linalg.norm(st) < 1e-15 for st in steps], dtype=bool)
-        far = np.array([np.linalg.norm(p) > 1e6 for p in points], dtype=bool)
+        points = x[:, active].T.copy()
+        # the 1-D np.linalg.norm of a row is sqrt(dot(row, row)), and vecdot
+        # runs that dot on each contiguous row; norm(axis=1) squares and
+        # sums, and a strided row may sum in another order
+        ended = np.sqrt(np.vecdot(steps, steps)) < 1e-15
+        far = np.sqrt(np.vecdot(points, points)) > 1e6
         out[:, active[ended]] = points[ended].T
         active = active[~ended & ~far]
     out[:, active] = x[:, active]

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .catalog import SharedZeroPair
-from .division import series_ratio
+from .division import DivisionError, series_ratio
 from .nodal import _bisect_edges
 from .polynomial import Polynomial
 from .regions import Region
@@ -121,7 +121,7 @@ def _pair_series(pair, series_degree: int) -> Optional[TruncatedSeries]:
         # called on the class: any pair-like object with members u and v will do
         expanded = SharedZeroPair.expand(pair, series_degree, series_degree + 4)
         return series_ratio(*expanded, series_degree).quotient if expanded else None
-    except (ValueError, ArithmeticError):
+    except (ValueError, ArithmeticError, DivisionError):
         return None
 
 

@@ -13,10 +13,11 @@ import pytest
 
 from harmonic_ratios import Polynomial, Region, catalog_get, critical_set_sample
 from harmonic_ratios import zero_set_sample
-from harmonic_ratios.nodal import _bisect_edges, _gauss_newton_critical
+from harmonic_ratios.nodal import _bisect_edges, _gauss_newton_critical, _lstsq_stack
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
+X3, Y3, Z3 = (Polynomial.variable(3, i) for i in range(3))
 PAPER_H = catalog_get("paperH").polynomial
 
 
@@ -167,6 +168,8 @@ class TestBatchedGaussNewton:
         (PAPER_H, Region.ball((0, 0, 0), 1.0), 16),
         (PAPER_H, Region.ball((0, 0, 0), 1.0), 20),
         (X * X - Y * Y, Region.ball((0, 0), 1.0), 16),
+        # 224 of the 280 seeds are still moving after 50 iterations
+        (X3 * Y3 * Z3, Region.ball((0, 0, 0), 1.0), 8),
     ])
     def test_report_matches_per_seed_refinement(self, w, region, grid):
         report = critical_set_sample(w, region, grid=grid)
@@ -205,6 +208,62 @@ class TestBatchedGaussNewton:
                 assert np.all(np.isnan(row))
             else:
                 assert row.tobytes() == ref.tobytes()
+
+    def test_four_dimensional_seeds(self):
+        x = [Polynomial.variable(4, i) for i in range(4)]
+        w = x[0] * x[1] + x[2] * x[3]
+        grads = w.gradient()
+        hess = [[g.partial(j) for j in range(4)] for g in grads]
+        seeds = np.random.default_rng(4).uniform(-1, 1, (60, 4))
+        batch = _gauss_newton_critical(w, grads, hess, seeds)
+        for row, s in zip(batch, seeds):
+            assert row.tobytes() == reference_gauss_newton(w, grads, hess, s).tobytes()
+
+
+class TestStackedLstsq:
+    """``_lstsq_stack`` calls the gufunc behind ``np.linalg.lstsq``, which
+    numpy keeps private; a numpy that changes it must fail here."""
+
+    @staticmethod
+    def jacobian_like(a):
+        """The same matrices laid out as the Gauss-Newton Jacobian stack, a
+        view with the seed axis moved to the front."""
+        return np.moveaxis(np.moveaxis(a, 0, 2).copy(), 2, 0)
+
+    @pytest.mark.parametrize("m, k", [(4, 3), (3, 2)])
+    def test_equals_lstsq_matrix_by_matrix(self, m, k):
+        rng = np.random.default_rng(m)
+        n = 300
+        a = rng.standard_normal((n, m, k)) * 10.0 ** rng.uniform(-8, 8, (n, 1, 1))
+        r = rng.standard_normal((n, m))
+        a[0] = 0.0
+        # paperH's Jacobian at the origin: zero gradient over diag(2, -2, 0)
+        a[1] = np.vstack([np.zeros(k), np.diag([2.0, -2.0, 0.0])[:k, :k]])
+        a[2] = np.outer(rng.standard_normal(m), rng.standard_normal(k))  # rank 1
+        a[3] *= 1e-300
+        r[3] *= 1e-300
+        a[4] = 1e-300
+        r[5, 0] = np.inf
+        r[6] = 0.0
+        # a singular value that lstsq's default rcond, eps * max(m, k), and
+        # no smaller cut-off, drops
+        a[7] = 0.0
+        a[7, :k] = np.diag([1.0] * (k - 1) + [np.finfo(float).eps * (m + k) / 2])
+        steps = _lstsq_stack(self.jacobian_like(a), -r)
+        assert steps.shape == (n, k)
+        for j, res, step in zip(a, r, steps):
+            want = np.linalg.lstsq(j, -res, rcond=None)[0]
+            assert step.tobytes() == want.tobytes()
+
+    def test_no_convergence_is_a_linalg_error(self):
+        a = np.random.default_rng(0).standard_normal((5, 4, 3))
+        a[2, 1, 1] = np.inf
+        r = np.ones((5, 4))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(a[2], r[2], rcond=None)
+        # not a FloatingPointError, whatever the caller's error state
+        with np.errstate(all="raise"), pytest.raises(np.linalg.LinAlgError):
+            _lstsq_stack(self.jacobian_like(a), r)
 
 
 def assert_within_two_ulp(got, expected):

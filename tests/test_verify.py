@@ -158,6 +158,18 @@ class TestLazySeries:
         assert pair.v.taylor_calls == 1
         assert series_ratio_calls == []
 
+    def test_failed_division_marks_band_points_invalid(self):
+        # x^2 - y^2 shares only the origin with 2xy, so the series division
+        # leaves a residual (ResidualNonzero, a DivisionError)
+        pair = SimpleNamespace(u=catalog_get("saddle2d"), v=catalog_get("imz2"))
+        ev = RatioEvaluator.for_pair(pair)
+        pts = np.array([[0.0, 0.1], [0.5, 0.3]])
+        for _ in range(2):
+            vals, ok = ev(pts)
+            assert ok.tolist() == [False, True]
+            assert np.isnan(vals[0])
+            assert vals[1] == pytest.approx(0.16 / 0.3)
+
 
 class TestMaxPrinciple:
     def test_holds_for_harmonic_ratio(self, evaluator):
