@@ -7,12 +7,13 @@ of critical points, and bisection-refined level-set extraction.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
-from scipy import ndimage
 
 from .polynomial import Polynomial
 from .regions import Region
@@ -183,14 +184,10 @@ def critical_set_sample(
 
 
 class _UnionFind:
-    """Disjoint sets over 0, 1, ... that grow on demand (``add``)."""
+    """Disjoint sets over 0, 1, ..., n - 1."""
 
-    def __init__(self, n: int = 0) -> None:
+    def __init__(self, n: int) -> None:
         self.parent = list(range(n))
-
-    def add(self, n: int) -> None:
-        size = len(self.parent)
-        self.parent.extend(range(size, size + n))
 
     def find(self, i: int) -> int:
         parent = self.parent
@@ -199,11 +196,9 @@ class _UnionFind:
             i = parent[i]
         return i
 
-    def union(self, i: int, j: int) -> bool:
-        """Join the sets of i and j; True if they were different sets."""
+    def union(self, i: int, j: int) -> None:
         ri, rj = self.find(i), self.find(j)
         self.parent[ri] = rj
-        return ri != rj
 
 
 def _classify_curve_points(
@@ -253,17 +248,17 @@ def _sign_grid(
     zero.
 
     w, its gradient and the region mask are evaluated on the open mesh of
-    the cell-center axes, one x-slab at a time in 3D so that float memory
-    stays O(resolution^2), and each point once.  A slab signed before the
-    largest |w| was seen is evaluated again only if one of its signed cells
-    may lie inside the final absolute threshold.
+    the cell-center axes, one x-slab at a time in 3D and up so that float
+    memory stays O(resolution^(dim-1)), and each point once.  A slab signed
+    before the largest |w| was seen is evaluated again only if one of its
+    signed cells may lie inside the final absolute threshold.
     """
     axes, h = region.grid_axes(resolution)
     dim = len(axes)
     grads = w.gradient()
     safety = float(np.sqrt(dim))
     signs = np.zeros((resolution,) * dim, dtype=np.int8)
-    slabs = [slice(k, k + 1) for k in range(resolution)] if dim == 3 else [slice(None)]
+    slabs = [slice(k, k + 1) for k in range(resolution)] if dim >= 3 else [slice(None)]
     beyond = np.zeros((1,) + signs.shape[1:], dtype=bool)  # a row past the grid
 
     def inside(i: int) -> np.ndarray:
@@ -318,7 +313,7 @@ def nodal_domain_count(
 ) -> int:
     """Count sign-constant connected components of w on the region.
 
-    Components are runs of same-sign cells that touch at a face, an edge or
+    Components are sets of same-sign cells that touch at a face, an edge or
     a corner (8-neighbourhood in 2D, 26 in 3D).  Cells whose center value
     falls inside the zero-detection band are excluded so that tangential
     near-zeros cannot bridge domains; the band spans a full cell diagonal,
@@ -331,15 +326,18 @@ def nodal_domain_count(
     inside the region, so an enclosed component is a fragment the band
     cut off.  Every component counts for other w.
 
-    Memory: about 1 byte per cell (the int8 sign grid) plus one chunk of
-    32 planes for labelling (see ``_count_domains``); paperH in the ball of
-    radius 0.5 at resolution 512 peaks at about 250 MB resident.
+    Components are found among runs of same-sign cells along the last axis
+    (see ``label``), not cell by cell.  Memory: about 1 byte per cell (the
+    int8 sign grid), 2 bytes per cell of one block of 32 planes while runs
+    are found, and a few hundred bytes per run of one sign while they are
+    joined; paperH in the ball of radius 0.5 at resolution 512 has 0.3
+    million runs and peaks at about 230 MB resident.
     """
     signs, shell = _sign_grid(w, region, resolution, band_rel)
     return _count_domains(signs, shell, w.is_harmonic())
 
 
-_CHUNK_PLANES = 32  # axis-0 planes labelled at once; chunks share one plane
+_CHUNK_PLANES = 32  # axis-0 planes scanned for runs at once
 
 
 def _count_domains(signs: np.ndarray, shell: np.ndarray, harmonic: bool) -> int:
@@ -347,56 +345,117 @@ def _count_domains(signs: np.ndarray, shell: np.ndarray, harmonic: bool) -> int:
     full 3^dim neighbourhood; if ``harmonic``, only those holding a cell of
     ``shell`` (sorted flat indices) count.
 
-    The grid is labelled ``_CHUNK_PLANES`` axis-0 planes at a time, and each
-    chunk shares its last plane with the next one, so every pair of
-    adjacent planes lies inside one chunk.  On a shared plane, each signed
-    cell links its label in one chunk to its label in the next; a union-find
-    over all chunk labels merges the linked ones into the grid's
-    components.  Besides the sign grid, only one chunk's mask and labels are
-    ever allocated.
+    Each sign is labelled once (``label``), as runs along the last axis.
+    Without ``harmonic`` the count is the number of component roots.  With
+    it, a shell cell lies in the run whose first cell is the last one at or
+    before it, if that run reaches it, and the components of those runs
+    are the ones that count.
     """
-    structure = ndimage.generate_binary_structure(signs.ndim, signs.ndim)
-    planes = signs.shape[0]
-    plane = signs[0].size
-    chunks = []  # first and end plane, and the bounds of the chunk's shell
-    for start in range(0, max(planes - 1, 1), _CHUNK_PLANES - 1):
-        stop = min(start + _CHUNK_PLANES, planes)
-        lo, hi = np.searchsorted(shell, (start * plane, stop * plane))
-        chunks.append((start, stop, lo, hi))
-    shape = (min(planes, _CHUNK_PLANES),) + signs.shape[1:]
-    mask = np.empty(shape, dtype=bool)
-    buffer = np.empty(shape, dtype=np.int32)
     total = 0
     for s in (1, -1):
-        components = _UnionFind(1)  # label 0 is the background
-        labelled = merged = 0
-        reached = []  # per chunk, the labels of its shell cells
-        # the previous chunk's labels on the shared plane, and how many
-        # labels came before that chunk's
-        last, offset = None, 0
-        for start, stop, lo, hi in chunks:
-            size = stop - start
-            labels = buffer[:size]
-            np.equal(signs[start:stop], s, out=mask[:size])
-            count = ndimage.label(mask[:size], structure, output=labels)
-            components.add(count)
-            if last is not None:
-                linked = last > 0
-                links = last[linked].astype(np.int64) * (count + 1) + labels[0][linked]
-                for link in np.unique(links).tolist():
-                    a, b = divmod(link, count + 1)
-                    merged += components.union(offset + a, labelled + b)
-            if harmonic:
-                hit = labels.ravel()[shell[lo:hi] - start * plane]
-                reached.append(np.unique(hit[hit > 0]) + labelled)
-            last, offset = labels[-1].copy(), labelled
-            labelled += count
-        if harmonic:
-            roots = np.unique(np.concatenate(reached)).tolist()
-            total += len({components.find(i) for i in roots})
-        else:
-            total += labelled - merged
+        first, last, roots = label(signs, s)
+        if not harmonic:
+            total += int(np.count_nonzero(roots == np.arange(roots.size)))
+        elif roots.size:
+            run = np.searchsorted(first, shell, side="right") - 1
+            held = run[(run >= 0) & (last[run] >= shell)]
+            reached = np.zeros(roots.size, dtype=bool)
+            reached[roots[held]] = True
+            total += int(np.count_nonzero(reached))
     return total
+
+
+def label(signs: np.ndarray, sign: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Components of the cells of ``signs`` equal to ``sign`` under the full
+    3^dim neighbourhood, held as runs: maximal rows of such cells along the
+    last axis.
+
+    Returns the flat indices of the first and the last cell of every run,
+    both increasing, and the component of every run, named by its first run.
+    The components come from hooking the larger root of every link between
+    runs (``_links``) under the smaller one and pointer jumping, all links
+    at once, until no link joins two components.
+    """
+    first, last = _runs(signs, sign)
+    a, b = _links(first, last, signs.shape)
+    roots = np.arange(first.size)
+    while a.size:
+        np.minimum.at(roots, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                break
+            roots = jumped
+        a, b = roots[a], roots[b]
+        joined = a != b
+        a, b = a[joined], b[joined]
+    return first, last, roots
+
+
+def _runs(signs: np.ndarray, sign: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the first and the last cell of every run of ``sign``
+    in ``signs``, in increasing order.
+
+    The grid is scanned ``_CHUNK_PLANES`` axis-0 planes at a time.  A run
+    never leaves its row, so the blocks do not overlap, and only one
+    block's mask and edges are allocated.
+    """
+    width = signs.shape[-1]
+    rows = signs.reshape(-1, width)
+    step = _CHUNK_PLANES * math.prod(signs.shape[1:-1])  # rows per block
+    edges = np.empty((min(step, len(rows)), width + 1), dtype=bool)
+    firsts, lasts = [], []
+    for start in range(0, len(rows), step):
+        mask = rows[start:start + step] == sign
+        edge = edges[:len(mask)]
+        # a run of row r from column i to j flips the padded row at i and
+        # j + 1, that is at flat indices r * (width + 1) + i and + j + 1
+        edge[:, 0] = mask[:, 0]
+        edge[:, -1] = mask[:, -1]
+        np.not_equal(mask[:, 1:], mask[:, :-1], out=edge[:, 1:-1])
+        flips = np.flatnonzero(edge)
+        cells = flips - flips // (width + 1) + start * width
+        firsts.append(cells[0::2])
+        lasts.append(cells[1::2] - 1)
+    return np.concatenate(firsts), np.concatenate(lasts)
+
+
+def _links(
+    first: np.ndarray, last: np.ndarray, shape: Tuple[int, ...]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair of linked runs of a grid of ``shape``, as two arrays of
+    run indices.
+
+    Two runs are linked when their rows are neighbours and they overlap
+    once one of them is widened by a cell at each end.  For each backward
+    row offset, half of the 3^(dim-1) - 1, ``searchsorted`` on the first
+    and last cells gives every run the range of runs it links to in that
+    row.
+    """
+    width = shape[-1]
+    # the widened run, kept inside its row
+    low = first - (first % width > 0)
+    high = last + (last % width < width - 1)
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape) - 1)]
+    row = [first // stride % size for stride, size in zip(strides, shape)]
+    links_a, links_b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for offset in itertools.product((-1, 0, 1), repeat=len(shape) - 1):
+        if offset >= (0,) * len(offset):
+            continue  # a forward offset, or none; its backward twin links it
+        inside = np.ones(first.size, dtype=bool)
+        for k, d in enumerate(offset):
+            if d:
+                inside &= (row[k] + d >= 0) & (row[k] + d < shape[k])
+        a = np.flatnonzero(inside)
+        shift = sum(d * stride for d, stride in zip(offset, strides))
+        lo = np.searchsorted(last, low[a] + shift, side="left")
+        hi = np.searchsorted(first, high[a] + shift, side="right")
+        count = hi - lo
+        links_a.append(np.repeat(a, count))
+        # run a's links are lo, lo + 1, ..., hi - 1
+        before = np.cumsum(count) - count
+        links_b.append(np.arange(count.sum()) + np.repeat(lo - before, count))
+    return np.concatenate(links_a), np.concatenate(links_b)
 
 
 def _bisect_edges(

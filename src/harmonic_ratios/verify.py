@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from .catalog import SharedZeroPair
 from .division import DivisionError, series_ratio
@@ -136,7 +137,7 @@ def max_principle_check(
     """Interior extremes of f = u/v must not exceed the boundary extremes."""
     if boundary_samples < 4 or interior_samples < 1:
         raise DegenerateRegion("need at least 4 boundary and 1 interior samples")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     bd = region.sample_boundary(boundary_samples)
     it = region.sample_interior(interior_samples, rng)
     f_bd, ok_bd = evaluator(bd)
@@ -300,7 +301,7 @@ def _stencil_samples(
     """Up to ``samples`` random interior points whose stencils, at every step
     in ``steps``, all keep |v| at least ``RESIDUAL_GUARD`` times its scale
     over the draw."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     raw = region.sample_interior(samples * 4, rng)
     coords = [raw[:, i] for i in range(raw.shape[1])]
     vv = np.abs(v(*coords))
@@ -379,7 +380,7 @@ def leading_zero_inclusion(
     n = max(samples, 16)
     theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     circles = []
     if dim == 2:
         circles.append((np.array([1.0, 0.0]), np.array([0.0, 1.0])))

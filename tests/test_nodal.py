@@ -33,6 +33,7 @@ from harmonic_ratios.rotation import cayley_from_params, random_rotation
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
 PAPER_H = catalog_get("paperH").polynomial
+X4 = [Polynomial.variable(4, i) for i in range(4)]
 
 
 class TestDepth:
@@ -161,8 +162,8 @@ def box_shell(shape):
 
 
 class TestChunkedCount:
-    """``_count_domains`` labels the sign grid in overlapping chunks of
-    axis-0 planes; its count must equal the whole-grid labelling's."""
+    """``_count_domains`` scans the sign grid for runs in blocks of axis-0
+    planes; its count must equal the whole-grid labelling's."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -193,9 +194,9 @@ class TestChunkedCount:
          Region.box((-1, -0.8), (0.9, 1))),
     ])
     def test_chunk_edges_match_whole_grid_labelling(self, w, region, resolution):
-        # the chunks hold planes 0-31, 31-62 and 62-93: 32 and 63 planes
-        # end on a chunk's last plane, 33, 34, 64 and 65 one or two planes
-        # into the next chunk
+        # the blocks hold planes 0-31, 32-63 and 64-95: 32 and 64 planes
+        # end on a block's last plane, 33, 34 and 65 one or two planes into
+        # the next block, 63 one plane short of it
         signs, shell = _sign_grid(w, region, resolution, 1e-10)
         expected = whole_grid_count(signs, shell, w.is_harmonic())
         assert nodal_domain_count(w, region, resolution) == expected
@@ -203,8 +204,8 @@ class TestChunkedCount:
     @pytest.mark.parametrize("shape", [(64, 3), (64, 3, 3)])
     def test_component_crossing_a_chunk_edge_at_a_corner(self, shape):
         # planes 30, 31 and 32 hold one cell each, touching only at corners;
-        # plane 31 is the last plane of the first chunk and the first of
-        # the second
+        # plane 31 is the last plane of the first block and plane 32 the
+        # first of the second
         signs = np.zeros(shape, dtype=np.int8)
         for step, plane in enumerate((30, 31, 32)):
             signs[(plane,) + (step,) * (len(shape) - 1)] = 1
@@ -214,13 +215,61 @@ class TestChunkedCount:
         assert _count_domains(signs, np.array([], dtype=np.intp), True) == 0
 
     def test_enclosed_component_counts_only_for_non_harmonic_input(self):
-        # a block across the edge of the first two chunks, clear of the faces
+        # a box across the edge of the first two blocks, clear of the faces
         signs = -np.ones((70, 9, 9), dtype=np.int8)
         signs[20:50, 3:6, 3:6] = 0
         signs[21:49, 4, 4] = 1
         shell = box_shell(signs.shape)
         assert _count_domains(signs, shell, False) == 2
         assert _count_domains(signs, shell, True) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_grids_in_dims_one_to_four(self, data):
+        # a 1D grid is one row, with no neighbouring rows to link
+        dim = data.draw(st.integers(1, 4), label="dim")
+        sides = [st.integers(1, 80), st.integers(1, 40), st.integers(1, 8),
+                 st.integers(1, 5)][:dim]
+        shape = data.draw(st.tuples(*sides), label="shape")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        zeros = data.draw(st.floats(0.0, 0.9), label="zero fraction")
+        signs = rng.choice(
+            np.array([-1, 0, 1], dtype=np.int8), size=shape,
+            p=[(1 - zeros) / 2, zeros, (1 - zeros) / 2],
+        )
+        shell = np.flatnonzero(rng.random(signs.size) < data.draw(st.floats(0, 1)))
+        for harmonic in (True, False):
+            assert _count_domains(signs, shell, harmonic) == whole_grid_count(
+                signs, shell, harmonic
+            )
+
+    @pytest.mark.parametrize("shape", [(5,), (40, 7), (70, 4, 6), (3, 4, 5, 6)])
+    def test_all_zero_grid_has_no_domain(self, shape):
+        signs = np.zeros(shape, dtype=np.int8)
+        for harmonic in (True, False):
+            assert _count_domains(signs, box_shell(shape), harmonic) == 0
+
+    def test_empty_shell_counts_nothing_for_harmonic_input(self):
+        signs = np.random.default_rng(5).choice(
+            np.array([-1, 0, 1], dtype=np.int8), size=(40, 6, 6)
+        )
+        empty = np.array([], dtype=np.intp)
+        assert _count_domains(signs, empty, True) == 0
+        assert _count_domains(signs, empty, False) == whole_grid_count(signs, empty, False)
+
+    @pytest.mark.parametrize("zeros", [0.0, 0.5])
+    def test_noise_grid_of_one_cell_runs(self, zeros):
+        # about half of the runs of every row are a single cell long
+        rng = np.random.default_rng(11)
+        signs = rng.choice(
+            np.array([-1, 0, 1], dtype=np.int8), size=(67, 12, 40),
+            p=[(1 - zeros) / 2, zeros, (1 - zeros) / 2],
+        )
+        shell = box_shell(signs.shape)
+        for harmonic in (True, False):
+            assert _count_domains(signs, shell, harmonic) == whole_grid_count(
+                signs, shell, harmonic
+            )
 
     def test_peak_memory_stays_under_three_bytes_per_cell(self):
         # the whole-grid labelling held a bool grid and an int32 label grid
@@ -261,6 +310,12 @@ class TestSignGrid:
         # running max and must be corrected by the final threshold
         (Polynomial.variable(3, 0) + Polynomial.constant(3, 2),
          Region.ball((0, 0, 0), 1.0), 12, 0.5),
+        # 4D grids are signed one x-slab at a time too
+        (X4[0] * X4[1] + X4[2] * X4[3],
+         Region.ball((0.05, -0.1, 0.02, 0.0), 0.45), 14, 1e-10),
+        (X4[0] * X4[1] + X4[2] * X4[3],
+         Region.box((-0.3, -0.5, -0.2, -0.4), (0.6, 0.5, 0.4, 0.3)), 9, 1e-10),
+        (X4[0] + Polynomial.constant(4, 2), Region.ball((0, 0, 0, 0), 1.0), 10, 0.5),
     ]
 
     @pytest.mark.parametrize("w, region, resolution, band_rel", CASES)
