@@ -259,7 +259,7 @@ class TestChunkedCount:
 
     @pytest.mark.parametrize("zeros", [0.0, 0.5])
     def test_noise_grid_of_one_cell_runs(self, zeros):
-        # about half of the runs of every row are a single cell long
+        # half of the runs or more are a single cell long
         rng = np.random.default_rng(11)
         signs = rng.choice(
             np.array([-1, 0, 1], dtype=np.int8), size=(67, 12, 40),
