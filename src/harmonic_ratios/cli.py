@@ -44,6 +44,7 @@ from .verify import (
     RatioEvaluator,
     RatioVanishes,
     ResidualVanishes,
+    _grid_side,
     harnack_constant,
     leading_zero_inclusion,
     max_principle_check,
@@ -226,14 +227,14 @@ def _physical_memory() -> Optional[int]:
 
 
 def _check_memory(flag: str, value: int, points: int, size: int) -> None:
-    """Refuse, before it is allocated, a grid of ``points`` values of
-    ``size`` bytes each that has more bytes than physical memory."""
+    """Refuse, before they are allocated, ``points`` points of ``size``
+    bytes each that have more bytes than physical memory."""
     memory = _physical_memory()
     if memory is not None and points * size > memory:
         raise CliError(
-            f"{flag} {value} asks for a grid of {points} points of {size} "
-            f"byte(s) each, {points * size} bytes, more than the {memory} "
-            "bytes of physical memory"
+            f"{flag} {value} asks for {points} points of {size} byte(s) "
+            f"each, {points * size} bytes, more than the {memory} bytes of "
+            "physical memory"
         )
 
 
@@ -392,6 +393,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else pair.region
         )
     if args.check == "max":
+        # the uniform draw holds two candidates per sample, then the inside
+        # candidates and their stacked copy: 40 bytes per coordinate, and a
+        # mask byte per candidate
+        _check_memory("--interior-samples", args.interior_samples,
+                      args.interior_samples, 40 * region.dim + 2)
         evaluator = RatioEvaluator.for_pair(pair)
         report = max_principle_check(
             evaluator,
@@ -402,6 +408,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     elif args.check == "harnack":
+        # u, v and f as float64 and three masks at every grid point
+        _check_memory("--samples", args.samples,
+                      _grid_side(args.samples, region.dim) ** region.dim, 27)
         evaluator = RatioEvaluator.for_pair(pair)
         report = harnack_constant(
             evaluator, region, samples=args.samples, floor=args.floor

@@ -233,6 +233,11 @@ def _classify_curve_points(
     return out
 
 
+# cells of one slab of the sign grid, one 256^2 plane: the float arrays of
+# w and its gradient are this large; 2^18 was slower at paperH 256^3
+_SLAB_CELLS = 2**16
+
+
 def _sign_grid(
     w: Polynomial, region: Region, resolution: int, band_rel: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -248,17 +253,21 @@ def _sign_grid(
     zero.
 
     w, its gradient and the region mask are evaluated on the open mesh of
-    the cell-center axes, one x-slab at a time in 3D and up so that float
-    memory stays O(resolution^(dim-1)), and each point once.  A slab signed
-    before the largest |w| was seen is evaluated again only if one of its
-    signed cells may lie inside the final absolute threshold.
+    the cell-center axes, each point once, one slab of whole axis-0 planes
+    at a time: as many planes as fit in ``_SLAB_CELLS`` cells, and at least
+    one.  So the float arrays of every dimension hold about
+    max(``_SLAB_CELLS``, resolution^(dim-1)) cells, not the whole grid.  A
+    slab signed before the largest |w| was seen is evaluated again only if
+    one of its signed cells may lie inside the final absolute threshold.
     """
     axes, h = region.grid_axes(resolution)
     dim = len(axes)
     grads = w.gradient()
     safety = float(np.sqrt(dim))
     signs = np.zeros((resolution,) * dim, dtype=np.int8)
-    slabs = [slice(k, k + 1) for k in range(resolution)] if dim >= 3 else [slice(None)]
+    plane = resolution ** (dim - 1)
+    rows = max(_SLAB_CELLS // plane, 1)
+    slabs = [slice(k, min(k + rows, resolution)) for k in range(0, resolution, rows)]
     beyond = np.zeros((1,) + signs.shape[1:], dtype=bool)  # a row past the grid
 
     def inside(i: int) -> np.ndarray:
@@ -284,7 +293,7 @@ def _sign_grid(
         signs[sl] -= neg
         least.append(float(np.min(absv, where=pos | neg, initial=np.inf)))
         window = np.concatenate([before[-1:], mask, after[:1]])
-        shell.append(_shell_indices(window) + i * mask.size)
+        shell.append(_shell_indices(window) + sl.start * plane)
         before, mask = mask, after
     band_abs = band_rel * scale
     for sl, low in zip(slabs, least):
@@ -328,10 +337,12 @@ def nodal_domain_count(
 
     Components are found among runs of same-sign cells along the last axis
     (see ``label``), not cell by cell.  Memory: about 1 byte per cell (the
-    int8 sign grid), 2 bytes per cell of one block of 32 planes while runs
-    are found, and a few hundred bytes per run of one sign while they are
-    joined; paperH in the ball of radius 0.5 at resolution 512 has 0.3
-    million runs and peaks at about 230 MB resident.
+    int8 sign grid), float values of w and its gradient on one slab of
+    ``_SLAB_CELLS`` cells (or one axis-0 plane, if larger) while the grid is
+    signed, 2 bytes per cell of one block of 32 planes while runs are found,
+    and a few hundred bytes per run of one sign while they are joined;
+    paperH in the ball of radius 0.5 at resolution 512 has 0.3 million runs
+    and peaks at about 230 MB resident.
     """
     signs, shell = _sign_grid(w, region, resolution, band_rel)
     return _count_domains(signs, shell, w.is_harmonic())

@@ -460,6 +460,29 @@ class TestExitTwoInputs:
         assert f"{points} points" in err and f"{points * size} bytes" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args, flag, points, size", [
+        (("harnack", "--pair", "expsin,coshsin", "--samples", "1e9"),
+         "--samples 1000000000", 31623**2, 27),
+        (("harnack", "--pair", "paperH,paperH", "--samples", "1e9"),
+         "--samples 1000000000", 1000**3, 27),
+        (("max", "--pair", "expsin,coshsin", "--interior-samples", "1e9"),
+         "--interior-samples 1000000000", 10**9, 82),
+        (("max", "--pair", "paperH,paperH", "--interior-samples", "1e9"),
+         "--interior-samples 1000000000", 10**9, 122),
+    ])
+    def test_samples_beyond_physical_memory_exit_two(
+        self, tmp_path, capsys, monkeypatch, args, flag, points, size
+    ):
+        import harmonic_ratios.cli as cli
+
+        # a machine of 8 GiB, so that no machine runs these counts here
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**33)
+        assert run(tmp_path, "verify", *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} asks for {points} points")
+        assert f"{points * size} bytes" in err and "internal error" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_physical_memory_without_sysconf(self, monkeypatch):
         import harmonic_ratios.cli as cli
 

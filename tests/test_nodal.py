@@ -19,6 +19,7 @@ from harmonic_ratios import (
     rotate,
     zero_set_sample,
 )
+import harmonic_ratios.nodal as nodal_module
 from harmonic_ratios.nodal import (
     _CHUNK_PLANES,
     BisectionError,
@@ -307,10 +308,11 @@ class TestSignGrid:
         (PAPER_H, Region.box((-0.3, -0.5, -0.2), (0.6, 0.5, 0.4)), 17, 1e-10),
         (catalog_get("rezk:3").polynomial, Region.annulus((0.1, -0.2), 0.3, 0.9), 50, 1e-10),
         # |w| grows along x, so early slabs are signed against a smaller
-        # running max and must be corrected by the final threshold
+        # running max and must be corrected by the final threshold (once
+        # the grid takes more than one slab; see test_slabs_match_dense)
         (Polynomial.variable(3, 0) + Polynomial.constant(3, 2),
          Region.ball((0, 0, 0), 1.0), 12, 0.5),
-        # 4D grids are signed one x-slab at a time too
+        # 4D grids are signed in slabs of axis-0 planes too
         (X4[0] * X4[1] + X4[2] * X4[3],
          Region.ball((0.05, -0.1, 0.02, 0.0), 0.45), 14, 1e-10),
         (X4[0] * X4[1] + X4[2] * X4[3],
@@ -326,6 +328,18 @@ class TestSignGrid:
     @pytest.mark.parametrize("w, region, resolution, band_rel", CASES)
     def test_shell_is_the_region_minus_its_erosion(self, w, region, resolution, band_rel):
         _, shell = _sign_grid(w, region, resolution, band_rel)
+        axes, mask, _ = region.grid(resolution)
+        eroded = ndimage.binary_erosion(mask, np.ones((3,) * mask.ndim), border_value=0)
+        assert np.array_equal(shell, np.flatnonzero(mask & ~eroded))
+
+    # every case fits in one slab of the default budget; these budgets give
+    # one plane per slab, and slabs of several planes with a shorter last one
+    @pytest.mark.parametrize("cells", [1, 700, 3000])
+    @pytest.mark.parametrize("w, region, resolution, band_rel", CASES)
+    def test_slabs_match_dense(self, monkeypatch, cells, w, region, resolution, band_rel):
+        monkeypatch.setattr(nodal_module, "_SLAB_CELLS", cells)
+        signs, shell = _sign_grid(w, region, resolution, band_rel)
+        assert np.array_equal(signs, dense_sign_grid(w, region, resolution, band_rel))
         axes, mask, _ = region.grid(resolution)
         eroded = ndimage.binary_erosion(mask, np.ones((3,) * mask.ndim), border_value=0)
         assert np.array_equal(shell, np.flatnonzero(mask & ~eroded))

@@ -1,5 +1,6 @@
 """Numeric checks on ratios of harmonic functions with a shared zero set."""
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -214,9 +215,12 @@ class TestHarnack:
         seen = []
 
         class Recorder(RatioEvaluator):
-            def __call__(self, pts):
-                seen.append(pts.copy())
-                return np.ones(len(pts)), np.ones(len(pts), dtype=bool)
+            def _evaluate(self, coords, where):
+                shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+                seen.append(np.column_stack(
+                    [np.broadcast_to(c, shape)[where] for c in coords]
+                ))
+                return np.ones(shape), where.copy()
 
         harnack_constant(Recorder(u=None, v=None), region, samples)
         lo, hi = region.bounding_box()
@@ -233,6 +237,79 @@ class TestHarnack:
         v = lambda x, y: np.ones_like(x)
         with pytest.raises(RatioVanishes):
             harnack_constant(RatioEvaluator(u=u, v=v), BOX, samples=10_000)
+
+
+def _point_list_harnack(evaluator, region, samples):
+    """Values, valid mask and report fields of the Harnack grid taken as a
+    materialised list of the grid points inside the region."""
+    axes = [np.linspace(a, b, round(samples ** (1 / region.dim)))
+            for a, b in zip(*region.bounding_box())]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([m.ravel() for m in mesh])
+    pts = pts[region.contains(pts)]
+    f, ok = evaluator(pts)
+    vals = np.abs(f[ok])
+    sup, inf = float(np.max(vals)), float(np.min(vals))
+    report = {"sup_abs_f": sup, "inf_abs_f": inf, "C_star": sup / inf}
+    counts = {"grid_points": len(vals), "skipped": int(np.sum(~ok))}
+    return axes, f, ok, report, counts
+
+
+def _polynomial_func(p):
+    return lambda *coords: p.evaluate_array(list(coords))
+
+
+X3, Y3, Z3 = (Polynomial.variable(3, i) for i in range(3))
+ONE3 = Polynomial.constant(3, 1)
+HALF3 = Polynomial.constant(3, Fraction(1, 2))
+
+
+class TestMeshPath:
+    """The open mesh gives what the materialised point list gave, bit for
+    bit: values, valid mask, C_star and counts."""
+
+    @pytest.mark.parametrize("make, region, samples", [
+        # a grid column on x = 0: series fallback near the origin, invalid
+        # points beyond the trust radius
+        (lambda: RatioEvaluator.for_pair(PAIR), Region.box((-1, -1), (1, 1)), 41**2),
+        # polynomials, no series: v vanishes at the grid points with x = y - 1/2
+        (lambda: RatioEvaluator(
+            u=_polynomial_func(catalog_get("paperH").polynomial + ONE3 * 3),
+            v=_polynomial_func((X3 - Y3 + HALF3) * (Z3 + ONE3))),
+         Region.box((-1, -0.5, 0.25), (0.5, 1, 2)), 9**3),
+        (lambda: RatioEvaluator.for_pair(PAIR), Region.ball((0.0, 0.1), 0.6), 31**2),
+        # the grid column on x = 0 leaves this ball within the series' trust
+        # radius; the points outside stay invalid
+        (lambda: RatioEvaluator.for_pair(PAIR), Region.ball((0.3, 0.0), 0.35), 29**2),
+        # |v| peaks in the box's corners, outside the ball: the guard scale
+        # is the largest |v| inside, so more points stay valid
+        (lambda: RatioEvaluator(u=lambda x, y: (2 + x) * np.exp(40 * x * y),
+                                v=lambda x, y: np.exp(40 * x * y)),
+         Region.ball((0.0, 0.0), 1.0), 21**2),
+        # u and v ignore x, so on the mesh they come back one row wide
+        (lambda: RatioEvaluator(u=lambda x, y: np.exp(y), v=lambda x, y: np.cosh(y)),
+         Region.annulus((0.2, -0.1), 0.3, 0.9), 25**2),
+    ])
+    def test_mesh_equals_point_list(self, make, region, samples):
+        axes, f_list, ok_list, report, counts = _point_list_harnack(
+            make(), region, samples
+        )
+        coords = np.ix_(*axes)
+        inside = region.mask(coords)
+        f, ok = make()._evaluate(coords, where=inside)
+        assert f.shape == ok.shape == inside.shape
+        assert f[inside].tobytes() == f_list.tobytes()
+        assert np.array_equal(ok[inside], ok_list) and not np.any(ok[~inside])
+        got = harnack_constant(make(), region, samples)
+        assert got.extremes == report and got.samples == counts
+
+    def test_cases_reach_the_fallback_and_invalid_points(self):
+        axes, _, ok, _, _ = _point_list_harnack(
+            RatioEvaluator.for_pair(PAIR), Region.box((-1, -1), (1, 1)), 41**2
+        )
+        column = np.meshgrid(*axes, indexing="ij")[0].ravel() == axes[0][20]
+        assert abs(axes[0][20]) < 1e-15
+        assert np.any(ok & column) and np.any(~ok & column) and np.all(ok | column)
 
 
 class TestOrthogonality:
