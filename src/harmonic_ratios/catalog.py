@@ -24,6 +24,7 @@ that provenance note in the manifest.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -81,18 +82,27 @@ class SharedZeroPair:
     common_zero: str
     region: Region
 
-    def expand(
-        self, n_out: int, probe_degree: int
-    ) -> Optional[Tuple[TruncatedSeries, TruncatedSeries]]:
-        """u and v at the origin to degree n_out + k, the inputs of a ratio
-        series of degree ``n_out``; k is v's leading degree, read off its
-        expansion to ``probe_degree``.  None if v vanishes through that degree.
-        """
-        origin = (0,) * self.v.dimension
-        k = self.v.taylor(origin, probe_degree).leading_degree()
-        if k < 0:
-            return None
-        return self.u.taylor(origin, n_out + k), self.v.taylor(origin, n_out + k)
+
+def expand(u, v, n_out: int) -> Tuple[TruncatedSeries, TruncatedSeries]:
+    """u and v through degree n_out + k, the inputs of a ratio series of
+    degree ``n_out``, where k is v's leading degree.
+
+    A parsed series (a ``TruncatedSeries``) is taken as it is.  A catalog
+    entry, or any object with its ``dimension`` and ``taylor``, is expanded
+    at the origin; for such a v, k is found by expanding v at degrees
+    ``n_out``, ``2 n_out + 1``, ... until a term is nonzero, so v must not
+    vanish identically (no catalog entry does).
+    """
+    if isinstance(v, TruncatedSeries):
+        k = max(v.leading_degree(), 0)  # a zero series fails in the division
+    else:
+        probe = n_out
+        while (k := v.taylor((0,) * v.dimension, probe).leading_degree()) < 0:
+            probe = 2 * probe + 1
+    return tuple(
+        s if isinstance(s, TruncatedSeries) else s.taylor((0,) * s.dimension, n_out + k)
+        for s in (u, v)
+    )
 
 
 # -- polynomial bodies -------------------------------------------------------
@@ -102,20 +112,11 @@ def _re_im_zk(k: int) -> Tuple[Polynomial, Polynomial]:
     """Re and Im of (x+iy)^k as exact 2D polynomials."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    re_terms: Dict[tuple, Fraction] = {}
-    im_terms: Dict[tuple, Fraction] = {}
+    parts: Tuple[Dict[tuple, Fraction], ...] = ({}, {})  # Re, Im
     for j in range(k + 1):
-        c = Fraction(comb(k, j))
-        # i^j cycles 1, i, -1, -i
-        if j % 4 == 0:
-            re_terms[(k - j, j)] = c
-        elif j % 4 == 1:
-            im_terms[(k - j, j)] = c
-        elif j % 4 == 2:
-            re_terms[(k - j, j)] = -c
-        else:
-            im_terms[(k - j, j)] = -c
-    return Polynomial(2, re_terms), Polynomial(2, im_terms)
+        # the term of y^j carries i^j, which cycles 1, i, -1, -i
+        parts[j % 2][(k - j, j)] = Fraction((-1) ** (j // 2) * comb(k, j))
+    return Polynomial(2, parts[0]), Polynomial(2, parts[1])
 
 
 _PAPER_H = Polynomial(
@@ -131,56 +132,32 @@ _PAPER_H = Polynomial(
 
 # -- transcendental coefficient generators -----------------------------------
 
+# derivatives at 0 of the one-variable factors, which repeat with period 4
+_SIN, _EXP, _COSH = (0, 1, 0, -1), (1, 1, 1, 1), (1, 0, 1, 0)
 
-def _sin_coeffs(n: int) -> List[Fraction]:
-    out = [Fraction(0)] * (n + 1)
-    fact = 1
-    for i in range(1, n + 1):
-        fact *= i
-        if i % 2 == 1:
-            out[i] = Fraction((-1) ** ((i - 1) // 2), fact)
+
+def _taylor_coeffs(derivatives: Tuple[int, ...], n: int) -> List[Fraction]:
+    """Taylor coefficients at 0 through degree n of a function whose
+    derivatives at 0 are ``derivatives`` repeated."""
+    out, fact = [], 1
+    for i in range(n + 1):
+        fact *= max(i, 1)
+        out.append(Fraction(derivatives[i % 4], fact))
     return out
 
 
-def _exp_coeffs(n: int) -> List[Fraction]:
-    out = [Fraction(1)]
-    fact = 1
-    for j in range(1, n + 1):
-        fact *= j
-        out.append(Fraction(1, fact))
-    return out
-
-
-def _cosh_coeffs(n: int) -> List[Fraction]:
-    out = [Fraction(0)] * (n + 1)
-    fact = 1
-    out[0] = Fraction(1)
-    for j in range(1, n + 1):
-        fact *= j
-        if j % 2 == 0:
-            out[j] = Fraction(1, fact)
-    return out
-
-
-def _product_series(fx: List[Fraction], gy: List[Fraction], n: int):
+def _product_series(fx: Tuple[int, ...], gy: Tuple[int, ...], n: int):
+    """Taylor coefficients at the origin through degree n of f(x) g(y),
+    with f and g given by their derivatives at 0."""
     coeffs: Dict[tuple, Fraction] = {}
-    for i, a in enumerate(fx):
+    g = _taylor_coeffs(gy, n)
+    for i, a in enumerate(_taylor_coeffs(fx, n)):
         if a == 0:
             continue
-        for j, b in enumerate(gy):
-            if i + j > n:
-                break
+        for j, b in enumerate(g[:n + 1 - i]):
             if b:
                 coeffs[(i, j)] = a * b
     return coeffs
-
-
-def _expsin_series(n: int):
-    return _product_series(_sin_coeffs(n), _exp_coeffs(n), n)
-
-
-def _coshsin_series(n: int):
-    return _product_series(_sin_coeffs(n), _cosh_coeffs(n), n)
 
 
 # -- registry -----------------------------------------------------------------
@@ -225,7 +202,7 @@ def _static_entries() -> Dict[str, CatalogEntry]:
             "example of distinct harmonic functions with one nodal set; "
             "not taken from the reference examples)"
         ),
-        series_at_origin=_expsin_series,
+        series_at_origin=functools.partial(_product_series, _SIN, _EXP),
         eval_arrays=lambda x, y: np.exp(y) * np.sin(x),
     )
     coshsin = CatalogEntry(
@@ -234,7 +211,7 @@ def _static_entries() -> Dict[str, CatalogEntry]:
         kind="transcendental",
         zero_set="the vertical lines x = m*pi, m integer",
         provenance="cosh y sin x; pairs with expsin",
-        series_at_origin=_coshsin_series,
+        series_at_origin=functools.partial(_product_series, _SIN, _COSH),
         eval_arrays=lambda x, y: np.cosh(y) * np.sin(x),
     )
     return {

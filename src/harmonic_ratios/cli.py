@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from . import catalog as _catalog
 from . import io_formats as io
@@ -68,34 +68,34 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _load(arg: str, parse: Callable[[str], Polynomial]):
+    """The file ``arg`` read with ``parse``, or else the catalog entry named
+    ``arg``."""
+    if os.path.exists(arg):
+        try:
+            return parse(_read(arg))
+        except io.FormatError as exc:
+            raise CliError(f"{arg}: {exc}") from exc
+    try:
+        return _catalog.catalog_get(arg)
+    except _catalog.UnknownEntry as exc:
+        raise CliError(f"{arg} is neither a readable file nor a catalog name") from exc
+
+
 def load_polynomial(arg: str) -> Polynomial:
-    """A polynomial file path, or a catalog entry name."""
-    if os.path.exists(arg):
-        try:
-            return io.parse_polynomial(_read(arg))
-        except io.FormatError as exc:
-            raise CliError(f"{arg}: {exc}") from exc
-    try:
-        entry = _catalog.catalog_get(arg)
-    except _catalog.UnknownEntry as exc:
-        raise CliError(f"{arg} is neither a readable file nor a catalog name") from exc
-    if entry.kind != "polynomial":
+    """A polynomial file path, or a polynomial catalog entry name."""
+    loaded = _load(arg, io.parse_polynomial)
+    if not isinstance(loaded, _catalog.CatalogEntry):
+        return loaded
+    if loaded.kind != "polynomial":
         raise CliError(f"catalog entry {arg} is not polynomial")
-    return entry.polynomial
+    return loaded.polynomial
 
 
-def load_series(arg: str, degree: int) -> TruncatedSeries:
-    """A series file path, or a catalog entry expanded at the origin."""
-    if os.path.exists(arg):
-        try:
-            return io.parse_series(_read(arg))
-        except io.FormatError as exc:
-            raise CliError(f"{arg}: {exc}") from exc
-    try:
-        entry = _catalog.catalog_get(arg)
-    except _catalog.UnknownEntry as exc:
-        raise CliError(f"{arg} is neither a readable file nor a catalog name") from exc
-    return entry.taylor((0,) * entry.dimension, degree)
+def load_series(arg: str) -> Union[TruncatedSeries, _catalog.CatalogEntry]:
+    """A series file path, parsed, or a catalog entry name, left for
+    ``catalog.expand`` to expand."""
+    return _load(arg, io.parse_series)
 
 
 def parse_region(args: argparse.Namespace, dim: int) -> Region:
@@ -135,73 +135,54 @@ def parse_region(args: argparse.Namespace, dim: int) -> Region:
 MAX_COUNT = 10**9
 
 
-def parse_count(text: str) -> int:
-    """Positive integer flag up to ``MAX_COUNT`` that also accepts
-    scientific notation like 1e6.
+def _flag_type(
+    noun: str, want: str, convert: Callable[[str], Any], ok: Callable[[Any], bool]
+) -> Callable[[str], Any]:
+    """A flag type: ``convert`` the text, then require ``ok`` of the value.
 
-    Raises ``argparse.ArgumentTypeError``, which argparse reports as a usage
-    error (an ``error:`` line and exit status 2).
+    Both failures raise ``argparse.ArgumentTypeError``, which argparse
+    reports as a usage error (an ``error:`` line and exit status 2).
     """
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}") from exc
-    if not 0 < value <= MAX_COUNT or value != int(value):
-        raise argparse.ArgumentTypeError(
-            f"count must be a positive integer up to {MAX_COUNT}, got {text!r}"
-        )
-    return int(value)
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:  # io.FormatError among them
+            pass
+        raise argparse.ArgumentTypeError(f"bad {noun} {text!r} (want {want})")
+
+    return parse
 
 
-def parse_degree(text: str) -> int:
-    """Non-negative integer flag (a truncation degree or an expected count);
-    errors as in ``parse_count``."""
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"value must be a non-negative integer, got {text!r}"
-        )
-    return value
+def _whole(text: str) -> Union[int, float]:
+    """A float, as an int when it is a whole number (``1e6`` is 1000000)."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
 
 
-def parse_tolerance(text: str) -> float:
-    """Finite non-negative float flag (a band or tolerance); errors as in
-    ``parse_count``."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
-    if not 0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite number >= 0, got {text!r}"
-        )
-    return value
-
-
-def parse_positive(text: str) -> float:
-    """Finite positive float flag (a step or a radius); errors as in
-    ``parse_count``."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"value must be a finite number > 0, got {text!r}"
-        )
-    return value
-
-
-def parse_rational(text: str) -> Fraction:
-    """Rational flag in the ``p/q`` form of the file formats; errors as in
-    ``parse_count``."""
-    try:
-        return io._parse_fraction(text)
-    except io.FormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+# a sample count or grid size, also in scientific notation like 1e6
+parse_count = _flag_type(
+    "count", f"a positive integer up to {MAX_COUNT}", _whole,
+    lambda value: isinstance(value, int) and 0 < value <= MAX_COUNT,
+)
+# a truncation degree or an expected count
+parse_degree = _flag_type(
+    "integer", "a non-negative integer", int, lambda value: value >= 0
+)
+# a band or a tolerance
+parse_tolerance = _flag_type(
+    "tolerance", "a finite number >= 0", float, lambda value: 0 <= value < math.inf
+)
+# a step or a radius
+parse_positive = _flag_type(
+    "number", "a finite number > 0", float, lambda value: 0 < value < math.inf
+)
+# a rational in the p/q form of the file formats
+parse_rational = _flag_type(
+    "rational", "p/q, no exponent", io._parse_fraction, lambda value: True
+)
 
 
 def _pair(args: argparse.Namespace) -> _catalog.SharedZeroPair:
@@ -238,16 +219,24 @@ def _check_memory(flag: str, value: int, points: int, size: int) -> None:
         )
 
 
-def write_report(out_dir: str, name: str, payload: Dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}_report.json")
+def _write(path: str, text: str) -> str:
+    """Write ``text`` to ``path``, making its directory first; return ``path``."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     return path
 
 
-def _emit(out_dir: str, name: str, payload: Dict, lines: Sequence[str]) -> Tuple[str, int]:
+def write_report(out_dir: str, name: str, payload: Dict) -> str:
+    return _write(
+        os.path.join(out_dir, f"{name}_report.json"),
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    )
+
+
+def _emit(out_dir: str, name: str, payload: Dict, lines: Sequence[str]) -> int:
+    """Write the report, print ``lines`` and the report's path, and return
+    the exit status: 0 if the payload passed, else 1."""
     path = write_report(out_dir, name, payload)
     for line in lines:
         print(line)
@@ -256,7 +245,7 @@ def _emit(out_dir: str, name: str, payload: Dict, lines: Sequence[str]) -> Tuple
         print(f"FAILED; see {path}")
     else:
         print(f"report: {path}")
-    return path, 0 if ok else 1
+    return 0 if ok else 1
 
 
 def _fail(out_dir: str, command: str, what: str, exc: Exception) -> int:
@@ -267,10 +256,7 @@ def _fail(out_dir: str, command: str, what: str, exc: Exception) -> int:
         "error": type(exc).__name__,
         "detail": str(exc),
     }
-    path = write_report(out_dir, command, payload)
-    print(f"{what} failed: {exc}")
-    print(f"FAILED; see {path}")
-    return 1
+    return _emit(out_dir, command, payload, [f"{what} failed: {exc}"])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -286,10 +272,10 @@ def cmd_divide(args: argparse.Namespace) -> int:
     except DivisionError as exc:
         return _fail(args.out, "divide", "division", exc)
     quotient = outcome.quotient
-    q_path = args.quotient_out or os.path.join(args.out, "quotient.poly")
-    os.makedirs(os.path.dirname(os.path.abspath(q_path)), exist_ok=True)
-    with open(q_path, "w") as fh:
-        fh.write(io.format_polynomial(quotient, comment="quotient"))
+    q_path = _write(
+        args.quotient_out or os.path.join(args.out, "quotient.poly"),
+        io.format_polynomial(quotient, comment="quotient"),
+    )
     payload = {
         "command": "divide",
         "passed": True,
@@ -303,42 +289,32 @@ def cmd_divide(args: argparse.Namespace) -> int:
         "divide",
         payload,
         [f"quotient ({len(quotient.terms)} terms) -> {q_path}"],
-    )[1]
+    )
 
 
 def cmd_series(args: argparse.Namespace) -> int:
     degree = args.degree
     if args.pair:
         pair = _pair(args)
-        probe = degree + args.extra_degree
-        try:
-            expanded = pair.expand(degree, probe)
-        except (ValueError, ArithmeticError) as exc:
-            raise CliError(str(exc)) from exc
-        if expanded is None:
-            raise CliError(
-                f"{pair.v.name} vanishes through degree {probe} (--degree plus "
-                "--extra-degree), so its leading degree is unknown; raise --extra-degree"
-            )
-        u, v = expanded
+        u, v = pair.u, pair.v
+    elif args.numerator and args.denominator:
+        u, v = load_series(args.numerator), load_series(args.denominator)
     else:
-        if not (args.numerator and args.denominator):
-            raise CliError("give --pair or both --numerator and --denominator")
-        u = load_series(args.numerator, degree + args.extra_degree)
-        v = load_series(args.denominator, degree + args.extra_degree)
-        if u.dim != v.dim:
-            raise CliError(f"the numerator has dimension {u.dim}, the denominator {v.dim}")
-        if u.center != v.center:
-            raise CliError("the numerator and the denominator have different centers")
+        raise CliError("give --pair or both --numerator and --denominator")
+    u, v = _catalog.expand(u, v, degree)
+    if u.dim != v.dim:
+        raise CliError(f"the numerator has dimension {u.dim}, the denominator {v.dim}")
+    if u.center != v.center:
+        raise CliError("the numerator and the denominator have different centers")
     try:
         outcome = series_ratio(u, v, degree, strict=args.strict)
     except DivisionError as exc:
         return _fail(args.out, "series", "series division", exc)
     f = outcome.quotient
-    s_path = args.series_out or os.path.join(args.out, "ratio.series")
-    os.makedirs(os.path.dirname(os.path.abspath(s_path)), exist_ok=True)
-    with open(s_path, "w") as fh:
-        fh.write(io.format_series(f, comment="ratio"))
+    s_path = _write(
+        args.series_out or os.path.join(args.out, "ratio.series"),
+        io.format_series(f, comment="ratio"),
+    )
     payload = {
         "command": "series",
         "passed": True,
@@ -352,7 +328,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         "series",
         payload,
         [f"ratio series to degree {f.max_degree} -> {s_path}"],
-    )[1]
+    )
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -363,10 +339,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     except IllFormedCertificate as exc:
         return _fail(args.out, "certify", "certificate construction", exc)
     report = verify_certificate(cert, args.n_check)
-    c_path = os.path.join(args.out, "bound.cert")
-    os.makedirs(args.out, exist_ok=True)
-    with open(c_path, "w") as fh:
-        fh.write(io.format_certificate(cert))
+    c_path = _write(os.path.join(args.out, "bound.cert"), io.format_certificate(cert))
     payload = {
         "command": "certify",
         "passed": report.passed,
@@ -382,7 +355,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             report.summary(),
             f"certificate -> {c_path}",
         ],
-    )[1]
+    )
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -398,6 +371,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # mask byte per candidate
         _check_memory("--interior-samples", args.interior_samples,
                       args.interior_samples, 40 * region.dim + 2)
+        # the boundary sweep and its evaluation, at their peak (tracemalloc):
+        # 42 bytes per sample in 2D, 72 on a 3D ball's Fibonacci sphere
+        _check_memory("--boundary-samples", args.boundary_samples,
+                      args.boundary_samples, (42, 72)[region.dim - 2])
         evaluator = RatioEvaluator.for_pair(pair)
         report = max_principle_check(
             evaluator,
@@ -435,6 +412,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"--h0 {args.h0!r} halved {args.halvings} times is no longer "
                 "a positive normal float"
             )
+        # the uniform draw for four stencil candidates per sample (two
+        # draws per candidate), its inside copy and the stacked candidates,
+        # at their peak (tracemalloc): 328 bytes per sample in 2D, 480 on a
+        # 3D box
+        _check_memory("--samples", args.samples, args.samples, 152 * region.dim + 24)
         report = residual_convergence(
             pair.u,
             pair.v,
@@ -446,6 +428,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             min_order=args.min_order,
         )
     elif args.check == "leading":
+        # one circle of points, its values and rolled copies, at their peak
+        # (tracemalloc): 57 bytes per sample in 2D, 131 in 3D
+        _check_memory("--samples", args.samples, args.samples, (57, 131)[region.dim - 2])
         degree = args.degree
         try:
             u = pair.u.taylor((0,) * pair.u.dimension, degree)
@@ -459,7 +444,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(f"unknown check {args.check}")
     payload = {"command": f"verify {args.check}", "passed": report.passed}
     payload.update(report.to_dict())
-    return _emit(args.out, f"verify_{args.check}", payload, [report.summary()])[1]
+    return _emit(args.out, f"verify_{args.check}", payload, [report.summary()])
 
 
 def cmd_nodal(args: argparse.Namespace) -> int:
@@ -477,7 +462,7 @@ def cmd_nodal(args: argparse.Namespace) -> int:
             "resolution": args.res,
             "expected": args.expect,
         }
-        return _emit(args.out, "nodal_count", payload, [str(count)])[1]
+        return _emit(args.out, "nodal_count", payload, [str(count)])
     if args.action == "plot":
         # float values at the (res + 1)^dim grid nodes
         _check_memory("--res", args.res, (args.res + 1) ** w.dim, 8)
@@ -501,7 +486,7 @@ def cmd_nodal(args: argparse.Namespace) -> int:
             "nodal_plot",
             payload,
             [f"{len(points)} zero points -> {art}"],
-        )[1]
+        )
     if args.action == "critical":
         # float values at the grid^dim seeds
         _check_memory("--grid", args.grid, args.grid**w.dim, 8)
@@ -520,7 +505,7 @@ def cmd_nodal(args: argparse.Namespace) -> int:
             payload,
             [f"{len(report.critical_points)} critical point(s): "
              f"{report.critical_points}"],
-        )[1]
+        )
     raise CliError(f"unknown nodal action {args.action}")
 
 
@@ -528,7 +513,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "list":
         names = _catalog.catalog_names()
         payload = {"command": "catalog list", "passed": True, "names": names}
-        return _emit(args.out, "catalog_list", payload, names)[1]
+        return _emit(args.out, "catalog_list", payload, names)
     if args.action == "dump":
         manifest = _catalog.manifest(args.degree)
         payload = {"command": "catalog dump", "passed": True, "entries": manifest}
@@ -537,7 +522,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             "catalog_dump",
             payload,
             [json.dumps(manifest, indent=2, sort_keys=True)],
-        )[1]
+        )
     raise CliError(f"unknown catalog action {args.action}")
 
 
@@ -569,12 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numerator", default=None, help="series file or catalog name")
     p.add_argument("--denominator", default=None, help="series file or catalog name")
     p.add_argument("--degree", type=parse_degree, required=True, help="output degree")
-    p.add_argument(
-        "--extra-degree",
-        type=parse_degree,
-        default=4,
-        help="input truncation margin when expanding catalog entries",
-    )
     p.add_argument("--series-out", default=None, help="output series file path")
     p.add_argument(
         "--no-strict",
@@ -691,7 +670,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     built on the first call only, and ``$HARMONIC_RATIOS_OUT`` is read on
     every call that gives no ``--out``.  Bad input exits 2, among others a
     ``verify elliptic`` residual that is exactly 0 (no decay order to fit)
-    and a ``nodal`` grid of more bytes than the machine's physical memory.
+    and a ``nodal`` grid or a ``verify`` sample count of more bytes than the
+    machine's physical memory.
     """
     if argv is None:
         argv = sys.argv[1:]

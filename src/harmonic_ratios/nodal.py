@@ -183,38 +183,19 @@ def critical_set_sample(
     )
 
 
-class _UnionFind:
-    """Disjoint sets over 0, 1, ..., n - 1."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        self.parent[ri] = rj
-
-
 def _classify_curve_points(
     points: List[np.ndarray], depths: List[Dict[str, object]], h: float
 ) -> List[Dict[str, object]]:
     """Chain nearby critical points; constant depth along a chain of at
-    least 3 points marks them good (sufficient condition only)."""
+    least 3 points marks them good (sufficient condition only).  Chains
+    come in the order of their first point."""
     n = len(points)
-    chains = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(points[i] - points[j]) <= 2.5 * h:
-                chains.union(i, j)
+    near = [(i, j) for i in range(n) for j in range(i + 1, n)
+            if np.linalg.norm(points[i] - points[j]) <= 2.5 * h]
+    a, b = np.array(near, dtype=np.intp).reshape(-1, 2).T
     clusters: Dict[int, List[int]] = {}
-    for i in range(n):
-        clusters.setdefault(chains.find(i), []).append(i)
+    for i, root in enumerate(_components(n, a, b).tolist()):
+        clusters.setdefault(root, []).append(i)
     out = []
     for members in clusters.values():
         ds = {depths[i]["depth"] for i in members}
@@ -382,14 +363,22 @@ def label(signs: np.ndarray, sign: int) -> Tuple[np.ndarray, np.ndarray, np.ndar
     last axis.
 
     Returns the flat indices of the first and the last cell of every run,
-    both increasing, and the component of every run, named by its first run.
-    The components come from hooking the larger root of every link between
-    runs (``_links``) under the smaller one and pointer jumping, all links
-    at once, until no link joins two components.
+    both increasing, and the component of every run, named by its first run
+    (``_components`` of the links between runs that ``_links`` finds).
     """
     first, last = _runs(signs, sign)
-    a, b = _links(first, last, signs.shape)
-    roots = np.arange(first.size)
+    return first, last, _components(first.size, *_links(first, last, signs.shape))
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The component of each of the nodes 0, ..., n - 1 under the links
+    ``a[i]``-``b[i]``, named by its smallest node.
+
+    Every link hooks the larger of its two roots under the smaller, all
+    links at once, and pointer jumping flattens the trees, until no link
+    joins two components.
+    """
+    roots = np.arange(n)
     while a.size:
         np.minimum.at(roots, np.maximum(a, b), np.minimum(a, b))
         while True:
@@ -400,7 +389,7 @@ def label(signs: np.ndarray, sign: int) -> Tuple[np.ndarray, np.ndarray, np.ndar
         a, b = roots[a], roots[b]
         joined = a != b
         a, b = a[joined], b[joined]
-    return first, last, roots
+    return roots
 
 
 def _runs(signs: np.ndarray, sign: int) -> Tuple[np.ndarray, np.ndarray]:

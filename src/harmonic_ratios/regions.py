@@ -103,31 +103,32 @@ class Region:
         """Deterministic boundary sweep of about count points, shape (m, dim).
 
         Disks: uniform angles starting at 0 (includes the four axis points
-        whenever count is a multiple of 4).  Boxes: corners plus a uniform
-        walk of the edges (2D, 4 * max(count // 4, 1) points), or an n x n grid
-        on each of the six faces, edges and corners included, with
-        n = floor(sqrt(count / 6)) (3D).
+        whenever count is a multiple of 4).  Balls in 3D: a Fibonacci sphere
+        of count points.  An annulus with a positive inner radius adds the
+        same points on its inner circle or sphere.  Boxes: corners plus a
+        uniform walk of the edges (2D, 4 * max(count // 4, 1) points), or an
+        n x n grid on each of the six faces, edges and corners included,
+        with n = floor(sqrt(count / 6)) (3D).
         """
         if self.kind in ("ball", "annulus"):
             if self.dim == 2:
                 theta = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
-                c = np.array(self.center)
-                pts = c + self.radius * np.column_stack([np.cos(theta), np.sin(theta)])
-                if self.kind == "annulus" and self.inner > 0:
-                    inner_pts = c + self.inner * np.column_stack(
-                        [np.cos(theta), np.sin(theta)]
-                    )
-                    pts = np.vstack([pts, inner_pts])
-                return pts
-            if self.dim == 3:
+                unit = np.column_stack([np.cos(theta), np.sin(theta)])
+            elif self.dim == 3:
                 # Fibonacci sphere: deterministic, near-uniform
                 i = np.arange(count)
                 phi = np.pi * (3.0 - np.sqrt(5.0)) * i
                 z = 1.0 - 2.0 * (i + 0.5) / count
                 rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
                 unit = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-                return np.array(self.center) + self.radius * unit
-            raise ValueError(f"boundary sampling unsupported in dim {self.dim}")
+            else:
+                raise ValueError(f"boundary sampling unsupported in dim {self.dim}")
+            c = np.array(self.center)
+            inner = c + self.inner * unit if self.kind == "annulus" and self.inner > 0 else None
+            # c + radius * unit, in place: one array of points fewer at the peak
+            unit *= self.radius
+            unit += c
+            return unit if inner is None else np.vstack([unit, inner])
         if self.kind == "box":
             if self.dim == 2:
                 (x0, y0), (x1, y1) = self.lo, self.hi

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from numpy.random import default_rng
 
-from .catalog import SharedZeroPair
+from .catalog import expand
 from .division import DivisionError, series_ratio
 from .nodal import _bisect_edges
 from .polynomial import Polynomial
@@ -137,9 +137,7 @@ def _pair_series(pair, series_degree: int) -> Optional[TruncatedSeries]:
     """The ratio series of a SharedZeroPair at the origin, or None when a
     member has no exact Taylor data or the series division fails."""
     try:
-        # called on the class: any pair-like object with members u and v will do
-        expanded = SharedZeroPair.expand(pair, series_degree, series_degree + 4)
-        return series_ratio(*expanded, series_degree).quotient if expanded else None
+        return series_ratio(*expand(pair.u, pair.v, series_degree), series_degree).quotient
     except (ValueError, ArithmeticError, DivisionError):
         return None
 

@@ -1,14 +1,17 @@
 """The built-in catalog of harmonic functions and shared-zero pairs."""
 
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 
+from harmonic_ratios import TruncatedSeries
 from harmonic_ratios.catalog import (
     UnknownEntry,
     catalog_get,
     catalog_names,
+    expand,
     manifest,
     shared_pair,
 )
@@ -60,6 +63,20 @@ class TestTaylorData:
         assert s.coefficient((1, 2)) == Fraction(1, 2)
         assert s.coefficient((2, 0)) == 0
 
+    @pytest.mark.parametrize("name, y_part", [
+        ("expsin", lambda j: Fraction(1, factorial(j))),
+        ("coshsin", lambda j: Fraction(1 - j % 2, factorial(j))),
+    ])
+    def test_transcendental_coefficients_in_closed_form(self, name, y_part):
+        n = 15
+        want = {}
+        for i in range(1, n + 1, 2):  # sin x: (-1)^((i - 1) / 2) / i!
+            for j in range(n + 1 - i):
+                c = Fraction((-1) ** (i // 2), factorial(i)) * y_part(j)
+                if c:
+                    want[(i, j)] = c
+        assert catalog_get(name).taylor((0, 0), n).coefficients == want
+
     def test_polynomial_entry_any_rational_center(self):
         s = catalog_get("paperH").taylor((Fraction(1, 3), 0, Fraction(1, 3)), 3)
         # value at the center is the constant coefficient
@@ -109,6 +126,54 @@ class TestPairs:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             shared_pair("paperH", "saddle2d")
+
+
+class RecordingEntry:
+    """A pair member that records the degrees it is expanded to."""
+
+    def __init__(self, name):
+        self.entry = catalog_get(name)
+        self.dimension = self.entry.dimension
+        self.degrees = []
+
+    def taylor(self, center, max_degree):
+        self.degrees.append(max_degree)
+        return self.entry.taylor(center, max_degree)
+
+
+class TestExpand:
+    @pytest.mark.parametrize("u, v, n_out, probes, k", [
+        ("expsin", "coshsin", 40, [40], 1),
+        # coshsin = x + ... vanishes through degree 0; the probe goes up
+        ("expsin", "coshsin", 0, [0, 1], 1),
+        # Re(x+iy)^6 vanishes through degree 5
+        ("rezk:6", "rezk:6", 2, [2, 5, 11], 6),
+        ("paperH", "paperH", 3, [3], 2),
+    ])
+    def test_catalog_entries_through_n_out_plus_k(self, u, v, n_out, probes, k):
+        u_rec, v_rec = RecordingEntry(u), RecordingEntry(v)
+        u_t, v_t = expand(u_rec, v_rec, n_out)
+        assert v_rec.degrees == probes + [n_out + k] and u_rec.degrees == [n_out + k]
+        assert v_t.leading_degree() == k
+        origin = (0,) * v_rec.dimension
+        assert u_t == catalog_get(u).taylor(origin, n_out + k)
+        assert v_t == catalog_get(v).taylor(origin, n_out + k)
+
+    def test_parsed_series_taken_as_they_are(self):
+        # k = 2 is read from the parsed divisor; the catalog numerator is
+        # expanded through 3 + 2
+        v = TruncatedSeries(2, (0, 0), 9, {(2, 0): Fraction(1), (0, 2): Fraction(-1)})
+        u_t, v_t = expand(catalog_get("expsin"), v, 3)
+        assert v_t is v
+        assert u_t == catalog_get("expsin").taylor((0, 0), 5)
+        u = TruncatedSeries(2, (0, 0), 4, {(1, 1): Fraction(3)})
+        u_t, v_t = expand(u, catalog_get("imz2"), 3)
+        assert u_t is u and v_t == catalog_get("imz2").taylor((0, 0), 5)
+
+    def test_zero_parsed_divisor_is_left_to_the_division(self):
+        v = TruncatedSeries(2, (0, 0), 4, {})
+        u_t, v_t = expand(catalog_get("expsin"), v, 0)
+        assert v_t is v and u_t.max_degree == 0
 
 
 class TestManifest:

@@ -5,9 +5,11 @@ import os
 
 import pytest
 
-from harmonic_ratios import Polynomial
+from harmonic_ratios import Polynomial, TruncatedSeries
 from harmonic_ratios.cli import main
-from harmonic_ratios.io_formats import format_polynomial, parse_polynomial
+from harmonic_ratios.io_formats import (
+    format_polynomial, format_series, parse_polynomial, parse_series,
+)
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -70,6 +72,32 @@ class TestSeries:
         report = json.loads((tmp_path / "series_report.json").read_text())
         assert report["residual_verified"]
         assert (tmp_path / "ratio.series").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("--numerator", "rezk:6", "--denominator", "rezk:6", "--degree", "2"),
+        ("--pair", "rezk:6,rezk:6", "--degree", "1"),
+        # a denominator that vanishes to order 6, beyond the output degree 0
+        ("--pair", "rezk:6,rezk:6", "--degree", "0"),
+    ])
+    def test_divisor_of_high_order_gives_one(self, tmp_path, args):
+        # Re(x+iy)^6 vanishes to order 6 at the origin: the inputs are
+        # expanded through the output degree plus 6
+        assert run(tmp_path, "series", *args) == 0
+        report = json.loads((tmp_path / "series_report.json").read_text())
+        assert report["residual_verified"]
+        f = parse_series((tmp_path / "ratio.series").read_text())
+        assert f.max_degree == int(args[-1])
+        assert f.coefficients == {(0, 0): 1}
+
+    def test_file_numerator_over_catalog_divisor(self, tmp_path):
+        # the parsed numerator is taken as it is; the catalog denominator
+        # x^2 - y^2 (order 2) is expanded through degree 3 + 2
+        u = TruncatedSeries.from_polynomial((X * X - Y * Y) * (X + Polynomial.constant(2, 1)), 5)
+        (tmp_path / "u.series").write_text(format_series(u))
+        assert run(tmp_path, "series", "--numerator", str(tmp_path / "u.series"),
+                   "--denominator", "saddle2d", "--degree", "3") == 0
+        f = parse_series((tmp_path / "ratio.series").read_text())
+        assert f.coefficients == {(0, 0): 1, (1, 0): 1}
 
     def test_bad_pair_exits_two(self, tmp_path):
         assert run(tmp_path, "series", "--pair", "expsin", "--degree", "4") == 2
@@ -190,8 +218,9 @@ class TestInputValidation:
         ("series", "--pair", "expsin,coshsin", "--degree", "2.5"),
         ("verify", "leading", "--pair", "expsin,coshsin", "--degree", "-1"),
         ("catalog", "dump", "--degree", "-1"),
+        # the input truncation follows from the divisor; there is no margin flag
         ("series", "--numerator", "expsin", "--denominator", "coshsin", "--degree", "5",
-         "--extra-degree", "-3"),
+         "--extra-degree", "4"),
         ("certify", "--a", "1", "--c", "1", "--r", "1", "--k", "1", "--n", "2",
          "--n-check", "-1"),
         ("certify", "--a", "1", "--c", "1", "--r", "1", "--k", "-1", "--n", "2"),
@@ -433,14 +462,6 @@ class TestExitTwoInputs:
         assert ("centers" if "1/2" in second else "dimension") in err
         assert not (tmp_path / "out").exists()
 
-    def test_pair_divisor_vanishing_through_the_probe_exits_two(self, tmp_path, capsys):
-        # coshsin = x + ... has leading degree 1, beyond a probe of degree 0
-        assert run(tmp_path, "series", "--pair", "expsin,coshsin", "--degree", "0",
-                   "--extra-degree", "0") == 2
-        err = capsys.readouterr().err
-        assert "coshsin vanishes through degree 0" in err and "--extra-degree" in err
-        assert not list(tmp_path.iterdir())
-
     @pytest.mark.parametrize("args", [
         ("count", "--fn", "paperH", "--ball", "0,0,0:0.5", "--res", "1e6"),
         ("count", "--fn", "rezk:3", "--box", "-1,1,-1,1", "--res", "1e9"),
@@ -469,6 +490,18 @@ class TestExitTwoInputs:
          "--interior-samples 1000000000", 10**9, 82),
         (("max", "--pair", "paperH,paperH", "--interior-samples", "1e9"),
          "--interior-samples 1000000000", 10**9, 122),
+        (("max", "--pair", "expsin,coshsin", "--boundary-samples", "1e9"),
+         "--boundary-samples 1000000000", 10**9, 42),
+        (("max", "--pair", "paperH,paperH", "--ball", "0,0,0:1",
+          "--boundary-samples", "1e9"), "--boundary-samples 1000000000", 10**9, 72),
+        (("elliptic", "--pair", "expsin,coshsin", "--samples", "1e9"),
+         "--samples 1000000000", 10**9, 328),
+        (("elliptic", "--pair", "paperH,paperH", "--samples", "1e9"),
+         "--samples 1000000000", 10**9, 480),
+        (("leading", "--pair", "expsin,coshsin", "--samples", "1e9"),
+         "--samples 1000000000", 10**9, 57),
+        (("leading", "--pair", "paperH,paperH", "--samples", "1e9"),
+         "--samples 1000000000", 10**9, 131),
     ])
     def test_samples_beyond_physical_memory_exit_two(
         self, tmp_path, capsys, monkeypatch, args, flag, points, size

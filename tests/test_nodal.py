@@ -91,6 +91,34 @@ class TestCriticalSet:
         for c in report.classifications:
             assert c["label"] in ("good", "unclassified")
 
+    def test_critical_line_is_one_good_chain(self):
+        # x y in 3D is critical, to depth 2, on the whole z-axis
+        xy = Polynomial(3, {(1, 1, 0): 1})
+        report = critical_set_sample(xy, Region.ball((0, 0, 0), 1.0), grid=12)
+        assert len(report.critical_points) == 12
+        assert all(p[:2] == [0.0, 0.0] for p in report.critical_points)
+        assert [d["depth"] for d in report.depths] == [2] * 12
+        assert [c["label"] for c in report.classifications] == ["good"] * 12
+        # one chain, in the order the points were found
+        assert [c["point"] for c in report.classifications] == report.critical_points
+        assert [p[2] for p in report.critical_points] == pytest.approx(
+            [-0.75 + k / 6 for k in range(10)] + [-11 / 12, 11 / 12]
+        )
+
+    def test_chains_come_in_the_order_of_their_first_point(self):
+        # points 0, 2, 4 chain along x (spacing 2 h), 1 and 3 along y, 5 is alone
+        h = 0.1
+        points = [np.array(p) for p in (
+            (0.0, 0.0), (5.0, 0.0), (0.2, 0.0), (5.0, 0.2), (0.4, 0.0), (9.0, 9.0)
+        )]
+        depths = [{"depth": 2}] * 6
+        out = nodal_module._classify_curve_points(points, depths, h)
+        assert [c["point"] for c in out] == [
+            list(points[i]) for i in (0, 2, 4, 1, 3, 5)
+        ]
+        assert [c["label"] for c in out] == ["good"] * 3 + ["unclassified"] * 3
+        assert nodal_module._classify_curve_points([], [], h) == []
+
 
 class TestNodalDomainCount:
     def test_saddle_has_four(self):

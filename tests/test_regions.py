@@ -125,6 +125,16 @@ class TestSampling:
         pts = r.sample_boundary(128)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
 
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.5, -1.0, 2.0)])
+    def test_annulus_boundary_has_both_shells(self, center):
+        r = Region.annulus(center, 0.3, 0.9)
+        pts = r.sample_boundary(100)
+        dist = np.linalg.norm(pts - np.array(center), axis=1)
+        assert pts.shape == (200, len(center))
+        assert np.allclose(dist[:100], 0.9) and np.allclose(dist[100:], 0.3)
+        # the inner shell repeats the outer one's directions
+        assert np.allclose((pts[:100] - center) / 0.9, (pts[100:] - center) / 0.3)
+
     def test_box_boundary(self):
         r = Region.box((0, 0), (1, 2))
         pts = r.sample_boundary(40)

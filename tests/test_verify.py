@@ -194,6 +194,19 @@ class TestMaxPrinciple:
         with pytest.raises(DegenerateRegion):
             max_principle_check(evaluator, BOX, 2, 0)
 
+    def test_3d_annulus_samples_its_inner_sphere(self):
+        # 1/|x| is harmonic in 3D and peaks on the inner sphere, at 1/0.3
+        inverse = lambda x, y, z: 1.0 / np.sqrt(x**2 + y**2 + z**2)
+        one = lambda x, y, z: np.ones_like(x)
+        report = max_principle_check(
+            RatioEvaluator(u=inverse, v=one), Region.annulus((0, 0, 0), 0.3, 0.9),
+            boundary_samples=256, interior_samples=512,
+        )
+        assert report.passed
+        assert report.extremes["boundary_max"] == pytest.approx(1 / 0.3)
+        assert report.extremes["boundary_min"] == pytest.approx(1 / 0.9)
+        assert report.samples["boundary"] == 512
+
 
 class TestHarnack:
     def test_reference_constant(self, evaluator):
