@@ -264,15 +264,25 @@ def _sign_grid(
         after = inside(i + 1)
         coords = np.ix_(axes[0][sl], *axes[1:])
         vals = w.evaluate_array(coords)
-        gnorm = np.sqrt(sum(g.evaluate_array(coords) ** 2 for g in grads))
+        band = None  # |grad w|^2, then the band, in place
+        for g in grads:
+            sq = g.evaluate_array(coords)
+            sq *= sq
+            band = sq if band is None else np.add(band, sq, out=band)
+        np.sqrt(band, out=band)
+        band *= safety * h
         absv = np.abs(vals)
         scale = max(scale, float(np.max(absv)))
-        band = np.maximum(band_rel * scale, safety * h * gnorm)
-        neg = (vals < -band) & mask
-        pos = (vals > band) & mask & ~neg  # both hold only if band_rel < 0
-        signs[sl] = pos
+        np.maximum(band, band_rel * scale, out=band)
+        # band >= 0, so a cell is signed when |w| > band, with the sign of w
+        signed = absv > band
+        signed &= mask
+        least.append(float(np.min(absv, where=signed, initial=np.inf)))
+        neg = vals < 0
+        neg &= signed
+        signed ^= neg  # the positive cells
+        signs[sl] = signed
         signs[sl] -= neg
-        least.append(float(np.min(absv, where=pos | neg, initial=np.inf)))
         window = np.concatenate([before[-1:], mask, after[:1]])
         shell.append(_shell_indices(window) + sl.start * plane)
         before, mask = mask, after

@@ -4,6 +4,16 @@ A polynomial is a dimension plus a map from multi-index to ``Fraction``.
 Zero coefficients are never stored, so structural equality of the term maps
 is polynomial identity.  All arithmetic is exact; floating-point evaluation
 is a separate code path (`evaluate_array`) used only by the numeric layers.
+
+Float evaluation sums the terms nested by axis, last axis outermost: the
+terms are grouped by their exponent of the last axis, each group by its
+exponent of the axis before, down to axis 0, and every level is summed in
+increasing exponent, with each power x_i**e computed once per call.  The
+order depends only on the terms, so a point's value is the same bits
+whether it comes alone, in a batch or on a tensor grid.  The nesting, with
+the coefficients as floats, is a plan built by the first float evaluation
+and kept on the polynomial; exact construction and arithmetic never build
+it.
 """
 
 from __future__ import annotations
@@ -44,10 +54,68 @@ def _accumulate_product(
                 out.pop(key, None)
 
 
+def _float_plan(terms: Terms, dim: int):
+    """The float evaluation plan of a term map: (level, powers).
+
+    The terms are nested by axis, last axis outermost: one group per
+    exponent of the last axis, each split into groups by its exponent of
+    the axis before, and so on down to axis 0, where a group is one
+    coefficient.  A level is a tuple of (value, factors) pairs in
+    increasing exponent; the value is a float coefficient or a level of
+    lower axes, and ``factors`` indexes the powers it is multiplied by, in
+    axis order.  A group with a single subgroup is folded into its
+    subgroup's pair (its factor appended), which multiplies in the same
+    order as the nested sum.  ``powers`` lists the (axis, exponent) pairs
+    of exponent >= 2; power index i < dim is x_i itself, index dim + j the
+    j-th listed power.
+    """
+    powers = sorted({(i, e) for a in terms for i, e in enumerate(a) if e >= 2})
+    index = {p: dim + j for j, p in enumerate(powers)}
+    index.update({(i, 1): i for i in range(dim)})
+
+    def nest(items, axis):
+        by_exp: Dict[int, list] = {}
+        for a, c in items:
+            by_exp.setdefault(a[axis], []).append((a, c))
+        level = []
+        for e, group in sorted(by_exp.items()):
+            if axis == 0:
+                value, factors = float(group[0][1]), ()
+            else:
+                sub = nest(group, axis - 1)
+                value, factors = sub[0] if len(sub) == 1 else (sub, ())
+            level.append((value, factors + (index[axis, e],) if e else factors))
+        return tuple(level)
+
+    return (nest(list(terms.items()), dim - 1) if terms else ()), tuple(powers)
+
+
+def _nested_sum(level, powers):
+    """Value of a plan level (see ``_float_plan``) on the evaluated
+    ``powers``: its pairs summed in order, each value times its factors.
+    A level of one constant gives a float; an empty one gives None."""
+    total = None
+    for value, factors in level:
+        v = value if type(value) is float else _nested_sum(value, powers)
+        for k in factors:
+            v = v * powers[k]
+        if total is None:
+            total = v
+            continue
+        try:
+            total += v  # in place when total is an array that v fits into
+        except ValueError:  # v spans an axis that total does not
+            total = total + v
+    return total
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial over the rationals."""
 
-    __slots__ = ("dim", "terms")
+    # ``_plan``, the float evaluation plan, is set by the first
+    # ``evaluate_array`` call; polynomials are immutable by convention, so
+    # it never goes stale
+    __slots__ = ("dim", "terms", "_plan")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, object] | None = None):
         if dim < 1:
@@ -267,19 +335,32 @@ class Polynomial:
 
         The arrays broadcast against each other, so a tensor grid can be
         given as the open mesh ``np.ix_(*axes)`` instead of full coordinate
-        arrays.  Each term is ``((c * x^a) * y^b) * z^c``, summed in term
-        order, so the result is bit for bit the same on either form.
+        arrays.  The sum is nested by axis (see ``_float_plan``): the terms
+        are grouped by their exponent of the last axis, each group by its
+        exponent of the axis before, and so on down to axis 0, whose groups
+        are single float coefficients.  Every level is the sum, in
+        increasing exponent e, of its groups' values times x_i**e, and each
+        power x_i**e is computed once per call.  Every point thus gets the
+        same float operations whatever the form of its coordinates, so the
+        result is bit for bit the same on an open mesh, a full mesh or a
+        batch of any size; on an open mesh only the last axis's products
+        and sums span the whole grid.  The plan is built on the first call
+        and kept on the polynomial.
         """
         if len(coords) != self.dim:
             raise ValueError("coordinate array count mismatch")
         coords = [np.asarray(c, dtype=np.float64) for c in coords]
-        out = np.zeros(np.broadcast(*coords).shape)
-        for a, c in self.terms.items():
-            term = float(c)
-            for x, e in zip(coords, a):
-                if e:
-                    term = term * x**e
-            out += term
+        try:
+            level, powers = self._plan
+        except AttributeError:
+            self._plan = level, powers = _float_plan(self.terms, self.dim)
+        total = _nested_sum(level, coords + [coords[i] ** e for i, e in powers])
+        shape = np.broadcast(*coords).shape
+        if isinstance(total, np.ndarray) and total.shape == shape:
+            return total
+        out = np.zeros(shape)  # w is constant or misses an axis
+        if total is not None:
+            out[...] = total
         return out
 
     # -- substitution ------------------------------------------------------

@@ -80,7 +80,7 @@ class Region:
         for x, c in zip(coords, self.center):
             off = x - c
             d2 = d2 + off * off
-        d = np.sqrt(d2)
+        d = np.sqrt(d2, out=d2)  # in place: one float array fewer at the peak
         if self.kind == "ball":
             return d <= self.radius
         return (d > self.inner) & (d <= self.radius)

@@ -346,6 +346,9 @@ class TestSignGrid:
         (X4[0] * X4[1] + X4[2] * X4[3],
          Region.box((-0.3, -0.5, -0.2, -0.4), (0.6, 0.5, 0.4, 0.3)), 9, 1e-10),
         (X4[0] + Polynomial.constant(4, 2), Region.ball((0, 0, 0, 0), 1.0), 10, 0.5),
+        # 16 dense terms: the rotated count of the nodal-grid benchmark
+        (rotate(PAPER_H, cayley_from_params(3, [2, Fraction(2, 5), 1])),
+         Region.ball((0.02, -0.01, 0.03), 0.45), 21, 1e-10),
     ]
 
     @pytest.mark.parametrize("w, region, resolution, band_rel", CASES)

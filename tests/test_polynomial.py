@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonic_ratios import Polynomial, harmonic_basis, rotate
+from harmonic_ratios import (
+    Polynomial,
+    TruncatedSeries,
+    catalog_get,
+    harmonic_basis,
+    rotate,
+)
 from harmonic_ratios.rotation import cayley_from_params, identity
 
 
@@ -159,6 +165,109 @@ class TestEvaluation:
         dense = p.evaluate_array(np.meshgrid(*axes, indexing="ij"))
         assert sparse.shape == dense.shape == tuple(len(a) for a in axes)
         assert np.array_equal(sparse, dense)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.tuples(
+                st.one_of(
+                    polynomials(dim=dim, max_degree=5, max_terms=12),
+                    st.just(Polynomial.zero(dim)),
+                    st.fractions(-10, 10, max_denominator=8).map(
+                        lambda c: Polynomial.constant(dim, c)
+                    ),
+                ),
+                st.lists(
+                    st.tuples(*[st.floats(-2, 2)] * dim), min_size=1, max_size=40
+                ),
+            )
+        )
+    )
+    def test_point_alone_matches_its_batch(self, case):
+        p, points = case
+        assert_batch_independent(p, np.array(points))
+
+    def test_series_point_alone_matches_its_batch(self):
+        series = catalog_get("expsin").taylor((0, 0), 12)
+        points = np.random.default_rng(5).uniform(-0.7, 0.7, size=(37, 2))
+        assert_batch_independent(series, points)
+
+
+def assert_batch_independent(p, points):
+    """Each row of ``points`` evaluated alone gives the bits it gets in the
+    batch of all rows."""
+    batch = p.evaluate_array(list(points.T))
+    assert batch.shape == (len(points),)
+    for value, point in zip(batch, points):
+        alone = p.evaluate_array([np.array([x]) for x in point])
+        assert alone.shape == (1,)
+        assert alone.tobytes() == value.tobytes(), (point, alone[0], value)
+
+
+SERIES_CENTER = (Fraction(1, 3), Fraction(-1, 2), Fraction(0))
+DERIVED = {
+    "neg": lambda p, q: -p,
+    "add": lambda p, q: p + q,
+    "mul": lambda p, q: p * q,
+    "scale": lambda p, q: p.scale(Fraction(-7, 3)),
+    "partial": lambda p, q: p.partial(1),
+    "series": lambda p, q: TruncatedSeries.from_polynomial(p, 3, SERIES_CENTER),
+    "zero": lambda p, q: p - p,
+    "constant": lambda p, q: p.scale(0) + Polynomial.constant(3, Fraction(5, 3)),
+}
+
+
+class TestPlanFreshness:
+    """A derived polynomial evaluates as a fresh one with the same terms,
+    whether or not the polynomials it came from were evaluated first."""
+
+    POINTS = list(np.random.default_rng(11).uniform(-1.5, 1.5, size=(3, 25)))
+
+    def fresh_values(self, p):
+        return Polynomial(p.dim, dict(p.terms)).evaluate_array(self.POINTS)
+
+    @pytest.mark.parametrize("evaluated_first", [False, True])
+    @pytest.mark.parametrize("derive", DERIVED.values(), ids=list(DERIVED))
+    @settings(max_examples=25)
+    @given(polynomials(dim=3, max_degree=4), polynomials(dim=3, max_degree=4))
+    def test_derived_evaluates_as_fresh(self, derive, evaluated_first, p, q):
+        if evaluated_first:
+            p.evaluate_array(self.POINTS), q.evaluate_array(self.POINTS)
+        derived = derive(p, q)
+        values = derived.evaluate_array(self.POINTS)
+        assert values.tobytes() == self.fresh_values(derived).tobytes()
+        if evaluated_first:  # the parents still evaluate as fresh ones
+            for parent in (p, q):
+                assert parent.evaluate_array(self.POINTS).tobytes() == (
+                    self.fresh_values(parent).tobytes()
+                )
+
+    @pytest.mark.parametrize("evaluated_first", [False, True])
+    def test_series_as_polynomial_shares_terms_not_plan(self, evaluated_first):
+        series = TruncatedSeries.from_polynomial(
+            catalog_get("paperH").polynomial, 2, SERIES_CENTER
+        )
+        if evaluated_first:
+            series.evaluate_array(self.POINTS)
+        poly = series.as_polynomial()
+        assert poly.terms is series.terms
+        expected = self.fresh_values(series).tobytes()
+        assert poly.evaluate_array(self.POINTS).tobytes() == expected
+        assert series.evaluate_array(self.POINTS).tobytes() == expected
+        assert poly.partial(2).evaluate_array(self.POINTS).tobytes() == (
+            self.fresh_values(series.partial(2)).tobytes()
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_and_constant(self, dim):
+        points = self.POINTS[:dim]
+        zero = Polynomial.zero(dim)
+        assert np.array_equal(zero.evaluate_array(points), np.zeros(25))
+        const = Polynomial.constant(dim, Fraction(-2, 3))
+        assert np.array_equal(const.evaluate_array(points), np.full(25, -2 / 3))
+        assert np.array_equal((const - const).evaluate_array(points), np.zeros(25))
+        assert np.array_equal(
+            (const * const).evaluate_array(points), np.full(25, float(Fraction(4, 9)))
+        )
 
 
 class TestSubstitution:
