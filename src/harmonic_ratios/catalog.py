@@ -83,22 +83,29 @@ class SharedZeroPair:
     region: Region
 
 
+def leading_expansion(entry, probe: int = 0) -> TruncatedSeries:
+    """The Taylor series at the origin of a catalog entry, or of any object
+    with its ``dimension`` and ``taylor``, through the first of the degrees
+    ``probe``, ``2 probe + 1``, ... at which a term is nonzero: so through
+    at least its vanishing order.  The entry must not vanish identically
+    (no catalog entry does)."""
+    while (s := entry.taylor((0,) * entry.dimension, probe)).leading_degree() < 0:
+        probe = 2 * probe + 1
+    return s
+
+
 def expand(u, v, n_out: int) -> Tuple[TruncatedSeries, TruncatedSeries]:
     """u and v through degree n_out + k, the inputs of a ratio series of
     degree ``n_out``, where k is v's leading degree.
 
     A parsed series (a ``TruncatedSeries``) is taken as it is.  A catalog
-    entry, or any object with its ``dimension`` and ``taylor``, is expanded
-    at the origin; for such a v, k is found by expanding v at degrees
-    ``n_out``, ``2 n_out + 1``, ... until a term is nonzero, so v must not
-    vanish identically (no catalog entry does).
+    entry is expanded at the origin; for such a v, k comes from
+    ``leading_expansion(v, n_out)``.
     """
     if isinstance(v, TruncatedSeries):
         k = max(v.leading_degree(), 0)  # a zero series fails in the division
     else:
-        probe = n_out
-        while (k := v.taylor((0,) * v.dimension, probe).leading_degree()) < 0:
-            probe = 2 * probe + 1
+        k = leading_expansion(v, n_out).leading_degree()
     return tuple(
         s if isinstance(s, TruncatedSeries) else s.taylor((0,) * s.dimension, n_out + k)
         for s in (u, v)

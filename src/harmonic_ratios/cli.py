@@ -234,10 +234,12 @@ def write_report(out_dir: str, name: str, payload: Dict) -> str:
     )
 
 
-def _emit(out_dir: str, name: str, payload: Dict, lines: Sequence[str]) -> int:
-    """Write the report, print ``lines`` and the report's path, and return
-    the exit status: 0 if the payload passed, else 1."""
-    path = write_report(out_dir, name, payload)
+def _emit(out_dir: str, payload: Dict, lines: Sequence[str]) -> int:
+    """Write the report, named after ``payload["command"]`` with its spaces
+    turned into underscores (``verify max`` writes
+    ``verify_max_report.json``), print ``lines`` and the report's path, and
+    return the exit status: 0 if the payload passed, else 1."""
+    path = write_report(out_dir, payload["command"].replace(" ", "_"), payload)
     for line in lines:
         print(line)
     ok = bool(payload.get("passed", True))
@@ -256,7 +258,7 @@ def _fail(out_dir: str, command: str, what: str, exc: Exception) -> int:
         "error": type(exc).__name__,
         "detail": str(exc),
     }
-    return _emit(out_dir, command, payload, [f"{what} failed: {exc}"])
+    return _emit(out_dir, payload, [f"{what} failed: {exc}"])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -284,12 +286,7 @@ def cmd_divide(args: argparse.Namespace) -> int:
         "quotient_degree": quotient.total_degree(),
         "quotient_terms": len(quotient.terms),
     }
-    return _emit(
-        args.out,
-        "divide",
-        payload,
-        [f"quotient ({len(quotient.terms)} terms) -> {q_path}"],
-    )
+    return _emit(args.out, payload, [f"quotient ({len(quotient.terms)} terms) -> {q_path}"])
 
 
 def cmd_series(args: argparse.Namespace) -> int:
@@ -323,12 +320,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         "max_degree": f.max_degree,
         "nonzero_coefficients": len(f.coefficients),
     }
-    return _emit(
-        args.out,
-        "series",
-        payload,
-        [f"ratio series to degree {f.max_degree} -> {s_path}"],
-    )
+    return _emit(args.out, payload, [f"ratio series to degree {f.max_degree} -> {s_path}"])
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -348,7 +340,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     }
     return _emit(
         args.out,
-        "certify",
         payload,
         [
             f"A = {cert.A}, R = ({', '.join(str(x) for x in cert.R)})",
@@ -431,20 +422,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # one circle of points, its values and rolled copies, at their peak
         # (tracemalloc): 57 bytes per sample in 2D, 131 in 3D
         _check_memory("--samples", args.samples, args.samples, (57, 131)[region.dim - 2])
-        degree = args.degree
-        try:
-            u = pair.u.taylor((0,) * pair.u.dimension, degree)
-            v = pair.v.taylor((0,) * pair.v.dimension, degree)
-        except (ValueError, ArithmeticError) as exc:
-            raise CliError(str(exc)) from exc
+        # u and v each through its vanishing order, so both leading forms
+        # are there
         report = leading_zero_inclusion(
-            u, v, samples=args.samples, tol=args.tol, seed=args.seed
+            _catalog.leading_expansion(pair.u), _catalog.leading_expansion(pair.v),
+            samples=args.samples, tol=args.tol, seed=args.seed,
         )
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown check {args.check}")
     payload = {"command": f"verify {args.check}", "passed": report.passed}
     payload.update(report.to_dict())
-    return _emit(args.out, f"verify_{args.check}", payload, [report.summary()])
+    return _emit(args.out, payload, [report.summary()])
 
 
 def cmd_nodal(args: argparse.Namespace) -> int:
@@ -462,10 +450,12 @@ def cmd_nodal(args: argparse.Namespace) -> int:
             "resolution": args.res,
             "expected": args.expect,
         }
-        return _emit(args.out, "nodal_count", payload, [str(count)])
+        return _emit(args.out, payload, [str(count)])
     if args.action == "plot":
-        # float values at the (res + 1)^dim grid nodes
-        _check_memory("--res", args.res, (args.res + 1) ** w.dim, 8)
+        # w at the (res + 1)^dim grid nodes, its sign-change products and
+        # the refined points, at their peak (tracemalloc): 18 to 26 bytes
+        # per node in 2D and 3D
+        _check_memory("--res", args.res, (args.res + 1) ** w.dim, 26)
         points, segments = zero_set_sample(w, region, args.res)
         os.makedirs(args.out, exist_ok=True)
         if w.dim == 2:
@@ -481,15 +471,12 @@ def cmd_nodal(args: argparse.Namespace) -> int:
             "segments": len(segments),
             "artifact": art,
         }
-        return _emit(
-            args.out,
-            "nodal_plot",
-            payload,
-            [f"{len(points)} zero points -> {art}"],
-        )
+        return _emit(args.out, payload, [f"{len(points)} zero points -> {art}"])
     if args.action == "critical":
-        # float values at the grid^dim seeds
-        _check_memory("--grid", args.grid, args.grid**w.dim, 8)
+        # w, |grad w| and one gradient component at the grid^dim cells, and
+        # the Gauss-Newton stacks of the seeds, at their peak (tracemalloc):
+        # 34 to 70 bytes per cell in 2D and 3D
+        _check_memory("--grid", args.grid, args.grid**w.dim, 72)
         report = critical_set_sample(
             w,
             region,
@@ -501,7 +488,6 @@ def cmd_nodal(args: argparse.Namespace) -> int:
         payload.update(report.to_dict())
         return _emit(
             args.out,
-            "nodal_critical",
             payload,
             [f"{len(report.critical_points)} critical point(s): "
              f"{report.critical_points}"],
@@ -513,16 +499,11 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "list":
         names = _catalog.catalog_names()
         payload = {"command": "catalog list", "passed": True, "names": names}
-        return _emit(args.out, "catalog_list", payload, names)
+        return _emit(args.out, payload, names)
     if args.action == "dump":
         manifest = _catalog.manifest(args.degree)
         payload = {"command": "catalog dump", "passed": True, "entries": manifest}
-        return _emit(
-            args.out,
-            "catalog_dump",
-            payload,
-            [json.dumps(manifest, indent=2, sort_keys=True)],
-        )
+        return _emit(args.out, payload, [json.dumps(manifest, indent=2, sort_keys=True)])
     raise CliError(f"unknown catalog action {args.action}")
 
 
@@ -604,9 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--min-order", type=parse_tolerance, default=1.9, help="least decay order"
-    )
-    p.add_argument(
-        "--degree", type=parse_degree, default=8, help="series degree (leading)"
     )
 
     p = sub.add_parser("nodal", help="nodal-set plots and analyses")

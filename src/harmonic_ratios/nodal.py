@@ -66,21 +66,24 @@ def _lstsq_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
+# Gauss-Newton iterations per critical-point seed
+_GN_ITERATIONS = 50
+
+
 def _gauss_newton_critical(
     w: Polynomial,
     grads: Sequence[Polynomial],
     hess: Sequence[Sequence[Polynomial]],
     seeds: np.ndarray,
-    iterations: int = 50,
 ) -> np.ndarray:
     """Refine solutions of {w = 0, grad w = 0} by least squares, one per
     row of the ``(n_seeds, dim)`` array ``seeds``.
 
     The system stacks w and its gradient ``grads``; the Jacobian rows are
-    the gradient and the Hessian ``hess``.  Each iteration evaluates them
-    once and solves the stack of all seeds still iterating in one
-    ``_lstsq_stack`` call, which gives each seed the step that
-    ``np.linalg.lstsq`` gives it alone.  Each seed stops on its own: a
+    the gradient and the Hessian ``hess``.  Each of the ``_GN_ITERATIONS``
+    iterations evaluates them once and solves the stack of all seeds still
+    iterating in one ``_lstsq_stack`` call, which gives each seed the step
+    that ``np.linalg.lstsq`` gives it alone.  Each seed stops on its own: a
     non-finite step or a point beyond norm 1e6 rejects it, a step below
     norm 1e-15 ends it.  Returns the refined points, with a NaN row for
     every rejected seed.
@@ -88,7 +91,7 @@ def _gauss_newton_critical(
     x = np.array(seeds, dtype=float).T.copy()  # one contiguous row per axis
     out = np.full(x.shape, np.nan)
     active = np.arange(x.shape[1])
-    for _ in range(iterations):
+    for _ in range(_GN_ITERATIONS):
         if not active.size:
             break
         coords = list(x[:, active])
@@ -135,8 +138,12 @@ def critical_set_sample(
     grads = w.gradient()
     hess = [[g.partial(j) for j in range(w.dim)] for g in grads]
     wv = w.evaluate_array(coords)
-    gv = np.stack([g.evaluate_array(coords) for g in grads])
-    gnorm = np.linalg.norm(gv, axis=0)
+    gnorm = None  # |grad w|^2, then |grad w|, in place
+    for g in grads:
+        sq = g.evaluate_array(coords)
+        sq *= sq
+        gnorm = sq if gnorm is None else np.add(gnorm, sq, out=gnorm)
+    np.sqrt(gnorm, out=gnorm)
     w_scale = max(float(np.max(np.abs(wv))), 1e-300)
     g_scale = max(float(np.max(gnorm)), 1e-300)
     seed_mask = (
@@ -476,15 +483,20 @@ def _bisect_edges(
 
     All edges share one evaluation per halving, and each keeps its own
     rules: at most 100 halvings, ending early at a midpoint where w is
-    exactly 0 or once its ends are less than 1e-300 apart.  Returns the
-    refined points, one column per edge.
+    exactly 0 or once its ends are less than 1e-300 apart.  An edge whose
+    midpoint rounds onto one of its ends is closed before that midpoint is
+    evaluated: the halving would leave the edge as it is (w there is w at
+    that end, of the end's sign and nonzero), and so would every later one.
+    Returns the refined points, one column per edge.
     """
     a, b, fa = a.copy(), b.copy(), fa.copy()
     live = np.arange(a.shape[1])
     for _ in range(100):
+        m = 0.5 * (a[:, live] + b[:, live])
+        moving = (m != a[:, live]).any(axis=0) & (m != b[:, live]).any(axis=0)
+        live, m = live[moving], m[:, moving]
         if not live.size:
             break
-        m = 0.5 * (a[:, live] + b[:, live])
         fm = w.evaluate_array(list(m))
         left = fa[live] * fm < 0
         b[:, live[left]] = m[:, left]
@@ -596,13 +608,16 @@ def zero_set_sample(
     return pts.T[inside].tolist(), [tuple(s) for s in segs.tolist()]
 
 
+SVG_SIZE = 640
+
+
 def write_svg(
     points: List[List[float]],
     segments: List[Tuple[int, int]],
     path: str,
-    size: int = 640,
 ) -> None:
-    """Dump 2D level-set segments as a standalone SVG file."""
+    """Dump 2D level-set segments as a standalone SVG file, ``SVG_SIZE``
+    pixels square."""
     if points:
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
@@ -615,15 +630,15 @@ def write_svg(
     pad = 0.05 * span
 
     def sx(x: float) -> float:
-        return (x - x0 + pad) / (span + 2 * pad) * size
+        return (x - x0 + pad) / (span + 2 * pad) * SVG_SIZE
 
     def sy(y: float) -> float:
-        return size - (y - y0 + pad) / (span + 2 * pad) * size
+        return SVG_SIZE - (y - y0 + pad) / (span + 2 * pad) * SVG_SIZE
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     for a, b in segments:
         pa, pb = points[a], points[b]

@@ -33,6 +33,11 @@ Func = Callable[..., np.ndarray]
 # the ratio series is trusted this far from its center (a fixed radius until
 # it comes from the certified polydisc of a BoundCertificate)
 TRUST_RADIUS = 0.25
+# the ratio evaluator's guard band: |v| below this fraction of the largest
+# |v| of a batch
+GUARD = 1e-9
+# the degree of the ratio series of RatioEvaluator.for_pair
+SERIES_DEGREE = 12
 # elliptic residual samples, with their whole stencils, keep |v| at least
 # this fraction of its scale over the region
 RESIDUAL_GUARD = 1e-3
@@ -56,7 +61,7 @@ class ResidualVanishes(ArithmeticError):
 class RatioEvaluator:
     """Evaluate f = u/v with a series fallback near zeros of v.
 
-    Inside the guard band (|v| below ``guard`` times the largest |v| of the
+    Inside the guard band (|v| below ``GUARD`` times the largest |v| of the
     batch) the direct quotient is noise; there the ratio series centered at a
     common zero is used instead, within ``TRUST_RADIUS`` of its center, and
     all such points are evaluated as one array.  Points that are in the band
@@ -69,7 +74,6 @@ class RatioEvaluator:
 
     u: Func
     v: Func
-    guard: float = 1e-9
     ratio_series: Optional[TruncatedSeries] = None
     # for_pair's pending series build; run at most once, then dropped
     _build: Optional[Callable[[], Optional[TruncatedSeries]]] = field(
@@ -77,12 +81,12 @@ class RatioEvaluator:
     )
 
     @staticmethod
-    def for_pair(pair, series_degree: int = 12) -> "RatioEvaluator":
-        """Build from a SharedZeroPair, with a ratio series at the origin
-        whenever both members expose exact Taylor data; the series is
-        computed on first need."""
+    def for_pair(pair) -> "RatioEvaluator":
+        """Build from a SharedZeroPair, with a ratio series of degree
+        ``SERIES_DEGREE`` at the origin whenever both members expose exact
+        Taylor data; the series is computed on first need."""
         evaluator = RatioEvaluator(u=pair.u, v=pair.v)
-        evaluator._build = lambda: _pair_series(pair, series_degree)
+        evaluator._build = lambda: _pair_series(pair)
         return evaluator
 
     def _series(self) -> Optional[TruncatedSeries]:
@@ -113,7 +117,7 @@ class RatioEvaluator:
             uv, vv = np.broadcast_to(uv, shape), np.broadcast_to(vv, shape)
         absv = np.abs(vv)
         scale = max(float(absv.max(initial=0.0, where=where)), 1e-300)
-        safe = absv >= self.guard * scale
+        safe = absv >= GUARD * scale
         del absv  # one float array fewer at the peak
         near = ~safe & where
         safe &= where
@@ -133,11 +137,11 @@ class RatioEvaluator:
         return out, valid
 
 
-def _pair_series(pair, series_degree: int) -> Optional[TruncatedSeries]:
+def _pair_series(pair) -> Optional[TruncatedSeries]:
     """The ratio series of a SharedZeroPair at the origin, or None when a
     member has no exact Taylor data or the series division fails."""
     try:
-        return series_ratio(*expand(pair.u, pair.v, series_degree), series_degree).quotient
+        return series_ratio(*expand(pair.u, pair.v, SERIES_DEGREE), SERIES_DEGREE).quotient
     except (ValueError, ArithmeticError, DivisionError):
         return None
 
@@ -282,22 +286,22 @@ def sphere_orthogonality(
     )
 
 
-def _divergence_form_residual(
-    evaluator: RatioEvaluator, v: Func, pts: np.ndarray, h: float
-) -> np.ndarray:
-    """Conservative central-difference estimate of div(v^2 grad f) at pts."""
+def _divergence_form_residual(u: Func, v: Func, pts: np.ndarray, h: float) -> np.ndarray:
+    """Conservative central-difference estimate of div(v^2 grad f) at pts,
+    with f = u/v taken directly: every stencil node keeps |v| clear of the
+    zero set (``_stencil_samples``)."""
     dim = pts.shape[1]
     res = np.zeros(len(pts))
 
+    def columns(shift: np.ndarray) -> list:
+        return [(pts + shift)[:, i] for i in range(dim)]
+
     def f_at(shift: np.ndarray) -> np.ndarray:
-        vals, ok = evaluator(pts + shift)
-        if not np.all(ok):
-            raise DegenerateRegion("stencil point fell in an unevaluable zone")
-        return vals
+        coords = columns(shift)
+        return u(*coords) / v(*coords)
 
     def w_at(shift: np.ndarray) -> np.ndarray:
-        coords = [(pts + shift)[:, i] for i in range(dim)]
-        return v(*coords) ** 2
+        return v(*columns(shift)) ** 2
 
     f0 = f_at(np.zeros(dim))
     for i in range(dim):
@@ -350,10 +354,9 @@ def residual_convergence(
     """Halve h repeatedly and fit the decay order of the residual."""
     hs = [h0 * 0.5**j for j in range(halvings + 1)]
     pts = _stencil_samples(v, region, hs, samples, seed)
-    evaluator = RatioEvaluator(u=u, v=v, guard=0.0)
     residuals = []
     for h in hs:
-        res = _divergence_form_residual(evaluator, v, pts, h)
+        res = _divergence_form_residual(u, v, pts, h)
         residuals.append(float(np.max(np.abs(res))))
         if residuals[-1] == 0.0:
             raise ResidualVanishes(
@@ -388,8 +391,13 @@ def leading_zero_inclusion(
     points where v_k is exactly 0, and the chords between neighbouring
     samples where v_k changes sign, bisected all together and projected onto
     the sphere (v_k is homogeneous, so the projection keeps its zeros).
-    Then |u_k| is required to be below tol relative to its scale.
+    Then |u_k| is required to be below tol relative to its scale.  A zero
+    series has no leading part, so a zero u or v raises ``ValueError``: a
+    truncation below the vanishing order would otherwise pass having
+    checked nothing.
     """
+    if u.is_zero() or v.is_zero():
+        raise ValueError("a zero series has no leading part to compare")
     u_lead = u.homogeneous_part(u.leading_degree())
     v_lead = v.homogeneous_part(v.leading_degree())
     dim = u.dim

@@ -161,6 +161,13 @@ class TestVerify:
                    "--samples", "0") == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_leading_forms_reach_the_vanishing_order(self, tmp_path):
+        # Re(x+iy)^9 vanishes through degree 8: truncated there, every
+        # sample point counted as a zero of a zero leading form
+        assert run(tmp_path, "verify", "leading", "--pair", "rezk:9,rezk:9") == 0
+        report = json.loads((tmp_path / "verify_leading_report.json").read_text())
+        assert report["passed"] and report["extremes"]["zeros_found"] == 18
+
     def test_ortho(self, tmp_path):
         q = write_poly(tmp_path / "q.poly", X**3 - 3 * X * Y**2)
         assert run(tmp_path, "verify", "ortho", "--q", q, "--q2", "1",
@@ -217,6 +224,8 @@ class TestInputValidation:
         ("series", "--pair", "expsin,coshsin", "--degree", "-1"),
         ("series", "--pair", "expsin,coshsin", "--degree", "2.5"),
         ("verify", "leading", "--pair", "expsin,coshsin", "--degree", "-1"),
+        # the leading forms follow from the pair; there is no degree flag
+        ("verify", "leading", "--pair", "expsin,coshsin", "--degree", "8"),
         ("catalog", "dump", "--degree", "-1"),
         # the input truncation follows from the divisor; there is no margin flag
         ("series", "--numerator", "expsin", "--denominator", "coshsin", "--degree", "5",
@@ -472,13 +481,31 @@ class TestExitTwoInputs:
         # about 10**18 grid points: no machine has that much memory
         points, size = {
             "count": (10**18, 1),  # sign grid cells, one byte each
-            "plot": ((10**6 + 1) ** 3, 8),  # float64 values at the grid nodes
-            "critical": (10**18, 8),  # float64 values at the seeds
+            "plot": ((10**6 + 1) ** 3, 26),  # bytes per grid node at the peak
+            "critical": (10**18, 72),  # bytes per grid cell at the peak
         }[args[0]]
         assert run(tmp_path, "nodal", *args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "internal error" not in err
         assert f"{points} points" in err and f"{points * size} bytes" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args, points, size", [
+        (("critical", "--grid", "200"), 200**3, 72),
+        (("plot", "--res", "200"), 201**3, 26),
+    ])
+    def test_peak_beyond_physical_memory_exits_two(
+        self, tmp_path, capsys, monkeypatch, args, points, size
+    ):
+        import harmonic_ratios.cli as cli
+
+        # 8 bytes per cell or node fit in 64 MiB; the peak does not
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**26)
+        assert points * 8 <= 2**26 < points * size
+        assert run(tmp_path, "nodal", args[0], "--fn", "paperH",
+                   "--ball", "0,0,0:0.5", *args[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{points * size} bytes" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args, flag, points, size", [

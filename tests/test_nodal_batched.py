@@ -304,3 +304,58 @@ class TestBatchedBisection:
         for k in range(a.shape[1]):
             alone = _bisect_edges(w, a[:, k:k + 1], b[:, k:k + 1], fa[k:k + 1])
             assert alone[:, 0].tobytes() == batch[:, k].tobytes()
+
+
+def bisect_edges_to_the_cap(w, a, b, fa):
+    """``_bisect_edges`` before it closed stalled edges: an edge whose
+    midpoint rounds onto one of its ends keeps being evaluated until the
+    100th halving."""
+    a, b, fa = a.copy(), b.copy(), fa.copy()
+    live = np.arange(a.shape[1])
+    for _ in range(100):
+        if not live.size:
+            break
+        m = 0.5 * (a[:, live] + b[:, live])
+        fm = w.evaluate_array(list(m))
+        left = fa[live] * fm < 0
+        b[:, live[left]] = m[:, left]
+        a[:, live[~left]] = m[:, ~left]
+        fa[live[~left]] = fm[~left]
+        hit = fm == 0.0
+        b[:, live[hit]] = m[:, hit]
+        width = np.linalg.norm(b[:, live] - a[:, live], axis=0)
+        live = live[~(width < 1e-300)]
+    return 0.5 * (a + b)
+
+
+class TestStalledEdges:
+    @pytest.mark.parametrize("w, region, resolution, stalls", [
+        (catalog_get("rezk:5").polynomial, Region.ball((0, 0), 1.0), 64, True),
+        (catalog_get("imzk:5").polynomial, Region.ball((0.07, -0.03), 1.0), 128, True),
+        # bisection ends on y = +-x exactly, where x^2 - y^2 is exactly 0
+        (catalog_get("saddle2d").polynomial, Region.ball((0.07, -0.03), 1.0), 100,
+         False),
+        (PAPER_H, Region.ball((0, 0, 0), 0.5), 24, True),
+    ])
+    def test_same_points_from_fewer_evaluations(
+        self, monkeypatch, w, region, resolution, stalls
+    ):
+        import harmonic_ratios.nodal as nodal
+
+        evaluated = []
+        real = Polynomial.evaluate_array
+
+        def counting(self, coords):
+            out = real(self, coords)
+            evaluated.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(Polynomial, "evaluate_array", counting)
+        points, segments = zero_set_sample(w, region, resolution)
+        fewer = sum(evaluated)
+        evaluated.clear()
+        monkeypatch.setattr(nodal, "_bisect_edges", bisect_edges_to_the_cap)
+        ref_points, ref_segments = zero_set_sample(w, region, resolution)
+        assert np.array(points).tobytes() == np.array(ref_points).tobytes()
+        assert segments == ref_segments
+        assert fewer <= sum(evaluated) and (fewer < sum(evaluated)) == stalls

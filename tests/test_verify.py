@@ -414,6 +414,14 @@ class TestLeadingZeroInclusion:
         assert report.passed
         assert report.extremes["zeros_found"] == 4
 
+    def test_zero_series_has_no_leading_part(self):
+        # Re(x+iy)^9 truncated at degree 8 is the zero series
+        v = catalog_get("rezk:9").taylor((0, 0), 8)
+        assert v.is_zero()
+        for args in ((v, v), (PAIR.u.taylor((0, 0), 6), v), (v, PAIR.v.taylor((0, 0), 6))):
+            with pytest.raises(ValueError):
+                leading_zero_inclusion(*args, samples=512)
+
     def test_3d_shared_zero_pair_passes(self):
         pair = shared_pair("paperH", "paperH")
         u = pair.u.taylor((0, 0, 0), 8)
