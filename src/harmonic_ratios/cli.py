@@ -30,6 +30,8 @@ from .certificates import (
 )
 from .division import DivisionError, divide_by_harmonic, series_ratio
 from .nodal import (
+    SeedsBeyondMemory,
+    _physical_memory,
     critical_set_sample,
     nodal_domain_count,
     write_points_csv,
@@ -196,15 +198,6 @@ def _pair(args: argparse.Namespace) -> _catalog.SharedZeroPair:
         return _catalog.shared_pair(u_name.strip(), v_name.strip())
     except (_catalog.UnknownEntry, ValueError) as exc:
         raise CliError(str(exc)) from exc
-
-
-def _physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
-    try:
-        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        return None
-    return pages * size if pages > 0 and size > 0 else None
 
 
 def _check_memory(flag: str, value: int, points: int, size: int) -> None:
@@ -475,15 +468,19 @@ def cmd_nodal(args: argparse.Namespace) -> int:
     if args.action == "critical":
         # w, |grad w| and one gradient component at the grid^dim cells, and
         # the Gauss-Newton stacks of the seeds, at their peak (tracemalloc):
-        # 34 to 70 bytes per cell in 2D and 3D
+        # 34 to 70 bytes per cell in 2D and 3D where few cells are seeds;
+        # critical_set_sample refuses a seed stack beyond memory itself
         _check_memory("--grid", args.grid, args.grid**w.dim, 72)
-        report = critical_set_sample(
-            w,
-            region,
-            grid=args.grid,
-            tol_value=args.tol,
-            tol_gradient=args.tol,
-        )
+        try:
+            report = critical_set_sample(
+                w,
+                region,
+                grid=args.grid,
+                tol_value=args.tol,
+                tol_gradient=args.tol,
+            )
+        except SeedsBeyondMemory as exc:
+            raise CliError(f"--grid {args.grid} finds {exc}") from exc
         payload = {"command": "nodal critical", "passed": True}
         payload.update(report.to_dict())
         return _emit(

@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, Tuple, Union
 
 from . import multiindex as mi
 from .multiindex import MultiIndex
-from .polynomial import Polynomial, _accumulate_product
+from .polynomial import Polynomial, _Packing, _accumulate_product, _numerators
 from .rotation import RationalOrthogonalMatrix, identity, reflection_to
 from .series import TruncatedSeries
 
@@ -77,11 +77,6 @@ class DivisionOutcome:
     residual_verified: bool
 
 
-def _descending(alpha: MultiIndex) -> Tuple[int, Tuple[int, ...]]:
-    """Heap key that pops the largest monomial under ``mi.graded_key`` first."""
-    return (-sum(alpha), tuple(-a for a in reversed(alpha)))
-
-
 def _divide_form(
     target: Dict[MultiIndex, Fraction], divisor: Polynomial
 ) -> Dict[MultiIndex, Fraction]:
@@ -92,33 +87,70 @@ def _divide_form(
     lt(divisor) does not divide is set aside: on return ``target`` holds
     exactly those terms, the remainder.  Reducing a term changes only
     smaller monomials, so a term is final once it is popped.
+
+    The reduction is fraction-free.  The divisor's coefficients are cleared
+    to integers l_beta over one denominator E, with l the leading one, and
+    the target's to numerators over one denominator D.  A pending term is a
+    numerator n and a power g, worth n / (D * l**g); reducing it gives the
+    quotient term n * E / (D * l**(g+1)) and subtracts n * l_beta at power
+    g + 1 from the term at alpha - lead + beta, after bringing the two to
+    the larger power.  So the loop multiplies and adds integers only, and
+    each output term becomes one ``Fraction`` at the end.  Monomials are
+    packed keys (``_Packing``), whose order is the graded-then-prec order.
     """
+    if not target:
+        return {}
     lead, c_lead = divisor.leading_term()
-    # the other terms of the divisor, as exponent offsets from its leading one
+    # every term keeps its degree or drops below it, so no coordinate
+    # exceeds the larger of the two degrees
+    pk = _Packing(divisor.dim, max(max(map(sum, target)), sum(lead)))
+    pack, unpack = pk.pack, pk.unpack
+    lead_key = pack(lead)
+    l_nums, e = _numerators(divisor.terms)
+    ell = c_lead.numerator * (e // c_lead.denominator)
+    # the other terms of the divisor, as key offsets from its leading one
     tail = [
-        (tuple(b - a for a, b in zip(lead, beta)), c)
-        for beta, c in divisor.terms.items()
+        (pack(beta) - lead_key, l)
+        for beta, l in zip(divisor.terms, l_nums)
         if beta != lead
     ]
-    quotient: Dict[MultiIndex, Fraction] = {}
-    heap = [(_descending(alpha), alpha) for alpha in target]
+    t_nums, d = _numerators(target)
+    pending = {pack(alpha): (n, 0) for alpha, n in zip(target, t_nums)}
+    powers = [1]  # powers[g] = l**g
+    quotient: Dict[int, Tuple[int, int]] = {}
+    heap = [-key for key in pending]  # largest key pops first
     heapq.heapify(heap)
     while heap:
-        _, alpha = heapq.heappop(heap)
-        if alpha not in target or not mi.leq_componentwise(lead, alpha):
+        key = -heapq.heappop(heap)
+        if key not in pending or not pk.divides(lead_key, key):
             continue
-        q = target.pop(alpha) / c_lead
-        quotient[mi.sub(alpha, lead)] = q
-        for offset, c in tail:
-            gamma = mi.add(alpha, offset)
-            if gamma not in target:
-                heapq.heappush(heap, (_descending(gamma), gamma))
-            s = target.get(gamma, 0) - q * c
+        n, g = pending.pop(key)
+        g += 1
+        if g == len(powers):
+            powers.append(powers[-1] * ell)
+        quotient[key - lead_key] = (n, g)
+        for offset, l in tail:
+            gamma = key + offset
+            old = pending.get(gamma)
+            if old is None:
+                heapq.heappush(heap, -gamma)
+                pending[gamma] = (-n * l, g)
+                continue
+            m, h = old
+            if h < g:
+                m, h = m * powers[g - h], g
+            s = m - n * l * powers[h - g]
             if s:
-                target[gamma] = s
+                pending[gamma] = (s, h)
             else:
-                del target[gamma]
-    return quotient
+                del pending[gamma]
+    target.clear()
+    for key, (m, h) in pending.items():
+        target[unpack(key)] = Fraction(m, d * powers[h])
+    return {
+        unpack(key): Fraction(n * e, d * powers[g])
+        for key, (n, g) in quotient.items()
+    }
 
 
 def divide_by_harmonic(p: Polynomial, q: Polynomial) -> DivisionOutcome:
@@ -133,7 +165,7 @@ def divide_by_harmonic(p: Polynomial, q: Polynomial) -> DivisionOutcome:
         raise NotHarmonic("divisor must be harmonic")
 
     remainder = dict(p.terms)
-    quotient = Polynomial(p.dim, _divide_form(remainder, q))
+    quotient = Polynomial._trusted(p.dim, _divide_form(remainder, q))
     if remainder:
         lt_r = max(remainder, key=mi.graded_key)
         raise NotDivisible(
@@ -236,7 +268,7 @@ def series_ratio(
         f_d = _divide_form(target, leading)
         f_forms.append(f_d)
         f_coeffs.update(f_d)
-    f = TruncatedSeries(u.dim, u.center, n_out, f_coeffs)
+    f = TruncatedSeries._trusted(u.dim, f_coeffs, center=u.center, max_degree=n_out)
 
     # full residual validation through degree n_out + k: an independent
     # multiplication u - v * f, not the remainders of the divisions above

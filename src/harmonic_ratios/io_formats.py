@@ -84,6 +84,13 @@ def _header_int(line: str) -> int:
         raise FormatError(f"bad header {line!r}") from exc
 
 
+def _header_dim(line: str) -> int:
+    dim = _header_int(line)
+    if dim < 1:
+        raise FormatError("dimension must be >= 1")
+    return dim
+
+
 def _parse_terms(lines: List[str], dim: int) -> Dict[MultiIndex, Fraction]:
     terms: Dict[MultiIndex, Fraction] = {}
     for line in lines:
@@ -98,12 +105,8 @@ def parse_polynomial(text: str) -> Polynomial:
     lines = _meaningful_lines(text)
     if not lines or not lines[0].startswith("dim "):
         raise FormatError("polynomial file must start with a 'dim n' header")
-    dim = _header_int(lines[0])
-    terms = _parse_terms(lines[1:], dim)
-    try:
-        return Polynomial(dim, terms)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    dim = _header_dim(lines[0])
+    return Polynomial._trusted(dim, _parse_terms(lines[1:], dim))
 
 
 def format_series(s: TruncatedSeries, comment: str = "") -> str:
@@ -117,7 +120,7 @@ def parse_series(text: str) -> TruncatedSeries:
         raise FormatError("series file needs dim, center, and maxdeg headers")
     if not lines[0].startswith("dim "):
         raise FormatError("series file must start with a 'dim n' header")
-    dim = _header_int(lines[0])
+    dim = _header_dim(lines[0])
     if not lines[1].startswith("center"):
         raise FormatError("second header must be 'center ...'")
     center = tuple(_parse_fraction(t) for t in lines[1].split()[1:])
@@ -126,11 +129,13 @@ def parse_series(text: str) -> TruncatedSeries:
     if not lines[2].startswith("maxdeg"):
         raise FormatError("third header must be 'maxdeg N'")
     max_degree = _header_int(lines[2])
+    if max_degree < 0:
+        raise FormatError("truncation degree must be >= 0")
     coeffs = _parse_terms(lines[3:], dim)
-    try:
-        return TruncatedSeries(dim, center, max_degree, coeffs)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    for alpha in coeffs:  # a zero coefficient is still out of range
+        if sum(alpha) > max_degree:
+            raise FormatError(f"index {alpha} exceeds truncation degree {max_degree}")
+    return TruncatedSeries._trusted(dim, coeffs, center=center, max_degree=max_degree)
 
 
 def format_certificate(cert: BoundCertificate) -> str:

@@ -31,27 +31,106 @@ Rational = Fraction
 Terms = Dict[MultiIndex, Fraction]
 
 
+class _Packing:
+    """Multi-indices of one dimension packed into one int each.
+
+    The key of a = (a_0, ..., a_(n-1)) is
+
+        sum_i a_i * B**i  +  |a| * B**n,    B = 2**bits,
+
+    with bits one more than the bit length of ``top``, a bound on every
+    coordinate the keys hold.  Adding keys adds exponents and degrees, and
+    the keys compare in graded-then-prec order (degree, then the last
+    coordinate first).  The top bit of each coordinate field is a guard: it
+    is 0 in every key, so that ``divides`` can test all fields at once.
+    """
+
+    __slots__ = ("bits", "shifts", "field", "degree_shift", "guards")
+
+    def __init__(self, dim: int, top: int):
+        self.bits = bits = int(top).bit_length() + 1
+        self.degree_shift = width = bits * dim
+        self.shifts = range(0, width, bits)
+        self.field = field = (1 << bits) - 1
+        # the field pattern 0...01 repeated, times the top bit of a field
+        self.guards = ((1 << width) - 1) // field << (bits - 1)
+
+    def pack(self, alpha: MultiIndex) -> int:
+        key, bits = sum(alpha), self.bits
+        for e in reversed(alpha):
+            key = key << bits | e
+        return key
+
+    def unpack(self, key: int) -> MultiIndex:
+        field = self.field
+        return tuple([key >> s & field for s in self.shifts])
+
+    def divides(self, lead: int, key: int) -> bool:
+        """Whether the monomial of ``lead`` divides that of ``key``: the
+        guards survive the fieldwise subtraction exactly when no field
+        borrows."""
+        guards = self.guards
+        return (key | guards) - lead & guards == guards
+
+
+def _numerators(terms: Terms) -> Tuple[List[int], int]:
+    """The coefficients of ``terms`` as integer numerators over their least
+    common denominator, and that denominator."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return [c.numerator * (den // c.denominator) for c in terms.values()], den
+
+
 def _accumulate_product(
     out: Terms, p: Terms, q: Terms, sign: int = 1, max_degree: float = math.inf
 ) -> None:
     """out += sign * p * q in place, for term maps p and q.
 
     Only products of total degree <= ``max_degree`` are kept, and a sum
-    that cancels is dropped.  New monomials go in in the order of the plain
-    nested loop over p, then q.
+    that cancels is dropped.  The products are summed in Python ints: the
+    monomials as packed keys (``_Packing``), each side's coefficients as
+    numerators over that side's common denominator.  Then every monomial
+    the product touched is merged into ``out`` with one ``Fraction``.
+    New monomials go in in the order of the plain nested loop over p, then
+    q; one whose running sum cancels goes in again where it reappears.  The
+    terms that ``out`` already has keep their places unless the product
+    cancels them.
     """
-    q_items = [(b, cb, sum(b)) for b, cb in q.items()]
-    for a, ca in p.items():
-        room, ca = max_degree - sum(a), sign * ca
-        for b, cb, db in q_items:
-            if db > room:
+    if not p or not q:
+        return
+    top = max(map(max, p)) + max(map(max, q))
+    dim = len(next(iter(p)))
+    pk = _Packing(dim, top)
+    pack = pk.pack
+    p_nums, dp = _numerators(p)
+    q_nums, dq = _numerators(q)
+    p_items = [(pack(a), sign * n) for a, n in zip(p, p_nums)]
+    q_items = list(zip(map(pack, q), q_nums))
+    # the keys of degree > max_degree reach the limit; no product has a
+    # degree above dim * top
+    limit = int(min(max_degree, dim * top) + 1) << pk.degree_shift
+    acc: Dict[int, int] = {}
+    for ka, na in p_items:
+        for kb, nb in q_items:
+            key = ka + kb
+            if key >= limit:
                 continue
-            key = mi.add(a, b)
-            s = out.get(key, 0) + ca * cb
+            s = acc.get(key, 0) + na * nb
             if s:
-                out[key] = s
+                acc[key] = s
             else:
-                out.pop(key, None)
+                del acc[key]
+    den, unpack = dp * dq, pk.unpack
+    for key, n in acc.items():
+        alpha = unpack(key)
+        c = out.get(alpha)
+        if c is None:
+            out[alpha] = Fraction(n, den)
+            continue
+        n = c.numerator * den + n * c.denominator
+        if n:
+            out[alpha] = Fraction(n, c.denominator * den)
+        else:
+            del out[alpha]
 
 
 def _float_plan(terms: Terms, dim: int):
@@ -131,6 +210,21 @@ class Polynomial:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: Terms, **slots) -> "Polynomial":
+        """An instance of ``cls`` from terms its caller has checked.
+
+        ``dim`` is >= 1, every exponent tuple is a tuple of ``dim``
+        non-negative ints and every coefficient a ``Fraction``; zero
+        coefficients are dropped.  ``slots`` sets a subclass's other slots,
+        such as a series' center and truncation degree, as given.
+        """
+        p = cls.__new__(cls)
+        p.dim, p.terms = dim, {a: c for a, c in terms.items() if c}
+        for name, value in slots.items():
+            setattr(p, name, value)
+        return p
 
     @staticmethod
     def zero(dim: int) -> "Polynomial":
@@ -213,30 +307,18 @@ class Polynomial:
         self._check_dim(other)
         out = dict(self.terms)
         for a, c in other.terms.items():
-            s = out.get(a, Fraction(0)) + c
-            if s:
-                out[a] = s
-            else:
-                out.pop(a, None)
-        p = Polynomial.__new__(Polynomial)
-        p.dim, p.terms = self.dim, out
-        return p
+            out[a] = out.get(a, 0) + c
+        return Polynomial._trusted(self.dim, out)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.dim = self.dim
-        p.terms = {a: -c for a, c in self.terms.items()}
-        return p
+        return Polynomial._trusted(self.dim, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        p = Polynomial.__new__(Polynomial)
-        p.dim = self.dim
-        p.terms = {} if c == 0 else {a: c * v for a, v in self.terms.items()}
-        return p
+        return Polynomial._trusted(self.dim, {a: c * v for a, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -244,9 +326,7 @@ class Polynomial:
         self._check_dim(other)
         out: Terms = {}
         _accumulate_product(out, self.terms, other.terms)
-        p = Polynomial.__new__(Polynomial)
-        p.dim, p.terms = self.dim, out
-        return p
+        return Polynomial._trusted(self.dim, out)
 
     __rmul__ = __mul__
 
@@ -273,9 +353,7 @@ class Polynomial:
             b = list(a)
             b[idx] -= 1
             out[tuple(b)] = c * a[idx]
-        p = Polynomial.__new__(Polynomial)
-        p.dim, p.terms = self.dim, out
-        return p
+        return Polynomial._trusted(self.dim, out)
 
     def gradient(self) -> List["Polynomial"]:
         return [self.partial(i) for i in range(self.dim)]

@@ -508,6 +508,25 @@ class TestExitTwoInputs:
         assert err.startswith("error: ") and f"{points * size} bytes" in err
         assert not list(tmp_path.iterdir())
 
+    def test_seeds_beyond_physical_memory_exit_two(self, tmp_path, capsys, monkeypatch):
+        import harmonic_ratios.cli as cli
+        import harmonic_ratios.nodal as nodal
+
+        # rezk:12 vanishes to order 12 at the origin, so 64052 of the 90000
+        # cells at grid 300 seed a Gauss-Newton refinement of 330 bytes each:
+        # the cells fit in 8 MiB at 72 bytes each, the seeds do not
+        cells, seeds, size = 300**2, 64052, 330
+        memory = 2**23
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        monkeypatch.setattr(nodal, "_physical_memory", lambda: memory)
+        assert cells * 72 <= memory < seeds * size
+        assert run(tmp_path, "nodal", "critical", "--fn", "rezk:12",
+                   "--ball", "0,0:1", "--grid", "300") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --grid 300 finds {seeds} seeds of {size} byte(s)")
+        assert f"{seeds * size} bytes" in err and "internal error" not in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("args, flag, points, size", [
         (("harnack", "--pair", "expsin,coshsin", "--samples", "1e9"),
          "--samples 1000000000", 31623**2, 27),

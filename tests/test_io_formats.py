@@ -92,6 +92,15 @@ class TestSeriesFormat:
         with pytest.raises(FormatError):
             parse_series(bad)
 
+    def test_zero_terms_are_dropped_but_still_range_checked(self):
+        text = "dim 2\ncenter 0 1/2\nmaxdeg 2\n0 : 1 1\n-3/4 : 0 1\n"
+        s = parse_series(text)
+        assert s == TruncatedSeries(2, (0, Fraction(1, 2)), 2, {(0, 1): Fraction(-3, 4)})
+        assert list(s.terms) == [(0, 1)]
+        assert parse_polynomial("dim 2\n0 : 1 1\n1 : 0 0\n").terms == {(0, 0): 1}
+        with pytest.raises(FormatError, match="exceeds truncation degree 1"):
+            parse_series("dim 2\ncenter 0 0\nmaxdeg 1\n0 : 1 1\n")
+
     def test_byte_identical_reserialization(self):
         s = TruncatedSeries(2, (0, Fraction(1, 2)), 3, {(1, 2): Fraction(-3, 4)})
         text = format_series(s)
