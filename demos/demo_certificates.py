@@ -4,8 +4,9 @@ From measured growth of the input coefficients (|u_alpha|, |v_alpha| bounded
 by a r^|alpha|, pivot coefficient c, vanishing order k) the construction
 produces A and radii R with |f_beta| <= A R^beta, which pins down a polydisc
 of guaranteed convergence for the ratio series.  The verifier then re-checks
-the inequality index by index in exact arithmetic; it shares no algebra with
-the construction.
+the inequality for every index in exact arithmetic, one index per class of
+indices that differ by a permutation of equal radii; it shares no algebra
+with the construction.
 """
 
 from harmonic_ratios import (

@@ -23,6 +23,15 @@ it does not reuse the geometric shortcut.  It clears every denominator once,
 so each slack is one integer, and it sweeps beta depth-first: the sum over
 gamma factors by coordinate, and each coordinate prefix's truncated product
 is folded once for all the indices beta that share it.
+
+The sweep visits one index per class of indices that the inequality cannot
+tell apart.  Coordinates with equal radius and equal shift (axis 0 carries
+the extra k, every other axis none) form a group, read from the certificate
+itself; swapping two values within a group leaves R^beta, |beta| and the box
+gamma <= beta+kt the same up to that swap, so every term of the inequality
+is unchanged.  The construction gives R2 = ... = Rn, so there a slack
+depends only on beta_1 and the multiset of the tail; a certificate with
+distinct radii has one-coordinate groups and sweeps every index.
 """
 
 from __future__ import annotations
@@ -129,11 +138,34 @@ def _add_shifted(S: List[int], P: List[int], c: int, shift: int) -> None:
     S[shift:] = [s + c * p for s, p in zip(S[shift:], P)]
 
 
+def _class_links(R_i: List[int], k: int) -> List[Tuple[int, int]]:
+    """For each coordinate, the previous coordinate of its group (equal
+    radius, equal shift) or -1, and its 1-based rank within the group."""
+    last: dict = {}
+    links: List[Tuple[int, int]] = []
+    for i, Ri in enumerate(R_i):
+        key = (Ri, k if i == 0 else 0)
+        j = last.get(key, -1)
+        links.append((j, links[j][1] + 1 if j >= 0 else 1))
+        last[key] = i
+    return links
+
+
 def _star_products(
-    R_pows: List[List[int]], k: int, prefix: mi.MultiIndex, P: List[int], R_prefix: int
-) -> Iterator[Tuple[mi.MultiIndex, int, List[int]]]:
-    """Yield (beta, (d*R)^beta, S) for every beta that extends ``prefix``
-    with |beta| <= len(P) - 1, depth-first.
+    R_pows: List[List[int]], k: int, links: List[Tuple[int, int]],
+    prefix: mi.MultiIndex, runs: Tuple[int, ...], count: int,
+    P: List[int], R_prefix: int,
+) -> Iterator[Tuple[mi.MultiIndex, int, int, List[int]]]:
+    """Yield (beta, count, (d*R)^beta, S) for every class representative
+    beta that extends ``prefix`` with |beta| <= len(P) - 1, depth-first.
+
+    A representative's values do not increase along each group of
+    ``links`` (see ``_class_links``); count is the number of indices in its
+    class, the product over the groups of (group size)! / prod (number of
+    coordinates holding each value)!.  It is kept along the descent: the
+    coordinate of rank q in its group that continues a run of rho equal
+    values multiplies it by q / rho.  ``runs`` holds each prefix
+    coordinate's run length.
 
     P is the product over the prefix's coordinates of sum_{e <= bound_i}
     (d*R_i)^e z^e, truncated at len(P) - 1 (bound_0 carries the extra k).
@@ -142,23 +174,30 @@ def _star_products(
     """
     i, N = len(prefix), len(P) - 1
     pows = R_pows[i]
+    j, rank = links[i]
     lo = k if i == 0 else 0
+    top = N - sum(prefix) if j < 0 else min(N - sum(prefix), prefix[j])
     S = list(P)
     for e in range(1, lo + 1):
         _add_shifted(S, P, pows[e], e)
-    for b in range(N - sum(prefix) + 1):
+    for b in range(top + 1):
         if b:
             # bound b + lo - 1 -> b + lo adds one shifted multiple of P
             _add_shifted(S, P, pows[b + lo], b + lo)
+        run = runs[j] + 1 if j >= 0 and b == prefix[j] else 1
         beta, R_beta = prefix + (b,), R_prefix * pows[b]
+        # an integer: the class counts of a prefix are multinomials
+        beta_count = count * rank // run
         if i == len(R_pows) - 1:
-            yield beta, R_beta, S
+            yield beta, beta_count, R_beta, S
         else:
-            yield from _star_products(R_pows, k, beta, S, R_beta)
+            yield from _star_products(
+                R_pows, k, links, beta, runs + (run,), beta_count, S, R_beta
+            )
 
 
 def verify_certificate(cert: BoundCertificate, n_check: int) -> VerificationReport:
-    """Exhaustively check the per-index inequality for all |beta| <= n_check.
+    """Check the per-index inequality exactly for all |beta| <= n_check.
 
     All arithmetic is exact.  The inequality is cleared of every denominator
     once: the radii by their common denominator d (each side of the star sum
@@ -174,10 +213,19 @@ def verify_certificate(cert: BoundCertificate, n_check: int) -> VerificationRepo
     and folds each prefix's product once, truncated at n_check, for every
     beta that shares the prefix; raising a coordinate's bound from b to b+1
     adds (d*R_i)^(b+1) z^(b+1) times the parent prefix.  Truncation at
-    n_check leaves the coefficients of degree <= |beta| as they are.  Ties
-    for the worst index and the first violation are resolved in
-    ``mi.iter_up_to_degree`` order (``mi.graded_key``), as if the indices
-    were checked in that order.
+    n_check leaves the coefficients of degree <= |beta| as they are.
+
+    The sweep checks one index per class: coordinates with equal radius
+    and equal shift, as read from ``cert`` (axis 0 joins only when k = 0),
+    form a group, and permuting values within a group changes no term of
+    the inequality.  The representative's values do not increase along each
+    group; it stands for its class's count of indices, which
+    ``indices_checked`` and ``violations`` add up, so both still count
+    indices.  Ties for the worst index and the first violation are resolved
+    in ``mi.iter_up_to_degree`` order (``mi.graded_key``), as if every
+    index were checked in that order: within a class, the representative
+    has the least ``mi.graded_key``, since that key compares the last
+    coordinate first, so it is the index the full enumeration would pick.
     """
     if n_check < 0:
         raise ValueError("n_check must be non-negative")
@@ -200,8 +248,11 @@ def verify_certificate(cert: BoundCertificate, n_check: int) -> VerificationRepo
     worst_beta: Optional[mi.MultiIndex] = None
     first_violation: Optional[mi.MultiIndex] = None
     violations = checked = 0
-    for beta, R_beta, S in _star_products(R_pows, k, (), [1] + [0] * N, 1):
-        checked += 1
+    links = _class_links(R_i, k)
+    for beta, count, R_beta, S in _star_products(
+        R_pows, k, links, (), (), 1, [1] + [0] * N, 1
+    ):
+        checked += count
         db = sum(beta)
         tail = r_desc[N - db : N + 1]
         # gamma = beta is excluded: it is the (d*R)^beta term of S[db]
@@ -216,7 +267,7 @@ def verify_certificate(cert: BoundCertificate, n_check: int) -> VerificationRepo
         ):
             worst_key, worst_beta = key, beta
         if slack < 0:
-            violations += 1
+            violations += count
             if first_violation is None or mi.graded_key(beta) < mi.graded_key(first_violation):
                 first_violation = beta
 

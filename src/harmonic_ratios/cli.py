@@ -30,6 +30,8 @@ from .certificates import (
 )
 from .division import DivisionError, divide_by_harmonic, series_ratio
 from .nodal import (
+    COUNT_CELL_BYTES,
+    COUNT_FIXED_BYTES,
     SeedsBeyondMemory,
     _physical_memory,
     critical_set_sample,
@@ -38,7 +40,7 @@ from .nodal import (
     write_svg,
     zero_set_sample,
 )
-from .polynomial import Polynomial
+from .polynomial import CoefficientOverflow, Polynomial
 from .regions import Region
 from .series import TruncatedSeries
 from .verify import (
@@ -200,15 +202,17 @@ def _pair(args: argparse.Namespace) -> _catalog.SharedZeroPair:
         raise CliError(str(exc)) from exc
 
 
-def _check_memory(flag: str, value: int, points: int, size: int) -> None:
+def _check_memory(flag: str, value: int, points: int, size: int, besides: int = 0) -> None:
     """Refuse, before they are allocated, ``points`` points of ``size``
-    bytes each that have more bytes than physical memory."""
+    bytes each and ``besides`` bytes more that have more bytes than
+    physical memory."""
     memory = _physical_memory()
-    if memory is not None and points * size > memory:
+    if memory is not None and points * size + besides > memory:
         raise CliError(
             f"{flag} {value} asks for {points} points of {size} byte(s) "
-            f"each, {points * size} bytes, more than the {memory} bytes of "
-            "physical memory"
+            f"each, {points * size} bytes"
+            + (f", and {besides} bytes besides" if besides else "")
+            + f", more than the {memory} bytes of physical memory"
         )
 
 
@@ -432,8 +436,13 @@ def cmd_nodal(args: argparse.Namespace) -> int:
     w = load_polynomial(args.fn)
     region = parse_region(args, w.dim)
     if args.action == "count":
-        # a sign grid of one byte per cell
-        _check_memory("--res", args.res, args.res**w.dim, 1)
+        # the int8 sign grid, one byte per cell, and what signing and
+        # labelling it hold besides
+        cells = args.res**w.dim
+        _check_memory(
+            "--res", args.res, cells, 1,
+            (COUNT_CELL_BYTES - 1) * cells + COUNT_FIXED_BYTES,
+        )
         count = nodal_domain_count(w, region, args.res, band_rel=args.band)
         passed = args.expect is None or count == args.expect
         payload = {
@@ -661,7 +670,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # looked up by name on every call, so a rebound cmd_* takes effect
         return globals()[f"cmd_{args.command}"](args)
     except (
-        CliError, io.FormatError, DegenerateRegion, RatioVanishes, ResidualVanishes
+        CliError, io.FormatError, CoefficientOverflow, DegenerateRegion,
+        RatioVanishes, ResidualVanishes,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -254,6 +254,17 @@ def _classify_curve_points(
 # w and its gradient are this large; 2^18 was slower at paperH 256^3
 _SLAB_CELLS = 2**16
 
+# the peak of ``nodal_domain_count`` (tracemalloc) is at most COUNT_CELL_BYTES
+# per cell plus COUNT_FIXED_BYTES.  One byte per cell is the int8 sign grid.
+# The rest grows with an axis-0 plane: a slab's float arrays, the block of
+# _CHUNK_PLANES planes scanned for runs, and the runs.  paperH in a cube
+# holds 329 bytes per plane cell beyond the grid at 256^3 to 384^3, which
+# is under one byte per cell from 330^3 up and under one byte per cell
+# plus COUNT_FIXED_BYTES below; rezk:3 in the unit disk holds 3.6 MB beyond
+# the grid from 500^2 to 4000^2
+COUNT_CELL_BYTES = 2
+COUNT_FIXED_BYTES = 2**24
+
 
 def _sign_grid(
     w: Polynomial, region: Region, resolution: int, band_rel: float
@@ -363,8 +374,9 @@ def nodal_domain_count(
     cut off.  Every component counts for other w.
 
     Components are found among runs of same-sign cells along the last axis
-    (see ``label``), not cell by cell.  Memory: about 1 byte per cell (the
-    int8 sign grid), float values of w and its gradient on one slab of
+    (see ``label``), not cell by cell.  Memory, at most ``COUNT_CELL_BYTES``
+    per cell plus ``COUNT_FIXED_BYTES``: 1 byte per cell (the int8 sign
+    grid), float values of w and its gradient on one slab of
     ``_SLAB_CELLS`` cells (or one axis-0 plane, if larger) while the grid is
     signed, 2 bytes per cell of one block of 32 planes while runs are found,
     and a few hundred bytes per run of one sign while they are joined;

@@ -31,6 +31,11 @@ Rational = Fraction
 Terms = Dict[MultiIndex, Fraction]
 
 
+class CoefficientOverflow(ArithmeticError):
+    """A coefficient too large for any float: the polynomial has exact
+    arithmetic but no float evaluation."""
+
+
 class _Packing:
     """Multi-indices of one dimension packed into one int each.
 
@@ -146,7 +151,8 @@ def _float_plan(terms: Terms, dim: int):
     subgroup's pair (its factor appended), which multiplies in the same
     order as the nested sum.  ``powers`` lists the (axis, exponent) pairs
     of exponent >= 2; power index i < dim is x_i itself, index dim + j the
-    j-th listed power.
+    j-th listed power.  A coefficient that no float holds raises
+    ``CoefficientOverflow``.
     """
     powers = sorted({(i, e) for a in terms for i, e in enumerate(a) if e >= 2})
     index = {p: dim + j for j, p in enumerate(powers)}
@@ -159,7 +165,15 @@ def _float_plan(terms: Terms, dim: int):
         level = []
         for e, group in sorted(by_exp.items()):
             if axis == 0:
-                value, factors = float(group[0][1]), ()
+                a, c = group[0]
+                try:
+                    value, factors = float(c), ()
+                except OverflowError:
+                    raise CoefficientOverflow(
+                        "the polynomial's coefficients exceed the float range "
+                        f"(the coefficient of {a} is about 10^"
+                        f"{int(math.log10(abs(c.numerator)) - math.log10(c.denominator))})"
+                    ) from None
             else:
                 sub = nest(group, axis - 1)
                 value, factors = sub[0] if len(sub) == 1 else (sub, ())

@@ -5,7 +5,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, find, given, settings, strategies as st
 
 from harmonic_ratios import multiindex as mi
 from harmonic_ratios import (
@@ -113,6 +113,28 @@ def naive_worst(cert: BoundCertificate, n_check: int) -> Tuple[Fraction, tuple]:
     return worst
 
 
+def naive_slack(cert: BoundCertificate, beta: tuple) -> Fraction:
+    """The true slack of one index, its star sum enumerated as in
+    ``naive_worst``."""
+    k, R, r = cert.k, cert.R, cert.r
+
+    def R_pow(gamma):
+        out = Fraction(1)
+        for ri, g in zip(R, gamma):
+            out *= ri**g
+        return out
+
+    db = sum(beta)
+    bounds = (beta[0] + k,) + beta[1:]
+    star = sum(
+        (R_pow(gamma) * r ** (db + k - sum(gamma))
+         for gamma in itertools.product(*(range(b + 1) for b in bounds))
+         if sum(gamma) <= db and gamma != beta),
+        Fraction(0),
+    )
+    return cert.A * R_pow(beta) - cert.a0 * r ** (db + k) - cert.a0 * cert.A * star
+
+
 def same_verdict(a: VerificationReport, b: VerificationReport) -> bool:
     """Everything but the worst index, which the per-beta loop chose by the
     slack scaled by d^(|beta|+k) instead of the true slack."""
@@ -145,6 +167,25 @@ def built(draw):
         A=draw(fractions(1, 30)), R=tuple(draw(fractions(1, 30)) for _ in range(n)),
     )
     return cert, draw(st.integers(0, 8))
+
+
+@st.composite
+def pooled(draw):
+    """Certificates whose radii come from a pool of one or two values, so
+    that equal radii form classes of indices (n 2-5, k 0-3): built
+    directly, or with a constructed certificate's radii as the pool."""
+    n, k = draw(st.integers(2, 5)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        base = bound_certificate(
+            draw(fractions()), draw(fractions()), draw(fractions(1, 4)), k, n
+        )
+        a0, r, A, pool = base.a0, base.r, base.A, [base.R[0], base.R[1]]
+    else:
+        a0, r, A = draw(fractions()), draw(fractions()), draw(fractions(1, 30))
+        pool = draw(st.lists(fractions(1, 30), min_size=1, max_size=2))
+    R = tuple(draw(st.sampled_from(pool)) for _ in range(n))
+    cert = BoundCertificate(a0=a0, r=r, k=k, n=n, A=A, R=R)
+    return cert, draw(st.integers(0, 9 - n))
 
 
 class TestConstruction:
@@ -323,3 +364,66 @@ class TestCoefficientBound:
         report = coefficient_bound_check(f_bad, cert)
         assert not report.passed
         assert report.extremes["violations"] == 1
+
+
+class TestClassSweep:
+    """Indices that differ by a permutation of coordinates of equal radius
+    and shift are checked once; the reports are the full enumeration's."""
+
+    @SETTINGS
+    @given(pooled())
+    def test_pooled(self, case):
+        cert, n_check = case
+        assert same_verdict(
+            verify_certificate(cert, n_check), per_beta_oracle(cert, n_check)
+        )
+
+    @SETTINGS
+    @given(pooled(), st.integers(0, 4))
+    def test_pooled_worst_is_true_minimum(self, case, n_check):
+        cert = case[0]
+        report = verify_certificate(cert, n_check)
+        slack, beta = naive_worst(cert, n_check)
+        assert report.extremes["worst_slack"] == float(slack)
+        assert report.extremes["worst_beta"] == list(beta)
+
+    @pytest.mark.parametrize("kind", [
+        "equal tail radii", "R0 equal to a tail radius, k = 0",
+        "R0 equal to a tail radius, k > 0", "failing",
+    ])
+    def test_pooled_reaches(self, kind):
+        def wanted(case):
+            cert, n_check = case
+            tail = set(cert.R[1:])
+            if kind == "equal tail radii":
+                return cert.n > 2 and len(tail) == 1
+            if kind == "failing":
+                return not verify_certificate(cert, n_check).passed
+            return cert.R[0] in tail and (cert.k == 0) == kind.endswith("k = 0")
+
+        # generation alone: a found case need not be shrunk
+        find(pooled(), wanted, settings=settings(
+            database=None, max_examples=500, phases=[Phase.generate]
+        ))
+
+    def test_violations_count_indices_not_classes(self):
+        # R1 = R2 = R3: 185 of the 210 indices of |beta| <= 6 fail, in 51
+        # classes of (beta_0, sorted tail); the first, (1, 1, 0, 0), is
+        # the least of its class (1, 0, 1, 0), (1, 0, 0, 1) in graded order
+        cert = BoundCertificate(
+            a0=Fraction(1), r=Fraction(1), k=1, n=4,
+            A=Fraction(3), R=(Fraction(2), Fraction(5), Fraction(5), Fraction(5)),
+        )
+        report, oracle = verify_certificate(cert, 6), per_beta_oracle(cert, 6)
+        assert same_verdict(report, oracle)
+        failing = [
+            beta for beta in mi.iter_up_to_degree(4, 6)
+            if naive_slack(cert, beta) < 0
+        ]
+        classes = {(beta[0],) + tuple(sorted(beta[1:])) for beta in failing}
+        assert report.extremes["violations"] == len(failing) > len(classes)
+        assert report.notes.endswith(f"first violation at {failing[0]}")
+
+    def test_indices_checked_at_six_coordinates(self):
+        cert = bound_certificate(1, 1, 1, 1, 6)
+        assert verify_certificate(cert, 16).samples["indices_checked"] == 74613

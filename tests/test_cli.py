@@ -568,3 +568,23 @@ class TestExitTwoInputs:
         assert cli._physical_memory() > 0
         monkeypatch.delattr(os, "sysconf")
         assert cli._physical_memory() is None
+
+    @pytest.mark.parametrize("args", [
+        ("nodal", "count", "--fn", "rezk:2000", "--box", "-1,1,-1,1", "--res", "8"),
+        ("verify", "harnack", "--pair", "rezk:2000,rezk:2000"),
+        ("nodal", "count", "--fn", "{big}", "--box", "-1,1,-1,1", "--res", "8"),
+    ], ids=["count-rezk2000", "harnack-rezk2000", "count-file"])
+    def test_coefficients_beyond_the_float_range_exit_two(self, tmp_path, capsys, args):
+        # 10^400 (x^2 - y^2); rezk:2000 has coefficients past 10^308 too
+        big = write_poly(tmp_path / "big.poly", (X * X - Y * Y).scale(10**400))
+        out = tmp_path / "out"
+        assert run(out, *(arg.format(big=big) for arg in args)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the polynomial's coefficients exceed the float range")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_exact_division_takes_coefficients_beyond_the_float_range(self, tmp_path):
+        big = write_poly(tmp_path / "big.poly", (X * X - Y * Y).scale(10**400))
+        assert run(tmp_path, "divide", "--dividend", big, "--divisor", big) == 0
+        assert parse_poly_file(tmp_path / "quotient.poly") == Polynomial.constant(2, 1)

@@ -313,6 +313,22 @@ class TestChunkedCount:
         assert count == 2
         assert peak <= 3 * resolution**3
 
+    @pytest.mark.parametrize("w, region, resolutions", [
+        (catalog_get("rezk:3").polynomial, Region.ball((0, 0), 1.0), (1000, 3000)),
+        (PAPER_H, Region.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5)), (128, 256)),
+    ])
+    def test_peak_memory_within_the_declared_size(self, w, region, resolutions):
+        # the sizes that `nodal count` checks against physical memory
+        for resolution in resolutions:
+            tracemalloc.start()
+            try:
+                nodal_domain_count(w, region, resolution)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            cells = resolution**w.dim
+            assert peak <= nodal_module.COUNT_CELL_BYTES * cells + nodal_module.COUNT_FIXED_BYTES
+
 
 def dense_sign_grid(w, region, resolution, band_rel):
     """The sign grid computed directly on the full mesh of cell centers."""

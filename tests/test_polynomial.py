@@ -13,6 +13,7 @@ from harmonic_ratios import (
     harmonic_basis,
     rotate,
 )
+from harmonic_ratios.polynomial import CoefficientOverflow
 from harmonic_ratios.rotation import cayley_from_params, identity
 
 
@@ -268,6 +269,14 @@ class TestPlanFreshness:
         assert np.array_equal(
             (const * const).evaluate_array(points), np.full(25, float(Fraction(4, 9)))
         )
+
+    def test_coefficients_beyond_the_float_range(self):
+        big = (X * X - Y * Y).scale(10**400)
+        for p in (big, *big.gradient()):
+            with pytest.raises(CoefficientOverflow, match="exceed the float range"):
+                p.evaluate_array(self.POINTS[:2])
+        # exact arithmetic still takes it
+        assert big.scale(Fraction(1, 10**400)) == X * X - Y * Y
 
 
 class TestSubstitution:
