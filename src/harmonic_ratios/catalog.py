@@ -42,6 +42,16 @@ class UnknownEntry(KeyError):
     pass
 
 
+class ParameterOutOfRange(ValueError):
+    """A parametric entry's parameter beyond its stated bound."""
+
+
+# the largest k of rezk:k and imzk:k: (x+iy)^2048 has 2049 terms and builds
+# in about 0.2 s, and from k = 1030 on its largest coefficient is past the
+# float range anyway
+MAX_ZK_DEGREE = 2048
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -241,6 +251,10 @@ def catalog_get(name: str) -> CatalogEntry:
                 raise UnknownEntry(name) from exc
             if k < 1:
                 raise UnknownEntry(name)
+            if k > MAX_ZK_DEGREE:
+                raise ParameterOutOfRange(
+                    f"{name}: k is at most {MAX_ZK_DEGREE} in rezk:k and imzk:k"
+                )
             body = _re_im_zk(k)[pick]
             part = "real" if pick == 0 else "imaginary"
             return CatalogEntry(

@@ -32,6 +32,8 @@ from .division import DivisionError, divide_by_harmonic, series_ratio
 from .nodal import (
     COUNT_CELL_BYTES,
     COUNT_FIXED_BYTES,
+    CRITICAL_CELL_BYTES,
+    NonFiniteValues,
     SeedsBeyondMemory,
     _physical_memory,
     critical_set_sample,
@@ -84,6 +86,8 @@ def _load(arg: str, parse: Callable[[str], Polynomial]):
         return _catalog.catalog_get(arg)
     except _catalog.UnknownEntry as exc:
         raise CliError(f"{arg} is neither a readable file nor a catalog name") from exc
+    except _catalog.ParameterOutOfRange as exc:
+        raise CliError(str(exc)) from exc
 
 
 def load_polynomial(arg: str) -> Polynomial:
@@ -281,9 +285,9 @@ def cmd_divide(args: argparse.Namespace) -> int:
         "residual_verified": outcome.residual_verified,
         "quotient_file": q_path,
         "quotient_degree": quotient.total_degree(),
-        "quotient_terms": len(quotient.terms),
+        "quotient_terms": quotient.term_count(),
     }
-    return _emit(args.out, payload, [f"quotient ({len(quotient.terms)} terms) -> {q_path}"])
+    return _emit(args.out, payload, [f"quotient ({quotient.term_count()} terms) -> {q_path}"])
 
 
 def cmd_series(args: argparse.Namespace) -> int:
@@ -315,7 +319,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         "residual_verified": outcome.residual_verified,
         "series_file": s_path,
         "max_degree": f.max_degree,
-        "nonzero_coefficients": len(f.coefficients),
+        "nonzero_coefficients": f.term_count(),
     }
     return _emit(args.out, payload, [f"ratio series to degree {f.max_degree} -> {s_path}"])
 
@@ -475,11 +479,9 @@ def cmd_nodal(args: argparse.Namespace) -> int:
         }
         return _emit(args.out, payload, [f"{len(points)} zero points -> {art}"])
     if args.action == "critical":
-        # w, |grad w| and one gradient component at the grid^dim cells, and
-        # the Gauss-Newton stacks of the seeds, at their peak (tracemalloc):
-        # 34 to 70 bytes per cell in 2D and 3D where few cells are seeds;
-        # critical_set_sample refuses a seed stack beyond memory itself
-        _check_memory("--grid", args.grid, args.grid**w.dim, 72)
+        # the scan of the grid^dim cells; critical_set_sample refuses a seed
+        # stack beyond memory itself
+        _check_memory("--grid", args.grid, args.grid**w.dim, CRITICAL_CELL_BYTES)
         try:
             report = critical_set_sample(
                 w,
@@ -671,7 +673,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except (
         CliError, io.FormatError, CoefficientOverflow, DegenerateRegion,
-        RatioVanishes, ResidualVanishes,
+        NonFiniteValues, RatioVanishes, ResidualVanishes,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,9 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple, Union
 
-from . import multiindex as mi
-from .multiindex import MultiIndex
-from .polynomial import Polynomial, _Packing, _accumulate_product, _numerators
+from .polynomial import (
+    Numerators,
+    Polynomial,
+    _accumulate_product,
+    _aligned,
+    _Packing,
+    _reduced,
+)
 from .rotation import RationalOrthogonalMatrix, identity, reflection_to
 from .series import TruncatedSeries
 
@@ -71,6 +76,10 @@ class ZeroInput(DivisionError):
     pass
 
 
+# numerators by packed key over one positive denominator
+Form = Tuple[Numerators, int]
+
+
 @dataclass
 class DivisionOutcome:
     quotient: Union[Polynomial, TruncatedSeries]
@@ -78,44 +87,40 @@ class DivisionOutcome:
 
 
 def _divide_form(
-    target: Dict[MultiIndex, Fraction], divisor: Polynomial
-) -> Dict[MultiIndex, Fraction]:
-    """Divide the term dict ``target`` by ``divisor`` in place; return the
-    quotient terms.
+    target: Form, divisor: Form, pk: _Packing
+) -> Tuple[Form, Form]:
+    """Divide ``target`` by ``divisor``: (quotient, remainder).
+
+    A form here is a pair (numerators by packed key, positive denominator),
+    with the keys of both under ``pk``, which must hold the larger of the
+    two degrees.  The results come as such pairs too, over one denominator
+    each, not reduced, their terms in the order they were made.
 
     Leading-term reduction, largest monomial first.  A term whose monomial
-    lt(divisor) does not divide is set aside: on return ``target`` holds
-    exactly those terms, the remainder.  Reducing a term changes only
-    smaller monomials, so a term is final once it is popped.
+    lt(divisor) does not divide is set aside: it goes to the remainder, and
+    the target is a multiple of the divisor exactly when the remainder is
+    empty.  Reducing a term changes only smaller monomials, so a term is
+    final once it is popped.
 
-    The reduction is fraction-free.  The divisor's coefficients are cleared
-    to integers l_beta over one denominator E, with l the leading one, and
-    the target's to numerators over one denominator D.  A pending term is a
+    The reduction is fraction-free.  With the divisor's numerators l_beta
+    over E, l the leading one, and the target's over D, a pending term is a
     numerator n and a power g, worth n / (D * l**g); reducing it gives the
     quotient term n * E / (D * l**(g+1)) and subtracts n * l_beta at power
     g + 1 from the term at alpha - lead + beta, after bringing the two to
     the larger power.  So the loop multiplies and adds integers only, and
-    each output term becomes one ``Fraction`` at the end.  Monomials are
-    packed keys (``_Packing``), whose order is the graded-then-prec order.
+    at the end every output term is brought to the largest power reached.
+    The packed keys' order is the graded-then-prec order, and divisibility
+    by the leading monomial is one test of the guard bits.
     """
-    if not target:
-        return {}
-    lead, c_lead = divisor.leading_term()
-    # every term keeps its degree or drops below it, so no coordinate
-    # exceeds the larger of the two degrees
-    pk = _Packing(divisor.dim, max(max(map(sum, target)), sum(lead)))
-    pack, unpack = pk.pack, pk.unpack
-    lead_key = pack(lead)
-    l_nums, e = _numerators(divisor.terms)
-    ell = c_lead.numerator * (e // c_lead.denominator)
+    t_nums, d = target
+    l_nums, e = divisor
+    if not t_nums:
+        return ({}, 1), ({}, 1)
+    lead_key = max(l_nums)
+    ell = l_nums[lead_key]
     # the other terms of the divisor, as key offsets from its leading one
-    tail = [
-        (pack(beta) - lead_key, l)
-        for beta, l in zip(divisor.terms, l_nums)
-        if beta != lead
-    ]
-    t_nums, d = _numerators(target)
-    pending = {pack(alpha): (n, 0) for alpha, n in zip(target, t_nums)}
+    tail = [(beta - lead_key, l) for beta, l in l_nums.items() if beta != lead_key]
+    pending = {key: (n, 0) for key, n in t_nums.items()}
     powers = [1]  # powers[g] = l**g
     quotient: Dict[int, Tuple[int, int]] = {}
     heap = [-key for key in pending]  # largest key pops first
@@ -144,13 +149,16 @@ def _divide_form(
                 pending[gamma] = (s, h)
             else:
                 del pending[gamma]
-    target.clear()
-    for key, (m, h) in pending.items():
-        target[unpack(key)] = Fraction(m, d * powers[h])
-    return {
-        unpack(key): Fraction(n * e, d * powers[g])
-        for key, (n, g) in quotient.items()
-    }
+    # everything over D * l**top, made positive
+    top = len(powers) - 1
+    den, sign = d * powers[top], 1
+    if den < 0:
+        den, sign = -den, -1
+    e *= sign
+    return (
+        ({key: n * e * powers[top - g] for key, (n, g) in quotient.items()}, den),
+        ({key: sign * m * powers[top - h] for key, (m, h) in pending.items()}, den),
+    )
 
 
 def divide_by_harmonic(p: Polynomial, q: Polynomial) -> DivisionOutcome:
@@ -164,13 +172,16 @@ def divide_by_harmonic(p: Polynomial, q: Polynomial) -> DivisionOutcome:
     if not q.laplacian().is_zero():
         raise NotHarmonic("divisor must be harmonic")
 
-    remainder = dict(p.terms)
-    quotient = Polynomial._trusted(p.dim, _divide_form(remainder, q))
+    pk, (p_nums, q_nums) = _aligned(0, p._store, q._store)
+    (quotient, den), (remainder, _) = _divide_form(
+        (p_nums, p._store[2]), (q_nums, q._store[2]), pk
+    )
     if remainder:
-        lt_r = max(remainder, key=mi.graded_key)
         raise NotDivisible(
-            f"leading monomial {lt_r} is not a multiple of {q.leading_term()[0]}"
+            f"leading monomial {pk.unpack(max(remainder))} is not a multiple "
+            f"of {pk.unpack(max(q_nums))}"
         )
+    quotient = Polynomial._from_store(p.dim, pk, quotient, den)
     if q * quotient != p:
         raise ResidualNonzero("divisor times quotient does not give the dividend")
     return DivisionOutcome(quotient=quotient, residual_verified=True)
@@ -208,11 +219,12 @@ def normalize_rotation(v: Polynomial) -> Tuple[RationalOrthogonalMatrix, int]:
     return (identity(v.dim) if w[0] == 1 else reflection_to(w)), k
 
 
-def _forms(s: TruncatedSeries) -> Dict[int, Dict[MultiIndex, Fraction]]:
-    """The coefficients of ``s`` grouped by total degree."""
-    forms: Dict[int, Dict[MultiIndex, Fraction]] = {}
-    for alpha, c in s.terms.items():
-        forms.setdefault(sum(alpha), {})[alpha] = c
+def _by_degree(nums: Numerators, shift: int) -> Dict[int, Numerators]:
+    """The numerators grouped by total degree, which is the key's bits from
+    ``shift`` up."""
+    forms: Dict[int, Numerators] = {}
+    for key, n in nums.items():
+        forms.setdefault(key >> shift, {})[key] = n
     return forms
 
 
@@ -255,33 +267,50 @@ def series_ratio(
             f"denominator leading degree {k}"
         )
 
-    u_forms, v_forms = _forms(u), _forms(v)
-    leading = Polynomial(u.dim, v_forms[k])
-    f_forms: List[Dict[MultiIndex, Fraction]] = []
-    f_coeffs: Dict[MultiIndex, Fraction] = {}
+    # every form of u, v and f under one packing, which holds degree n_out + k
+    pk, (u_nums, v_nums) = _aligned(n_out + k, u._store, v._store)
+    du, dv = u._store[2], v._store[2]
+    shift = pk.degree_shift
+    u_forms, v_forms = _by_degree(u_nums, shift), _by_degree(v_nums, shift)
+    leading = (v_forms[k], dv)
+    f_forms: List[Form] = []
     for d in range(n_out + 1):
-        # u_(d+k) - sum_(j >= 1) v_(k+j) * f_(d-j); what L does not divide
-        # is left behind and shows up in the residual check below
-        target = dict(u_forms.get(d + k, {}))
-        for j in range(1, d + 1):
-            _accumulate_product(target, v_forms.get(k + j, {}), f_forms[d - j], sign=-1)
-        f_d = _divide_form(target, leading)
-        f_forms.append(f_d)
-        f_coeffs.update(f_d)
-    f = TruncatedSeries._trusted(u.dim, f_coeffs, center=u.center, max_degree=n_out)
+        # u_(d+k) - sum_(j >= 1) v_(k+j) * f_(d-j) over one denominator;
+        # what L does not divide is left behind and shows up in the
+        # residual check below
+        u_d = u_forms.get(d + k, {})
+        parts = [
+            (v_forms[k + j], f_forms[d - j])
+            for j in range(1, d + 1)
+            if k + j in v_forms and f_forms[d - j][0]
+        ]
+        den = math.lcm(du, *[dv * f_den for _, (_, f_den) in parts])
+        target = {key: n * (den // du) for key, n in u_d.items()}
+        for v_j, (f_j, f_den) in parts:
+            _accumulate_product(target, v_j, f_j, -(den // (dv * f_den)))
+        quotient, _ = _divide_form((target, den), leading, pk)
+        f_forms.append(_reduced(*quotient))
+    f_den = math.lcm(*[f_den for _, f_den in f_forms])
+    f_nums: Dict[int, int] = {}
+    for nums, den in f_forms:
+        f_nums.update((key, n * (f_den // den)) for key, n in nums.items())
+    f = TruncatedSeries._from_store(
+        u.dim, pk, f_nums, f_den, center=u.center, max_degree=n_out
+    )
 
     # full residual validation through degree n_out + k: an independent
     # multiplication u - v * f, not the remainders of the divisions above
-    cut = n_out + k
-    residual = {a: c for a, c in u.terms.items() if sum(a) <= cut}
-    _accumulate_product(residual, v.terms, f.terms, sign=-1, max_degree=cut)
+    _, f_nums, f_den = f._store
+    limit = (n_out + k + 1) << shift  # the keys of degree <= n_out + k
+    den = math.lcm(du, dv * f_den)
+    residual = {key: n * (den // du) for key, n in u_nums.items() if key < limit}
+    _accumulate_product(residual, v_nums, f_nums, -(den // (dv * f_den)), limit)
     if not residual:
         return DivisionOutcome(quotient=f, residual_verified=True)
     if strict:
-        bad = min(residual, key=mi.graded_key)
+        bad = min(residual)
         raise ResidualNonzero(
-            f"residual coefficient at {bad} is {residual[bad]}; "
-            "the inputs do not divide as series"
+            f"residual coefficient at {pk.unpack(bad)} is "
+            f"{Fraction(residual[bad], den)}; the inputs do not divide as series"
         )
     return DivisionOutcome(quotient=f, residual_verified=False)
-

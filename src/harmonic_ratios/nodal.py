@@ -7,6 +7,7 @@ of critical points, and bisection-refined level-set extraction.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -39,6 +40,29 @@ class SeedsBeyondMemory(MemoryError):
             f"{seeds} seeds of {size} byte(s) each to refine, {seeds * size} "
             f"bytes, more than the {memory} bytes of physical memory"
         )
+
+
+class NonFiniteValues(ArithmeticError):
+    """w or its gradient is not finite somewhere on a scanned grid: the
+    region or the coefficients are beyond the float range."""
+
+    def __init__(self, what: str):
+        super().__init__(
+            f"{what} is not finite on the grid: the region or the polynomial's "
+            "coefficients are beyond the float range"
+        )
+
+
+@contextlib.contextmanager
+def _finite_floats():
+    """Raise ``NonFiniteValues`` where a float operation inside the block
+    overflows or is invalid, in place of numpy's warning: the check costs
+    no pass over the arrays."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise NonFiniteValues("w or its gradient") from None
 
 
 def _physical_memory() -> Optional[int]:
@@ -135,6 +159,18 @@ def _gauss_newton_critical(
     return out.T
 
 
+# the peak of ``critical_set_sample`` (tracemalloc) is at most
+# CRITICAL_CELL_BYTES per grid cell plus CRITICAL_SEED_BYTES * (dim + 1) per
+# seed.  The scan holds w, |grad w|, one gradient component and their
+# masks: 34.0 bytes per cell at most, on imzk:2 in a 2D disk at grids 150
+# and 300 and paperH in a cube at grid 72, and 26 to 30 elsewhere (rezk:3,
+# rezk:5, paperH in a ball).  The Gauss-Newton stage holds 299 to 323 bytes
+# per seed in 2D (imzk:9, rezk:12 at grid 300) and 428 in 3D (paperH, grid
+# 96).
+CRITICAL_CELL_BYTES = 36
+CRITICAL_SEED_BYTES = 110
+
+
 def critical_set_sample(
     w: Polynomial,
     region: Region,
@@ -154,31 +190,36 @@ def critical_set_sample(
     that chain into a sampled curve with one common depth are marked good;
     everything else is left unclassified (never "bad").
 
-    Raises ``SeedsBeyondMemory``, before refining, when the seeds need more
-    bytes than physical memory: at a deep zero most cells near it are seeds.
+    Raises ``NonFiniteValues`` when w or |grad w| is not finite on the
+    grid, and ``SeedsBeyondMemory``, before refining, when the seeds need
+    more bytes than physical memory: at a deep zero most cells near it are
+    seeds.
     """
     axes, mask, h = region.grid(grid)
     coords = np.ix_(*axes)
     grads = w.gradient()
     hess = [[g.partial(j) for j in range(w.dim)] for g in grads]
-    wv = w.evaluate_array(coords)
-    gnorm = None  # |grad w|^2, then |grad w|, in place
-    for g in grads:
-        sq = g.evaluate_array(coords)
-        sq *= sq
-        gnorm = sq if gnorm is None else np.add(gnorm, sq, out=gnorm)
-    np.sqrt(gnorm, out=gnorm)
+    with _finite_floats():
+        wv = w.evaluate_array(coords)
+        gnorm = None  # |grad w|^2, then |grad w|, in place
+        for g in grads:
+            sq = g.evaluate_array(coords)
+            sq *= sq
+            gnorm = sq if gnorm is None else np.add(gnorm, sq, out=gnorm)
+        np.sqrt(gnorm, out=gnorm)
     w_scale = max(float(np.max(np.abs(wv))), 1e-300)
     g_scale = max(float(np.max(gnorm)), 1e-300)
+    # Gauss-Newton on values that are not finite would hand LAPACK inf and
+    # nan; the maxima tell such values from an infinite coordinate too
+    if not math.isfinite(w_scale + g_scale):
+        raise NonFiniteValues("w or its gradient")
     seed_mask = (
         mask
         & (np.abs(wv) <= 2.0 * h * w_scale)
         & (gnorm <= 2.0 * h * g_scale)
     )
     seeds = np.column_stack([a[i] for a, i in zip(axes, np.nonzero(seed_mask))])
-    # the Gauss-Newton stage at its peak (tracemalloc): 299 to 323 bytes per
-    # seed in 2D (imzk:9, rezk:12 at grid 300), 428 in 3D (paperH, grid 96)
-    size, memory = 110 * (w.dim + 1), _physical_memory()
+    size, memory = CRITICAL_SEED_BYTES * (w.dim + 1), _physical_memory()
     if memory is not None and len(seeds) * size > memory:
         raise SeedsBeyondMemory(len(seeds), size, memory)
 
@@ -287,6 +328,8 @@ def _sign_grid(
     max(``_SLAB_CELLS``, resolution^(dim-1)) cells, not the whole grid.  A
     slab signed before the largest |w| was seen is evaluated again only if
     one of its signed cells may lie inside the final absolute threshold.
+    Raises ``NonFiniteValues`` once w or its gradient overflows on a
+    slab, or a slab's largest |w| is not finite.
     """
     axes, h = region.grid_axes(resolution)
     dim = len(axes)
@@ -310,16 +353,23 @@ def _sign_grid(
     for i, sl in enumerate(slabs):
         after = inside(i + 1)
         coords = np.ix_(axes[0][sl], *axes[1:])
-        vals = w.evaluate_array(coords)
-        band = None  # |grad w|^2, then the band, in place
-        for g in grads:
-            sq = g.evaluate_array(coords)
-            sq *= sq
-            band = sq if band is None else np.add(band, sq, out=band)
-        np.sqrt(band, out=band)
+        # inline, not in a function: its return freed the last gradient
+        # array early, and the first 256^3 count of a process took a third
+        # longer (heap pages returned and faulted in again)
+        with _finite_floats():
+            vals = w.evaluate_array(coords)
+            band = None  # |grad w|^2, then the band, in place
+            for g in grads:
+                sq = g.evaluate_array(coords)
+                sq *= sq
+                band = sq if band is None else np.add(band, sq, out=band)
+            np.sqrt(band, out=band)
         band *= safety * h
         absv = np.abs(vals)
-        scale = max(scale, float(np.max(absv)))
+        largest = float(np.max(absv))
+        if not math.isfinite(largest):
+            raise NonFiniteValues("w")
+        scale = max(scale, largest)
         np.maximum(band, band_rel * scale, out=band)
         # band >= 0, so a cell is signed when |w| > band, with the sign of w
         signed = absv > band

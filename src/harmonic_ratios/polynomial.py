@@ -1,9 +1,18 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a dimension plus a map from multi-index to ``Fraction``.
-Zero coefficients are never stored, so structural equality of the term maps
-is polynomial identity.  All arithmetic is exact; floating-point evaluation
-is a separate code path (`evaluate_array`) used only by the numeric layers.
+A polynomial is a dimension plus its terms, each a multi-index and a
+nonzero rational coefficient.  The terms are held in a packed store: every
+multi-index is one int key (``_Packing``), every coefficient an integer
+numerator over one denominator shared by all terms, with that denominator
+positive and coprime to the numerators taken together.  The store is
+canonical, so structural equality of stores is polynomial identity.  All
+exact arithmetic and the exact kernels (``_accumulate_product`` here,
+``division._divide_form``) run on stores in Python ints, and the parser and
+formatter of ``io_formats`` read and write stores directly.  The map from
+multi-index to ``Fraction``, ``terms``, is built from the store when a
+caller first reads it and kept; a polynomial built from such a map keeps it
+too.  Floating-point evaluation is a separate code path (`evaluate_array`)
+used only by the numeric layers.
 
 Float evaluation sums the terms nested by axis, last axis outermost: the
 terms are grouped by their exponent of the last axis, each group by its
@@ -18,9 +27,10 @@ it.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +39,7 @@ from .multiindex import MultiIndex
 
 Rational = Fraction
 Terms = Dict[MultiIndex, Fraction]
+Numerators = Dict[int, int]
 
 
 class CoefficientOverflow(ArithmeticError):
@@ -43,17 +54,20 @@ class _Packing:
 
         sum_i a_i * B**i  +  |a| * B**n,    B = 2**bits,
 
-    with bits one more than the bit length of ``top``, a bound on every
-    coordinate the keys hold.  Adding keys adds exponents and degrees, and
-    the keys compare in graded-then-prec order (degree, then the last
-    coordinate first).  The top bit of each coordinate field is a guard: it
-    is 0 in every key, so that ``divides`` can test all fields at once.
+    and ``top`` = 2**(bits - 1) - 1 bounds every coordinate the keys hold.
+    Adding keys adds exponents and degrees, and the keys compare in
+    graded-then-prec order (degree, then the last coordinate first).  The
+    top bit of each coordinate field is a guard: it is 0 in every key, so
+    that ``divides`` can test all fields at once.  ``_packing`` hands out
+    one shared instance per dimension and width, so stores under one
+    packing are told by identity.
     """
 
-    __slots__ = ("bits", "shifts", "field", "degree_shift", "guards")
+    __slots__ = ("dim", "bits", "top", "shifts", "field", "degree_shift", "guards")
 
-    def __init__(self, dim: int, top: int):
-        self.bits = bits = int(top).bit_length() + 1
+    def __init__(self, dim: int, bits: int):
+        self.dim, self.bits = dim, bits
+        self.top = (1 << (bits - 1)) - 1
         self.degree_shift = width = bits * dim
         self.shifts = range(0, width, bits)
         self.field = field = (1 << bits) - 1
@@ -78,42 +92,86 @@ class _Packing:
         return (key | guards) - lead & guards == guards
 
 
-def _numerators(terms: Terms) -> Tuple[List[int], int]:
-    """The coefficients of ``terms`` as integer numerators over their least
-    common denominator, and that denominator."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    return [c.numerator * (den // c.denominator) for c in terms.values()], den
+@functools.lru_cache(maxsize=None)
+def _packing_of_width(dim: int, bits: int) -> _Packing:
+    return _Packing(dim, bits)
+
+
+def _packing(dim: int, top: int) -> _Packing:
+    """The shared packing of ``dim`` coordinates up to at least ``top``;
+    fields are at least 8 bits wide, so most stores share one packing."""
+    return _packing_of_width(dim, max(8, int(top).bit_length() + 1))
+
+
+# A store: (packing, numerators by key, denominator).
+Store = Tuple[_Packing, Numerators, int]
+
+
+def _reduced(nums: Numerators, den: int) -> Tuple[Numerators, int]:
+    """numerators over a positive ``den``, divided by their common factor
+    with it: the canonical form, whose denominator is the least common
+    denominator of the coefficients."""
+    g = math.gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {key: n // g for key, n in nums.items()}, den // g
+
+
+def _over_lcm(terms: Mapping[int, Tuple[int, int]]) -> Tuple[Numerators, int]:
+    """Coefficients by key, as reduced (numerator, positive denominator)
+    pairs, turned into numerators over their least common denominator and
+    that denominator; zero terms are dropped."""
+    den = math.lcm(*[d for _, d in terms.values()])
+    if den == 1:
+        return {key: n for key, (n, _) in terms.items() if n}, 1
+    return {key: n * (den // d) for key, (n, d) in terms.items() if n}, den
+
+
+def _repacked(nums: Numerators, old: _Packing, new: _Packing) -> Numerators:
+    if old is new:
+        return nums
+    pack, unpack = new.pack, old.unpack
+    return {pack(unpack(key)): n for key, n in nums.items()}
+
+
+def _aligned(top: int, *stores: Store) -> Tuple[_Packing, List[Numerators]]:
+    """One packing for the keys of ``stores`` that holds coordinates up to
+    ``top`` as well, and each store's numerators under it; a store already
+    under that packing is passed as it is."""
+    pk = max((s[0] for s in stores), key=lambda k: k.bits)
+    if pk.top < top:
+        pk = _packing(pk.dim, top)
+    return pk, [_repacked(nums, old, pk) for old, nums, _ in stores]
 
 
 def _accumulate_product(
-    out: Terms, p: Terms, q: Terms, sign: int = 1, max_degree: float = math.inf
+    out: Numerators,
+    p: Numerators,
+    q: Numerators,
+    factor: int = 1,
+    limit: Optional[int] = None,
 ) -> None:
-    """out += sign * p * q in place, for term maps p and q.
+    """out += factor * p * q in place, for numerator maps under one packing.
 
-    Only products of total degree <= ``max_degree`` are kept, and a sum
-    that cancels is dropped.  The products are summed in Python ints: the
-    monomials as packed keys (``_Packing``), each side's coefficients as
-    numerators over that side's common denominator.  Then every monomial
-    the product touched is merged into ``out`` with one ``Fraction``.
-    New monomials go in in the order of the plain nested loop over p, then
-    q; one whose running sum cancels goes in again where it reappears.  The
-    terms that ``out`` already has keep their places unless the product
-    cancels them.
+    Keys add and numerators multiply; the caller puts the three maps over
+    denominators that make this the rational sum it wants, through
+    ``factor``.  Only products whose key is below ``limit`` are kept (a
+    degree cut: ``(d + 1) << degree_shift`` keeps degrees <= d), and a sum
+    that cancels is dropped.  The products are summed in a map of their
+    own, then merged into ``out``.  New monomials go in in the order of the
+    plain nested loop over p, then q; one whose running sum cancels goes
+    in again where it reappears.  The terms that ``out`` already has keep
+    their places unless the product cancels them.  The packing must hold
+    every product below ``limit``; a product above it may spill over its
+    fields, but only into larger keys.
     """
     if not p or not q:
         return
-    top = max(map(max, p)) + max(map(max, q))
-    dim = len(next(iter(p)))
-    pk = _Packing(dim, top)
-    pack = pk.pack
-    p_nums, dp = _numerators(p)
-    q_nums, dq = _numerators(q)
-    p_items = [(pack(a), sign * n) for a, n in zip(p, p_nums)]
-    q_items = list(zip(map(pack, q), q_nums))
-    # the keys of degree > max_degree reach the limit; no product has a
-    # degree above dim * top
-    limit = int(min(max_degree, dim * top) + 1) << pk.degree_shift
-    acc: Dict[int, int] = {}
+    if limit is None:
+        limit = max(p) + max(q) + 1
+    p_items = [(k, factor * n) for k, n in p.items()]
+    q_items = list(q.items())
+    acc: Numerators = {} if out else out
     for ka, na in p_items:
         for kb, nb in q_items:
             key = ka + kb
@@ -124,22 +182,18 @@ def _accumulate_product(
                 acc[key] = s
             else:
                 del acc[key]
-    den, unpack = dp * dq, pk.unpack
+    if acc is out:
+        return
     for key, n in acc.items():
-        alpha = unpack(key)
-        c = out.get(alpha)
-        if c is None:
-            out[alpha] = Fraction(n, den)
-            continue
-        n = c.numerator * den + n * c.denominator
-        if n:
-            out[alpha] = Fraction(n, c.denominator * den)
+        s = out.get(key, 0) + n
+        if s:
+            out[key] = s
         else:
-            del out[alpha]
+            del out[key]
 
 
-def _float_plan(terms: Terms, dim: int):
-    """The float evaluation plan of a term map: (level, powers).
+def _float_plan(store: Store, dim: int):
+    """The float evaluation plan of a store: (level, powers).
 
     The terms are nested by axis, last axis outermost: one group per
     exponent of the last axis, each split into groups by its exponent of
@@ -154,7 +208,9 @@ def _float_plan(terms: Terms, dim: int):
     j-th listed power.  A coefficient that no float holds raises
     ``CoefficientOverflow``.
     """
-    powers = sorted({(i, e) for a in terms for i, e in enumerate(a) if e >= 2})
+    pk, nums, den = store
+    terms = [(pk.unpack(key), n) for key, n in nums.items()]
+    powers = sorted({(i, e) for a, _ in terms for i, e in enumerate(a) if e >= 2})
     index = {p: dim + j for j, p in enumerate(powers)}
     index.update({(i, 1): i for i in range(dim)})
 
@@ -165,10 +221,11 @@ def _float_plan(terms: Terms, dim: int):
         level = []
         for e, group in sorted(by_exp.items()):
             if axis == 0:
-                a, c = group[0]
+                a, n = group[0]
                 try:
-                    value, factors = float(c), ()
+                    value, factors = n / den, ()  # correctly rounded
                 except OverflowError:
+                    c = Fraction(n, den)
                     raise CoefficientOverflow(
                         "the polynomial's coefficients exceed the float range "
                         f"(the coefficient of {a} is about 10^"
@@ -180,7 +237,7 @@ def _float_plan(terms: Terms, dim: int):
             level.append((value, factors + (index[axis, e],) if e else factors))
         return tuple(level)
 
-    return (nest(list(terms.items()), dim - 1) if terms else ()), tuple(powers)
+    return (nest(terms, dim - 1) if terms else ()), tuple(powers)
 
 
 def _nested_sum(level, powers):
@@ -205,10 +262,12 @@ def _nested_sum(level, powers):
 class Polynomial:
     """Immutable-by-convention sparse polynomial over the rationals."""
 
-    # ``_plan``, the float evaluation plan, is set by the first
+    # ``_store`` is the packed store (see the module docstring), always
+    # set.  ``_terms``, the Fraction map, is set on the first read of
+    # ``terms``, and ``_plan``, the float evaluation plan, by the first
     # ``evaluate_array`` call; polynomials are immutable by convention, so
-    # it never goes stale
-    __slots__ = ("dim", "terms", "_plan")
+    # neither goes stale
+    __slots__ = ("dim", "_store", "_terms", "_plan")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, object] | None = None):
         if dim < 1:
@@ -221,21 +280,27 @@ class Polynomial:
                 c = Fraction(c)
                 if c != 0:
                     clean[alpha] = c
-        self.terms = clean
+        self._terms = clean
+        pk = _packing(self.dim, max(map(sum, clean), default=0))
+        pairs = {pk.pack(a): (c.numerator, c.denominator) for a, c in clean.items()}
+        self._store = (pk, *_over_lcm(pairs))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, dim: int, terms: Terms, **slots) -> "Polynomial":
-        """An instance of ``cls`` from terms its caller has checked.
+    def _from_store(
+        cls, dim: int, pk: _Packing, nums: Numerators, den: int, **slots
+    ) -> "Polynomial":
+        """An instance of ``cls`` from a store that its caller has built.
 
-        ``dim`` is >= 1, every exponent tuple is a tuple of ``dim``
-        non-negative ints and every coefficient a ``Fraction``; zero
-        coefficients are dropped.  ``slots`` sets a subclass's other slots,
-        such as a series' center and truncation degree, as given.
+        The keys are under ``pk`` (which holds every coordinate), the
+        numerators are nonzero and ``den`` is positive; they are reduced
+        here.  ``slots`` sets a subclass's other slots, such as a series'
+        center and truncation degree, as given.
         """
         p = cls.__new__(cls)
-        p.dim, p.terms = dim, {a: c for a, c in terms.items() if c}
+        p.dim = dim
+        p._store = (pk, *_reduced(nums, den))
         for name, value in slots.items():
             setattr(p, name, value)
         return p
@@ -262,24 +327,38 @@ class Polynomial:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> Terms:
+        """The terms as a map from multi-index to ``Fraction``, in store
+        order; built on the first read and kept."""
+        try:
+            return self._terms
+        except AttributeError:
+            pk, nums, den = self._store
+            unpack = pk.unpack
+            self._terms = {unpack(key): Fraction(n, den) for key, n in nums.items()}
+            return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._store[1]
+
+    def term_count(self) -> int:
+        """Number of nonzero terms."""
+        return len(self._store[1])
 
     def total_degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(a) for a in self.terms)
+        pk, nums, _ = self._store
+        # the degree is the most significant field of a key
+        return max(nums) >> pk.degree_shift if nums else -1
 
     def leading_degree(self) -> int:
         """Smallest total degree with a nonzero term; -1 for zero."""
-        if not self.terms:
-            return -1
-        return min(sum(a) for a in self.terms)
+        pk, nums, _ = self._store
+        return min(nums) >> pk.degree_shift if nums else -1
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(a) for a in self.terms}
-        return len(degs) <= 1
+        return self.total_degree() == self.leading_degree()
 
     def coefficient(self, alpha: Sequence[int]) -> Fraction:
         return self.terms.get(mi.validate(alpha, self.dim), Fraction(0))
@@ -295,18 +374,26 @@ class Polynomial:
         alpha = max(self.terms, key=mi.graded_key)
         return alpha, self.terms[alpha]
 
+    def _same_store(self, other: "Polynomial") -> bool:
+        (pa, na, da), (pb, nb, db) = self._store, other._store
+        if da != db or len(na) != len(nb):
+            return False
+        if pa is not pb:
+            _, (na, nb) = _aligned(0, self._store, other._store)
+        return na == nb
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.dim == other.dim
-            and self.terms == other.terms
+            and self._same_store(other)
         )
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return f"Polynomial({self.dim}, 0)"
         parts = [f"{c}*x^{a}" for a, c in self.sorted_terms()]
         return "Polynomial(" + " + ".join(parts) + ")"
@@ -319,28 +406,38 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_dim(other)
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, 0) + c
-        return Polynomial._trusted(self.dim, out)
+        pk, (na, nb) = _aligned(0, self._store, other._store)
+        da, db = self._store[2], other._store[2]
+        den = math.lcm(da, db)
+        sa, sb = den // da, den // db
+        out = {key: n * sa for key, n in na.items()}
+        for key, n in nb.items():
+            out[key] = out.get(key, 0) + n * sb
+        out = {key: n for key, n in out.items() if n}
+        return Polynomial._from_store(self.dim, pk, out, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.dim, {a: -c for a, c in self.terms.items()})
+        pk, nums, den = self._store
+        return Polynomial._from_store(self.dim, pk, {k: -n for k, n in nums.items()}, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial._trusted(self.dim, {a: c * v for a, v in self.terms.items()})
+        pk, nums, den = self._store
+        out = {key: c.numerator * n for key, n in nums.items()} if c else {}
+        return Polynomial._from_store(self.dim, pk, out, den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_dim(other)
-        out: Terms = {}
-        _accumulate_product(out, self.terms, other.terms)
-        return Polynomial._trusted(self.dim, out)
+        top = max(self.total_degree(), 0) + max(other.total_degree(), 0)
+        pk, (na, nb) = _aligned(top, self._store, other._store)
+        out: Numerators = {}
+        _accumulate_product(out, na, nb)
+        return Polynomial._from_store(self.dim, pk, out, self._store[2] * other._store[2])
 
     __rmul__ = __mul__
 
@@ -360,23 +457,35 @@ class Polynomial:
 
     def partial(self, idx: int) -> "Polynomial":
         """Exact partial derivative with respect to variable idx."""
-        out: Terms = {}
-        for a, c in self.terms.items():
-            if a[idx] == 0:
-                continue
-            b = list(a)
-            b[idx] -= 1
-            out[tuple(b)] = c * a[idx]
-        return Polynomial._trusted(self.dim, out)
+        pk, nums, den = self._store
+        shift, field = pk.shifts[idx], pk.field
+        step = (1 << shift) + (1 << pk.degree_shift)
+        out: Numerators = {}
+        for key, n in nums.items():
+            e = key >> shift & field
+            if e:
+                out[key - step] = n * e
+        return Polynomial._from_store(self.dim, pk, out, den)
 
     def gradient(self) -> List["Polynomial"]:
         return [self.partial(i) for i in range(self.dim)]
 
     def laplacian(self) -> "Polynomial":
-        out = Polynomial.zero(self.dim)
-        for i in range(self.dim):
-            out = out + self.partial(i).partial(i)
-        return out
+        """The sum of the second partials, axis 0's first."""
+        pk, nums, den = self._store
+        field, step_degree = pk.field, 2 << pk.degree_shift
+        out: Numerators = {}
+        for shift in pk.shifts:
+            step = (2 << shift) + step_degree
+            for key, n in nums.items():
+                e = key >> shift & field
+                if e >= 2:
+                    s = out.get(key - step, 0) + n * e * (e - 1)
+                    if s:
+                        out[key - step] = s
+                    else:
+                        del out[key - step]
+        return Polynomial._from_store(self.dim, pk, out, den)
 
     def is_harmonic(self) -> bool:
         return self.laplacian().is_zero()
@@ -445,7 +554,7 @@ class Polynomial:
         try:
             level, powers = self._plan
         except AttributeError:
-            self._plan = level, powers = _float_plan(self.terms, self.dim)
+            self._plan = level, powers = _float_plan(self._store, self.dim)
         total = _nested_sum(level, coords + [coords[i] ** e for i, e in powers])
         shape = np.broadcast(*coords).shape
         if isinstance(total, np.ndarray) and total.shape == shape:
@@ -459,17 +568,18 @@ class Polynomial:
 
     def _substitute_forms(self, forms: Sequence["Polynomial"]) -> "Polynomial":
         """P(l_1, ..., l_n) for polynomials l_i, each power l_i^e built once."""
+        pk, nums, den = self._store
         cache: Dict[Tuple[int, int], Polynomial] = {}
         out = Polynomial.zero(self.dim)
-        for a, coeff in self.terms.items():
-            term = Polynomial.constant(self.dim, coeff)
-            for i, e in enumerate(a):
+        for key, n in nums.items():
+            term = Polynomial.constant(self.dim, n)
+            for i, e in enumerate(pk.unpack(key)):
                 if e:
                     if (i, e) not in cache:
                         cache[i, e] = forms[i] ** e
                     term = term * cache[i, e]
             out = out + term
-        return out
+        return out.scale(Fraction(1, den))
 
     def compose_linear(self, columns: Sequence[Sequence]) -> "Polynomial":
         """Substitute x_i <- sum_j M[i][j] * x_j for a rational matrix M.

@@ -47,7 +47,7 @@ class TruncatedSeries(Polynomial):
             and self.dim == other.dim
             and self.center == other.center
             and self.max_degree == other.max_degree
-            and self.terms == other.terms
+            and self._same_store(other)
         )
 
     __hash__ = None
@@ -58,15 +58,20 @@ class TruncatedSeries(Polynomial):
     ) -> "TruncatedSeries":
         """Taylor expansion of a polynomial about ``center`` (default origin)."""
         center = (0,) * p.dim if center is None else center
-        terms = p.shift(center).terms
-        return TruncatedSeries(
-            p.dim, center, max_degree, {a: c for a, c in terms.items() if sum(a) <= max_degree}
+        pk, nums, den = p.shift(center)._store
+        if max_degree < 0:
+            raise ValueError("truncation degree must be >= 0")
+        limit = (max_degree + 1) << pk.degree_shift  # keys of degree <= max_degree
+        return TruncatedSeries._from_store(
+            p.dim, pk, {key: n for key, n in nums.items() if key < limit}, den,
+            center=tuple(Fraction(c) for c in center), max_degree=max_degree,
         )
 
     def as_polynomial(self) -> Polynomial:
-        """The truncation as a bare polynomial in x - center; shares the terms."""
+        """The truncation as a bare polynomial in x - center; shares the
+        store and the terms."""
         p = Polynomial.__new__(Polynomial)
-        p.dim, p.terms = self.dim, self.terms
+        p.dim, p._store, p._terms = self.dim, self._store, self.terms
         return p
 
     def rotate(self, matrix: RationalOrthogonalMatrix) -> "TruncatedSeries":
@@ -76,4 +81,7 @@ class TruncatedSeries(Polynomial):
         so rotation acts on the local frame only.  Total degrees are preserved,
         hence the truncation degree is unchanged.
         """
-        return TruncatedSeries(self.dim, self.center, self.max_degree, rotate(self, matrix).terms)
+        return TruncatedSeries._from_store(
+            self.dim, *rotate(self, matrix)._store,
+            center=self.center, max_degree=self.max_degree,
+        )

@@ -2,14 +2,16 @@
 
 import json
 import os
+import sys
 
 import pytest
 
-from harmonic_ratios import Polynomial, TruncatedSeries
+from harmonic_ratios import Polynomial, TruncatedSeries, catalog
 from harmonic_ratios.cli import main
 from harmonic_ratios.io_formats import (
     format_polynomial, format_series, parse_polynomial, parse_series,
 )
+from harmonic_ratios.nodal import CRITICAL_CELL_BYTES
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -49,10 +51,11 @@ class TestDivide:
 
         real = division._divide_form
 
-        def off_by_one(target, divisor):
-            quotient = real(target, divisor)
-            quotient[(0, 0)] = quotient.get((0, 0), 0) + 1
-            return quotient
+        def off_by_one(target, divisor, pk):
+            (quotient, den), remainder = real(target, divisor, pk)
+            # the constant term, packed key 0, gains 1
+            quotient[0] = quotient.get(0, 0) + den
+            return (quotient, den), remainder
 
         monkeypatch.setattr(division, "_divide_form", off_by_one)
         dividend = write_poly(tmp_path / "P.poly", X**3 * Y - X * Y**3)
@@ -482,7 +485,7 @@ class TestExitTwoInputs:
         points, size = {
             "count": (10**18, 1),  # sign grid cells, one byte each
             "plot": ((10**6 + 1) ** 3, 26),  # bytes per grid node at the peak
-            "critical": (10**18, 72),  # bytes per grid cell at the peak
+            "critical": (10**18, CRITICAL_CELL_BYTES),  # bytes per grid cell, the scan
         }[args[0]]
         assert run(tmp_path, "nodal", *args) == 2
         err = capsys.readouterr().err
@@ -491,7 +494,7 @@ class TestExitTwoInputs:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args, points, size", [
-        (("critical", "--grid", "200"), 200**3, 72),
+        (("critical", "--grid", "200"), 200**3, CRITICAL_CELL_BYTES),
         (("plot", "--res", "200"), 201**3, 26),
     ])
     def test_peak_beyond_physical_memory_exits_two(
@@ -582,6 +585,45 @@ class TestExitTwoInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: the polynomial's coefficients exceed the float range")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_coefficient_past_the_int_string_limit_exits_two(self, tmp_path, capsys):
+        # 10^5000 x^2 is a valid p/q whose 5001 digits int() refuses to read
+        big = tmp_path / "big.poly"
+        big.write_text("dim 2\n1" + "0" * 5000 + "/1 : 2 0\n")
+        out = tmp_path / "out"
+        assert run(out, "divide", "--dividend", str(big), "--divisor", str(big)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        limit = str(sys.get_int_max_str_digits())
+        assert "sys.get_int_max_str_digits()" in err and limit in err
+        assert len(err.encode()) - len(str(big)) < 200
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        # finite coefficients whose values and gradients overflow on the grid
+        ("nodal", "count", "--fn", "rezk:1000", "--ball", "0,0:1", "--res", "64"),
+        ("nodal", "critical", "--fn", "paperH", "--ball", "0,0,1e308:0.5", "--grid", "8"),
+        ("nodal", "critical", "--fn", "rezk:3", "--ball", "1e300,0:1", "--grid", "8"),
+    ], ids=["count-rezk1000", "critical-paperH-far", "critical-rezk3-far"])
+    def test_values_beyond_the_float_range_exit_two(self, tmp_path, capfd, args):
+        out = tmp_path / "out"
+        assert run(out, *args) == 2
+        captured = capfd.readouterr()
+        # no numpy warning and no LAPACK message either
+        assert captured.out == ""
+        assert captured.err.startswith("error: w or its gradient is not finite on the grid")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["rezk:100000", "imzk:2049"])
+    def test_catalog_parameter_beyond_its_bound_exits_two(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        assert run(out, "nodal", "count", "--fn", name, "--ball", "0,0:1", "--res", "8") == 2
+        assert run(out, "series", "--pair", f"{name},rezk:2", "--degree", "1") == 2
+        err = capsys.readouterr().err.splitlines()
+        bound = f"error: {name}: k is at most {catalog.MAX_ZK_DEGREE} in rezk:k and imzk:k"
+        assert err == [bound, bound]
         assert not out.exists()
 
     def test_exact_division_takes_coefficients_beyond_the_float_range(self, tmp_path):

@@ -2,10 +2,11 @@
 
 ``_accumulate_product`` does every multiplication of term maps: ``Polynomial``
 products, the ratio series convolution and its residual check.
-``_divide_form`` does every division by a form.  Both compute in packed
-integers; the oracles below are plain ``Polynomial`` arithmetic and the
-``Fraction`` loops that the kernels replaced, ``fraction_product`` and
-``fraction_divide_form``.
+``_divide_form`` does every division by a form.  Both compute on packed
+stores; the tests call them through the two functions of those names below,
+which take and give ``Fraction`` maps as the kernels once did.  The oracles
+are plain ``Polynomial`` arithmetic and the ``Fraction`` loops that the
+kernels replaced, ``fraction_product`` and ``fraction_divide_form``.
 """
 
 import heapq
@@ -17,10 +18,48 @@ from hypothesis import given, settings, strategies as st
 
 from harmonic_ratios import Polynomial, TruncatedSeries, divide_by_harmonic, harmonic_basis
 from harmonic_ratios import multiindex as mi
-from harmonic_ratios.division import NotDivisible, _divide_form
-from harmonic_ratios.polynomial import _accumulate_product
+from harmonic_ratios import division, polynomial
+from harmonic_ratios.division import NotDivisible
+from harmonic_ratios.polynomial import _aligned
 
 SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _accumulate_product(out, p, q, sign=1, max_degree=math.inf):
+    """out += sign * p * q for Fraction maps, by the store kernel: the
+    three maps under one packing and over one denominator, and ``out``
+    read back in its new order."""
+    if not p or not q:
+        return
+    dim = len(next(iter(p)))
+    stores = [Polynomial(dim, m)._store for m in (out, p, q)]
+    pk, (o_nums, p_nums, q_nums) = _aligned(
+        max(map(sum, p)) + max(map(sum, q)), *stores
+    )
+    d_out, d_p, d_q = (s[2] for s in stores)
+    den = math.lcm(d_out, d_p * d_q)
+    nums = {key: n * (den // d_out) for key, n in o_nums.items()}
+    limit = None if max_degree == math.inf else (max_degree + 1) << pk.degree_shift
+    polynomial._accumulate_product(nums, p_nums, q_nums, sign * (den // (d_p * d_q)), limit)
+    out.clear()
+    out.update((pk.unpack(key), Fraction(n, den)) for key, n in nums.items())
+
+
+def _divide_form(target, divisor):
+    """Divide the Fraction map ``target`` by ``divisor`` in place, by the
+    store kernel: return the quotient map, and leave the remainder in
+    ``target``, both in the kernel's order."""
+    if not target:
+        return {}
+    store = Polynomial(divisor.dim, target)._store
+    top = max(max(map(sum, target)), divisor.total_degree())
+    pk, (t_nums, d_nums) = _aligned(top, store, divisor._store)
+    (q_nums, q_den), (r_nums, r_den) = division._divide_form(
+        (t_nums, store[2]), (d_nums, divisor._store[2]), pk
+    )
+    target.clear()
+    target.update((pk.unpack(key), Fraction(n, r_den)) for key, n in r_nums.items())
+    return {pk.unpack(key): Fraction(n, q_den) for key, n in q_nums.items()}
 
 
 def sparse_polys(dim):
@@ -230,6 +269,15 @@ class TestKernelsAgainstFractionLoops:
         oracle = {}
         fraction_product(oracle, p.terms, q.terms)
         assert list(oracle.items()) == expected
+
+    def test_a_term_of_out_cancelled_and_restored_keeps_its_place(self):
+        # in the nested loop x^2 of out goes 1, 0, 3: the product's sums are
+        # merged into out after the loop, so it is never dropped
+        out = {(2,): Fraction(1), (3,): Fraction(5)}
+        p = {(0,): Fraction(1), (1,): Fraction(1)}
+        q = {(2,): Fraction(1), (1,): Fraction(-3)}
+        _accumulate_product(out, p, q, sign=-1)
+        assert list(out.items()) == [((2,), 3), ((3,), 4), ((1,), 3)]
 
     def test_wide_exponent_fields(self):
         # coordinates past 127 and 255 need wider packed fields

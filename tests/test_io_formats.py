@@ -195,3 +195,251 @@ class TestParsersRaiseOnlyFormatError:
             PARSERS[kind](text)
         except FormatError:
             pass
+
+
+# -- the Fraction parsers and formatter that the packed store replaced ------
+#
+# Kept as oracles: they read every term line into a Fraction, and the packed
+# parsers must accept the same texts, give the same terms in the same order,
+# raise the same FormatError texts and format to the same bytes.
+
+
+def fraction_parse_rational(text):
+    if "e" in text or "E" in text:
+        raise FormatError(f"bad rational {text!r} (want p/q, no exponent)")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad rational {text!r}") from exc
+
+
+def fraction_lines(text):
+    out = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            out.append(line)
+    return out
+
+
+def fraction_term(line, dim):
+    if ":" not in line:
+        raise FormatError(f"term line missing ':': {line!r}")
+    coeff_text, exp_text = line.split(":", 1)
+    coeff = fraction_parse_rational(coeff_text.strip())
+    parts = exp_text.split()
+    if len(parts) != dim:
+        raise FormatError(f"expected {dim} exponents in {line!r}")
+    try:
+        alpha = tuple(int(p) for p in parts)
+    except ValueError as exc:
+        raise FormatError(f"bad exponent in {line!r}") from exc
+    if any(e < 0 for e in alpha):
+        raise FormatError(f"negative exponent in {line!r}")
+    return alpha, coeff
+
+
+def fraction_header_int(line):
+    try:
+        return int(line.split()[1])
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"bad header {line!r}") from exc
+
+
+def fraction_header_dim(line):
+    dim = fraction_header_int(line)
+    if dim < 1:
+        raise FormatError("dimension must be >= 1")
+    return dim
+
+
+def fraction_terms(lines, dim):
+    terms = {}
+    for line in lines:
+        alpha, coeff = fraction_term(line, dim)
+        if alpha in terms:
+            raise FormatError(f"duplicate term {alpha}")
+        terms[alpha] = coeff
+    return terms
+
+
+def fraction_parse_polynomial(text):
+    """(dim, terms) with the zero terms dropped."""
+    lines = fraction_lines(text)
+    if not lines or not lines[0].startswith("dim "):
+        raise FormatError("polynomial file must start with a 'dim n' header")
+    dim = fraction_header_dim(lines[0])
+    return dim, {a: c for a, c in fraction_terms(lines[1:], dim).items() if c}
+
+
+def fraction_parse_series(text):
+    """(dim, center, max_degree, terms) with the zero terms dropped."""
+    lines = fraction_lines(text)
+    if len(lines) < 3:
+        raise FormatError("series file needs dim, center, and maxdeg headers")
+    if not lines[0].startswith("dim "):
+        raise FormatError("series file must start with a 'dim n' header")
+    dim = fraction_header_dim(lines[0])
+    if not lines[1].startswith("center"):
+        raise FormatError("second header must be 'center ...'")
+    center = tuple(fraction_parse_rational(t) for t in lines[1].split()[1:])
+    if len(center) != dim:
+        raise FormatError("center length does not match dim")
+    if not lines[2].startswith("maxdeg"):
+        raise FormatError("third header must be 'maxdeg N'")
+    max_degree = fraction_header_int(lines[2])
+    if max_degree < 0:
+        raise FormatError("truncation degree must be >= 0")
+    terms = fraction_terms(lines[3:], dim)
+    for alpha in terms:
+        if sum(alpha) > max_degree:
+            raise FormatError(f"index {alpha} exceeds truncation degree {max_degree}")
+    return dim, center, max_degree, {a: c for a, c in terms.items() if c}
+
+
+def fraction_format(headers, terms):
+    lines = list(headers)
+    for alpha, c in sorted(terms.items(), key=lambda t: (sum(t[0]), t[0][::-1])):
+        lines.append(f"{c.numerator}/{c.denominator} : " + " ".join(map(str, alpha)))
+    return "\n".join(lines) + "\n"
+
+
+def coefficient_texts():
+    """Coefficient tokens in every form the format reads: p/q, signed,
+    plain integers, decimals, with unit, small and huge denominators."""
+    num = st.one_of(st.integers(0, 999), st.integers(0, 10**40))
+    den = st.one_of(
+        st.sampled_from([1, 1, 2, 3, 12, 10**30 + 7, 2**64]), st.integers(1, 10**6)
+    )
+    sign = st.sampled_from(["", "-", "+"])
+    return st.one_of(
+        st.builds(lambda s, n, d: f"{s}{n}/{d}", sign, num, den),
+        st.builds(lambda s, n: f"{s}{n}", sign, num),
+        st.builds(lambda s, n, f: f"{s}{n}.{f}", sign, num, st.integers(0, 10**9)),
+        st.builds(lambda s, f: f"{s}.{f:03d}", sign, st.integers(0, 999)),
+        st.builds(lambda n, d: f"{n} / {d}", num, den),
+    )
+
+
+def exponent_texts():
+    """Exponents mostly small, some past 127 and 255, some zero-padded."""
+    value = st.one_of(st.integers(0, 4), st.integers(0, 300), st.just(1000))
+    return st.builds(
+        lambda e, pad: f"{e:0{pad}d}", value, st.sampled_from([1, 1, 1, 3])
+    )
+
+
+@st.composite
+def term_texts(draw, dim, max_terms=12):
+    """Term lines of one dimension, with comment and blank lines between
+    them, their exponents sometimes repeated."""
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    lines = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        if lines and draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+        exponents = draw(st.lists(exponent_texts(), min_size=dim, max_size=dim))
+        sep = draw(st.sampled_from([" ", " ", "  ", "\t"]))
+        lines.append(
+            draw(st.sampled_from(["", " "])) + draw(coefficient_texts()) + draw(space)
+            + ":" + draw(space) + sep.join(exponents)
+        )
+    return lines
+
+
+@st.composite
+def polynomial_texts(draw):
+    dim = draw(st.integers(1, 4))
+    return "\n".join([f"dim {dim}", *draw(term_texts(dim))]) + "\n"
+
+
+@st.composite
+def series_texts(draw):
+    dim = draw(st.integers(1, 4))
+    center = [draw(coefficient_texts().filter(lambda t: " " not in t)) for _ in range(dim)]
+    max_degree = draw(st.sampled_from([0, 3, 40, 400, 2000]))
+    return "\n".join([
+        f"dim {dim}", "center " + " ".join(center), f"maxdeg {max_degree}",
+        *draw(term_texts(dim)),
+    ]) + "\n"
+
+
+def same_outcome(parse, oracle, text):
+    """The parsed object and the oracle's result, or both FormatErrors with
+    one text (then None, None)."""
+    try:
+        expected = oracle(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            parse(text)
+        assert str(info.value) == str(exc)
+        return None, None
+    return parse(text), expected
+
+
+ORACLE_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+class TestPackedParsersAgainstFractionParsers:
+    @ORACLE_SETTINGS
+    @given(text=polynomial_texts())
+    def test_polynomials(self, text):
+        p, expected = same_outcome(parse_polynomial, fraction_parse_polynomial, text)
+        if p is None:
+            return
+        dim, terms = expected
+        assert p.dim == dim
+        assert list(p.terms.items()) == list(terms.items())
+        assert format_polynomial(p) == fraction_format([f"dim {dim}"], terms)
+
+    @ORACLE_SETTINGS
+    @given(text=series_texts())
+    def test_series(self, text):
+        s, expected = same_outcome(parse_series, fraction_parse_series, text)
+        if s is None:
+            return
+        dim, center, max_degree, terms = expected
+        assert (s.dim, s.center, s.max_degree) == (dim, center, max_degree)
+        assert list(s.terms.items()) == list(terms.items())
+        headers = [
+            f"dim {dim}",
+            "center " + " ".join(f"{c.numerator}/{c.denominator}" for c in center),
+            f"maxdeg {max_degree}",
+        ]
+        assert format_series(s) == fraction_format(headers, terms)
+
+    @pytest.mark.parametrize("kind", ["polynomial", "series"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_adversarial_text(self, kind, data):
+        text = data.draw(text_like(VALID[kind]))
+        parse = PARSERS[kind]
+        oracle = {"polynomial": fraction_parse_polynomial, "series": fraction_parse_series}
+        got, expected = same_outcome(parse, oracle[kind], text)
+        if got is not None:
+            assert list(got.terms.items()) == list(expected[-1].items())
+
+    @pytest.mark.parametrize("kind, text", [
+        # the first wide degree comes after narrow ones, so the keys so far
+        # move to a wider packing
+        ("polynomial", "dim 2\n1/2 : 1 0\n-3 : 0 2\n7/1000000000000000000000000000007 : 300 0\n"
+                       "2 : 0 1000\n-1/3 : 129 1\n"),
+        ("polynomial", "dim 3\n+4 : 0 0 0\n-0.25 : 1 1 1\n.5 : 2 0 0\n1 / 3 : 0 2 0\n"),
+        ("polynomial", "dim 1\n0/7 : 3\n-0 : 4\n5/10 : 0\n"),
+        ("polynomial", "dim 2\n1 : 300 0\n2 : 300 0\n"),
+        ("polynomial", "dim 2\n1/0 : 300 0\n"),
+        ("polynomial", "dim 2\n1 : 1 0\n1 : 1 x\n"),
+        ("series", "dim 2\ncenter 0 1/2\nmaxdeg 400\n3/18446744073709551616 : 200 200\n"),
+        ("series", "dim 2\ncenter 0 -1.5\nmaxdeg 3\n1 : 1 1\n0 : 3 1\n"),
+        ("series", "dim 1\ncenter 0\nmaxdeg 2\n1 : 0\n1 : 0\n"),
+    ])
+    def test_directed_cases(self, kind, text):
+        oracle = {"polynomial": fraction_parse_polynomial, "series": fraction_parse_series}
+        got, expected = same_outcome(PARSERS[kind], oracle[kind], text)
+        if got is not None:
+            assert list(got.terms.items()) == list(expected[-1].items())
+            headers = format_series(got).splitlines()[:3] if kind == "series" else [
+                f"dim {got.dim}"
+            ]
+            formatted = (format_series if kind == "series" else format_polynomial)(got)
+            assert formatted == fraction_format(headers, expected[-1])
