@@ -149,17 +149,23 @@ def _flag_type(
     """A flag type: ``convert`` the text, then require ``ok`` of the value.
 
     Both failures raise ``argparse.ArgumentTypeError``, which argparse
-    reports as a usage error (an ``error:`` line and exit status 2).
+    reports as a usage error (an ``error:`` line and exit status 2).  The
+    message quotes at most the text's first 32 characters, and names the
+    int-string limit when ``convert`` failed on more digits than it allows.
     """
 
     def parse(text: str) -> Any:
+        why = f"want {want}"
         try:
             value = convert(text)
             if ok(value):
                 return value
         except ValueError:  # io.FormatError among them
-            pass
-        raise argparse.ArgumentTypeError(f"bad {noun} {text!r} (want {want})")
+            limit = io._exceeded_digit_limit(text)
+            if limit:
+                why = f"more digits than sys.get_int_max_str_digits() allows, {limit}"
+        shown = repr(text) if len(text) <= 32 else f"{text[:32]!r}..."
+        raise argparse.ArgumentTypeError(f"bad {noun} {shown} ({why})")
 
     return parse
 

@@ -38,6 +38,7 @@ from .polynomial import (
     Polynomial,
     _accumulate_product,
     _aligned,
+    _by_degree,
     _Packing,
     _reduced,
 )
@@ -217,15 +218,6 @@ def normalize_rotation(v: Polynomial) -> Tuple[RationalOrthogonalMatrix, int]:
     k, leading = v.leading_part()
     w = next(w for w in _stereographic_points(v.dim) if leading.evaluate(w) != 0)
     return (identity(v.dim) if w[0] == 1 else reflection_to(w)), k
-
-
-def _by_degree(nums: Numerators, shift: int) -> Dict[int, Numerators]:
-    """The numerators grouped by total degree, which is the key's bits from
-    ``shift`` up."""
-    forms: Dict[int, Numerators] = {}
-    for key, n in nums.items():
-        forms.setdefault(key >> shift, {})[key] = n
-    return forms
 
 
 def series_ratio(

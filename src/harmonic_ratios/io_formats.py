@@ -40,6 +40,15 @@ def _format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _exceeded_digit_limit(text: str) -> int:
+    """``sys.get_int_max_str_digits()`` if ``text`` has a run of more
+    digits than that limit allows ``int`` to read, else 0."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
+        return limit
+    return 0
+
+
 def _parse_fraction(text: str) -> Fraction:
     # Fraction also reads exponent form, where a few bytes such as 1e9999999
     # build a huge integer; the format is p/q (or a plain decimal)
@@ -48,8 +57,8 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        limit = sys.get_int_max_str_digits()
-        if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
+        limit = _exceeded_digit_limit(text)
+        if limit:
             raise FormatError(
                 f"rational {text[:32]!r}... has more digits than "
                 f"sys.get_int_max_str_digits() allows ({limit})"

@@ -49,12 +49,6 @@ def graded_key(alpha: MultiIndex) -> Tuple[int, Tuple[int, ...]]:
     return (sum(alpha), tuple(reversed(alpha)))
 
 
-def leq_componentwise(alpha: MultiIndex, beta: MultiIndex) -> bool:
-    """Partial order: alpha <= beta in every coordinate, that is, the
-    monomial of alpha divides the monomial of beta."""
-    return all(a <= b for a, b in zip(alpha, beta))
-
-
 def add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
     return tuple(a + b for a, b in zip(alpha, beta))
 

@@ -589,7 +589,8 @@ def _bisect_edges(
         if not live.size:
             break
         fm = w.evaluate_array(list(m))
-        left = fa[live] * fm < 0
+        # by signs: a product of two tiny values underflows to 0
+        left = np.sign(fa[live]) * np.sign(fm) < 0
         b[:, live[left]] = m[:, left]
         a[:, live[~left]] = m[:, ~left]
         fa[live[~left]] = fm[~left]
@@ -626,6 +627,9 @@ def zero_set_sample(
     axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
     vals = w.evaluate_array(np.ix_(*axes))
     scale = max(float(np.max(np.abs(vals))), 1e-300)
+    # a sign change is told by signs: the product of two tiny values
+    # underflows to 0
+    sign = np.sign(vals).astype(np.int8)
 
     if dim == 2:
         # Each cell's sides in scan order: bottom, right, top, left, given by
@@ -634,7 +638,7 @@ def zero_set_sample(
         # change yields its crossing (key 3*node + 1 + axis).  Points are
         # numbered by first appearance over the cells in row-major order.
         zero = vals == 0.0
-        change = (vals[:-1] * vals[1:] < 0, vals[:, :-1] * vals[:, 1:] < 0)
+        change = (sign[:-1] * sign[1:] < 0, sign[:, :-1] * sign[:, 1:] < 0)
         sides = ((0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1))
         has = [
             zero[di:di + resolution, dj:dj + resolution]
@@ -675,7 +679,7 @@ def zero_set_sample(
             first[axis] = slice(0, -1)
             second[axis] = slice(1, None)
             f0 = vals[tuple(first)]
-            idx = np.nonzero(f0 * vals[tuple(second)] < 0)
+            idx = np.nonzero(sign[tuple(first)] * sign[tuple(second)] < 0)
             ends = np.stack([axes[k][idx[k]] for k in range(3)])
             a_parts.append(ends)
             ends = ends.copy()

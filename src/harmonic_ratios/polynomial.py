@@ -8,11 +8,12 @@ positive and coprime to the numerators taken together.  The store is
 canonical, so structural equality of stores is polynomial identity.  All
 exact arithmetic and the exact kernels (``_accumulate_product`` here,
 ``division._divide_form``) run on stores in Python ints, and the parser and
-formatter of ``io_formats`` read and write stores directly.  The map from
-multi-index to ``Fraction``, ``terms``, is built from the store when a
-caller first reads it and kept; a polynomial built from such a map keeps it
-too.  Floating-point evaluation is a separate code path (`evaluate_array`)
-used only by the numeric layers.
+formatter of ``io_formats`` read and write stores directly.  The store is
+the only representation: the queries (coefficients, the terms in order,
+homogeneous parts, exact evaluation) read it, and ``terms``, the map from
+multi-index to ``Fraction``, is built afresh from it on every read.
+Floating-point evaluation is a separate code path (`evaluate_array`) used
+only by the numeric layers.
 
 Float evaluation sums the terms nested by axis, last axis outermost: the
 terms are grouped by their exponent of the last axis, each group by its
@@ -37,7 +38,6 @@ import numpy as np
 from . import multiindex as mi
 from .multiindex import MultiIndex
 
-Rational = Fraction
 Terms = Dict[MultiIndex, Fraction]
 Numerators = Dict[int, int]
 
@@ -142,6 +142,15 @@ def _aligned(top: int, *stores: Store) -> Tuple[_Packing, List[Numerators]]:
     if pk.top < top:
         pk = _packing(pk.dim, top)
     return pk, [_repacked(nums, old, pk) for old, nums, _ in stores]
+
+
+def _by_degree(nums: Numerators, shift: int) -> Dict[int, Numerators]:
+    """The numerators grouped by total degree, which is the key's bits from
+    ``shift`` up."""
+    forms: Dict[int, Numerators] = {}
+    for key, n in nums.items():
+        forms.setdefault(key >> shift, {})[key] = n
+    return forms
 
 
 def _accumulate_product(
@@ -260,30 +269,26 @@ def _nested_sum(level, powers):
 
 
 class Polynomial:
-    """Immutable-by-convention sparse polynomial over the rationals."""
+    """Immutable-by-convention sparse polynomial over the rationals; equal
+    by value, and not hashable."""
 
     # ``_store`` is the packed store (see the module docstring), always
-    # set.  ``_terms``, the Fraction map, is set on the first read of
-    # ``terms``, and ``_plan``, the float evaluation plan, by the first
-    # ``evaluate_array`` call; polynomials are immutable by convention, so
-    # neither goes stale
-    __slots__ = ("dim", "_store", "_terms", "_plan")
+    # set; ``_plan``, the float evaluation plan, is set by the first
+    # ``evaluate_array`` call, and polynomials are immutable by convention,
+    # so it does not go stale
+    __slots__ = ("dim", "_store", "_plan")
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, object] | None = None):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = int(dim)
-        clean: Terms = {}
-        if terms:
-            for alpha, c in terms.items():
-                alpha = mi.validate(alpha, dim)
-                c = Fraction(c)
-                if c != 0:
-                    clean[alpha] = c
-        self._terms = clean
-        pk = _packing(self.dim, max(map(sum, clean), default=0))
-        pairs = {pk.pack(a): (c.numerator, c.denominator) for a, c in clean.items()}
-        self._store = (pk, *_over_lcm(pairs))
+        pairs: Dict[MultiIndex, Tuple[int, int]] = {}
+        for alpha, c in (terms or {}).items():
+            c = Fraction(c)
+            if c != 0:
+                pairs[mi.validate(alpha, dim)] = c.numerator, c.denominator
+        pk = _packing(self.dim, max(map(sum, pairs), default=0))
+        self._store = (pk, *_over_lcm({pk.pack(a): c for a, c in pairs.items()}))
 
     # -- constructors ------------------------------------------------------
 
@@ -330,14 +335,10 @@ class Polynomial:
     @property
     def terms(self) -> Terms:
         """The terms as a map from multi-index to ``Fraction``, in store
-        order; built on the first read and kept."""
-        try:
-            return self._terms
-        except AttributeError:
-            pk, nums, den = self._store
-            unpack = pk.unpack
-            self._terms = {unpack(key): Fraction(n, den) for key, n in nums.items()}
-            return self._terms
+        order; a new map on every read."""
+        pk, nums, den = self._store
+        unpack = pk.unpack
+        return {unpack(key): Fraction(n, den) for key, n in nums.items()}
 
     def is_zero(self) -> bool:
         return not self._store[1]
@@ -361,18 +362,17 @@ class Polynomial:
         return self.total_degree() == self.leading_degree()
 
     def coefficient(self, alpha: Sequence[int]) -> Fraction:
-        return self.terms.get(mi.validate(alpha, self.dim), Fraction(0))
+        alpha = mi.validate(alpha, self.dim)
+        pk, nums, den = self._store
+        if max(alpha) > pk.top:  # no key holds it
+            return Fraction(0)
+        return Fraction(nums.get(pk.pack(alpha), 0), den)
 
     def sorted_terms(self) -> List[Tuple[MultiIndex, Fraction]]:
-        """Terms in graded-then-prec order (the canonical iteration order)."""
-        return sorted(self.terms.items(), key=lambda t: mi.graded_key(t[0]))
-
-    def leading_term(self) -> Tuple[MultiIndex, Fraction]:
-        """Largest term under the graded-then-prec monomial order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        alpha = max(self.terms, key=mi.graded_key)
-        return alpha, self.terms[alpha]
+        """Terms in graded-then-prec order (the canonical iteration order),
+        which is the order of their keys."""
+        pk, nums, den = self._store
+        return [(pk.unpack(key), Fraction(nums[key], den)) for key in sorted(nums)]
 
     def _same_store(self, other: "Polynomial") -> bool:
         (pa, na, da), (pb, nb, db) = self._store, other._store
@@ -388,9 +388,6 @@ class Polynomial:
             and self.dim == other.dim
             and self._same_store(other)
         )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -493,27 +490,16 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     def homogeneous_part(self, degree: int) -> "Polynomial":
-        return Polynomial(
-            self.dim, {a: c for a, c in self.terms.items() if sum(a) == degree}
-        )
-
-    def homogeneous_parts(self) -> List[Tuple[int, "Polynomial"]]:
-        """Decompose into homogeneous pieces, degrees strictly increasing.
-
-        Raises on the zero polynomial (it has no leading part).
-        """
-        if not self.terms:
-            raise ValueError("zero polynomial has no homogeneous decomposition")
-        buckets: Dict[int, Terms] = {}
-        for a, c in self.terms.items():
-            buckets.setdefault(sum(a), {})[a] = c
-        return [
-            (d, Polynomial(self.dim, buckets[d])) for d in sorted(buckets)
-        ]
+        pk, nums, den = self._store
+        part = _by_degree(nums, pk.degree_shift).get(degree, {})
+        return Polynomial._from_store(self.dim, pk, part, den)
 
     def leading_part(self) -> Tuple[int, "Polynomial"]:
-        """The nonzero homogeneous part of least degree."""
-        return self.homogeneous_parts()[0]
+        """The nonzero homogeneous part of least degree, and that degree."""
+        if self.is_zero():
+            raise ValueError("zero polynomial has no leading part")
+        k = self.leading_degree()
+        return k, self.homogeneous_part(k)
 
     # -- evaluation --------------------------------------------------------
 
@@ -522,14 +508,14 @@ class Polynomial:
         if len(point) != self.dim:
             raise ValueError("point dimension mismatch")
         pt = [Fraction(x) for x in point]
+        pk, nums, den = self._store
         total = Fraction(0)
-        for a, c in self.terms.items():
-            m = c
-            for x, e in zip(pt, a):
+        for key, n in nums.items():
+            for x, e in zip(pt, pk.unpack(key)):
                 if e:
-                    m *= x**e
-            total += m
-        return total
+                    n *= x**e
+            total += n
+        return total / den
 
     def evaluate_array(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized float evaluation; coords is one array per variable.
@@ -607,53 +593,34 @@ class Polynomial:
 
 
 def harmonic_basis(dim: int, degree: int) -> List[Polynomial]:
-    """Exact rational basis of homogeneous harmonic polynomials.
+    """Exact rational basis of the homogeneous harmonic polynomials of
+    ``degree``: one member per monomial x^alpha with alpha_0 <= 1, in
+    ``mi.iter_degree`` order.
 
-    Solves the linear system "Laplacian of a general degree-d form vanishes"
-    over the rationals by Gaussian elimination, so every returned polynomial
-    is exactly harmonic.
+    With a = alpha_0 and p = x^alpha / x_0^a, which does not involve x_0,
+    the member is
+
+        h = sum_j (-1)^j * a! / (a + 2j)! * x_0^(a + 2j) * Laplacian^j(p),
+
+    whose Laplacian telescopes to 0.  Its only term with x_0-exponent at
+    most 1 is x^alpha, so h is the member that the reduced row echelon form
+    of the Laplacian on degree-``degree`` forms gives for that free monomial.
     """
-    monos = list(mi.iter_degree(dim, degree))
-    target = list(mi.iter_degree(dim, degree - 2)) if degree >= 2 else []
-    if not target:
-        return [Polynomial.monomial(dim, m) for m in monos]
-    row_of = {m: i for i, m in enumerate(target)}
-    # matrix of the Laplacian: rows = degree-(d-2) monomials, cols = degree-d ones
-    nrows, ncols = len(target), len(monos)
-    mat = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for j, m in enumerate(monos):
-        for i in range(dim):
-            if m[i] >= 2:
-                b = list(m)
-                b[i] -= 2
-                mat[row_of[tuple(b)]][j] += m[i] * (m[i] - 1)
-    # rational row reduction
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [vi - f * vr for vi, vr in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free_cols:
-        coeffs = {monos[fc]: Fraction(1)}
-        for ri, pc in enumerate(pivots):
-            v = -mat[ri][fc]
-            if v:
-                coeffs[monos[pc]] = v
-        basis.append(Polynomial(dim, coeffs))
+    for alpha in mi.iter_degree(dim, degree):
+        e = alpha[0]
+        if e > 1:
+            continue
+        # at step j: e = a + 2j, c = (-1)^j * a! / e! and p = Laplacian^j of
+        # x^alpha / x_0^a
+        p = Polynomial.monomial(dim, (0, *alpha[1:]))
+        h, c = Polynomial.zero(dim), Fraction(1)
+        while not p.is_zero():
+            h = h + p * Polynomial.monomial(dim, (e,) + (0,) * (dim - 1), c)
+            p = p.laplacian()
+            c /= -(e + 1) * (e + 2)
+            e += 2
+        basis.append(h)
     return basis
 
 

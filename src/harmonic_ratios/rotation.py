@@ -49,30 +49,6 @@ class RationalOrthogonalMatrix:
             tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n))
         )
 
-    # the inverse of an orthogonal matrix is its transpose
-    inverse = transpose
-
-    def __matmul__(self, other: "RationalOrthogonalMatrix") -> "RationalOrthogonalMatrix":
-        n = self.dim
-        if other.dim != n:
-            raise ValueError("dimension mismatch")
-        return RationalOrthogonalMatrix(
-            tuple(
-                tuple(
-                    sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
-
-    def apply(self, point: Sequence) -> Tuple[Fraction, ...]:
-        """Matrix-vector product with exact rational arithmetic."""
-        pt = [Fraction(v) for v in point]
-        if len(pt) != self.dim:
-            raise ValueError("point dimension mismatch")
-        return tuple(sum(r[j] * pt[j] for j in range(self.dim)) for r in self.rows)
-
 
 def identity(n: int) -> RationalOrthogonalMatrix:
     return RationalOrthogonalMatrix(

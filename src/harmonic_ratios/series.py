@@ -6,9 +6,12 @@ A ``TruncatedSeries`` is the polynomial
 
 in the displacement x - center, together with that center and the
 truncation degree N.  It is a ``Polynomial`` in the displacement variables,
-so queries, arithmetic and evaluation are inherited; arithmetic returns a
-bare ``Polynomial``.  The series knows nothing about the function it
-truncates.
+held in the same packed store, so queries, arithmetic and evaluation are
+inherited; arithmetic returns a bare ``Polynomial``, and
+``Polynomial(s.dim, s.terms)`` is the truncation as one.  ``coefficients``
+is ``terms``, built afresh from the store on each read.  Like a
+polynomial, a series compares by value and is unhashable.  The series
+knows nothing about the function it truncates.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ class TruncatedSeries(Polynomial):
             and self._same_store(other)
         )
 
-    __hash__ = None
-
     @staticmethod
     def from_polynomial(
         p: Polynomial, max_degree: int, center: Sequence = None
@@ -66,13 +67,6 @@ class TruncatedSeries(Polynomial):
             p.dim, pk, {key: n for key, n in nums.items() if key < limit}, den,
             center=tuple(Fraction(c) for c in center), max_degree=max_degree,
         )
-
-    def as_polynomial(self) -> Polynomial:
-        """The truncation as a bare polynomial in x - center; shares the
-        store and the terms."""
-        p = Polynomial.__new__(Polynomial)
-        p.dim, p._store, p._terms = self.dim, self._store, self.terms
-        return p
 
     def rotate(self, matrix: RationalOrthogonalMatrix) -> "TruncatedSeries":
         """Orthogonal change of the displacement variables, center kept.

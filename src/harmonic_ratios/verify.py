@@ -422,7 +422,8 @@ def leading_zero_inclusion(
         vals = v_lead.evaluate_array(list(pts))
         u_vals = u_lead.evaluate_array(list(pts))
         u_scale = max(u_scale, float(np.max(np.abs(u_vals))))
-        cross = vals * np.roll(vals, -1) < 0
+        sign = np.sign(vals)
+        cross = sign * np.roll(sign, -1) < 0
         on_grid.append(pts[:, vals == 0.0])
         starts.append(pts[:, cross])
         ends.append(np.roll(pts, -1, axis=1)[:, cross])

@@ -136,6 +136,16 @@ class TestCertify:
         assert run(tmp_path, "certify", *argv, "--k", "0", "--n", "2") == 2
         assert f"argument {flag}: bad rational" in capsys.readouterr().err
 
+    def test_rational_past_the_int_string_limit_is_quoted_short(self, tmp_path, capsys):
+        big = "1" + "0" * 5000
+        assert run(tmp_path, "certify", "--a", big, "--c", "1", "--r", "1",
+                   "--k", "1", "--n", "2") == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert "argument --a: bad rational '1000" in error and big not in error
+        assert len(error.encode()) < 200
+        limit = sys.get_int_max_str_digits()
+        assert f"sys.get_int_max_str_digits() allows, {limit}" in error
+
 
 class TestVerify:
     def test_harnack_box_flag(self, tmp_path):
@@ -283,6 +293,15 @@ class TestInputValidation:
         assert run(tmp_path, *args) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "internal error" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_long_count_is_quoted_short(self, tmp_path, capsys):
+        big = "1" + "0" * 5000
+        assert run(tmp_path, "verify", "harnack", "--pair", "expsin,coshsin",
+                   "--samples", big) == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert "argument --samples: bad count '1000" in error and big not in error
+        assert "'..." in error and len(error.encode()) < 200
         assert not list(tmp_path.iterdir())
 
     def test_zero_volume_box_exits_two(self, tmp_path, capsys):

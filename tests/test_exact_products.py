@@ -134,7 +134,7 @@ def fraction_product(out, p, q, sign=1, max_degree=math.inf):
 
 def fraction_divide_form(target, divisor):
     """Leading-term reduction of ``target`` by ``divisor`` in Fractions."""
-    lead, c_lead = divisor.leading_term()
+    lead, c_lead = divisor.sorted_terms()[-1]
     tail = [
         (tuple(b - a for a, b in zip(lead, beta)), c)
         for beta, c in divisor.terms.items()
@@ -145,7 +145,7 @@ def fraction_divide_form(target, divisor):
     heapq.heapify(heap)
     while heap:
         _, alpha = heapq.heappop(heap)
-        if alpha not in target or not mi.leq_componentwise(lead, alpha):
+        if alpha not in target or not all(a <= b for a, b in zip(lead, alpha)):
             continue
         q = target.pop(alpha) / c_lead
         quotient[mi.sub(alpha, lead)] = q
@@ -188,7 +188,7 @@ def divisions(draw):
     divisor = Polynomial(dim, draw(term_maps(dim, max_exp=2, max_size=4)))
     if divisor.is_zero():
         divisor = Polynomial.variable(dim, dim - 1)
-    lead, c_lead = divisor.leading_term()
+    _, c_lead = divisor.sorted_terms()[-1]
     divisor = divisor.scale(draw(st.sampled_from(LEADS)) / c_lead)
     target = divisor * Polynomial(dim, draw(term_maps(dim)))
     target = target + Polynomial(dim, draw(term_maps(dim, max_size=3)))
@@ -245,7 +245,7 @@ class TestKernelsAgainstFractionLoops:
     def test_not_divisible_message(self, dim, degree, pick, lead, r):
         basis = harmonic_basis(dim, degree)
         q = basis[pick % len(basis)]
-        q = q.scale(lead / q.leading_term()[1])
+        q = q.scale(lead / q.sorted_terms()[-1][1])
         extra = Polynomial(dim, r.draw(term_maps(dim, max_size=3)))
         p = q * Polynomial(dim, r.draw(term_maps(dim))) + extra
         remainder = dict(p.terms)
@@ -257,7 +257,7 @@ class TestKernelsAgainstFractionLoops:
         with pytest.raises(NotDivisible) as info:
             divide_by_harmonic(p, q)
         assert str(info.value) == (
-            f"leading monomial {lt_r} is not a multiple of {q.leading_term()[0]}"
+            f"leading monomial {lt_r} is not a multiple of {q.sorted_terms()[-1][0]}"
         )
 
     def test_a_cancelled_monomial_goes_in_where_it_reappears(self):
@@ -305,8 +305,8 @@ class TestSeriesIsAPolynomial:
         assert self.S != TruncatedSeries(2, (0, 0), 4, terms)
 
     def test_never_equal_to_a_bare_polynomial(self):
-        p = self.S.as_polynomial()
-        assert type(p) is Polynomial and p.terms == self.S.terms
+        p = Polynomial(self.S.dim, self.S.terms)
+        assert p.terms == self.S.terms
         assert self.S != p and p != self.S
 
     def test_unhashable(self):
@@ -316,8 +316,9 @@ class TestSeriesIsAPolynomial:
     def test_arithmetic_gives_a_bare_polynomial(self):
         product = self.S * self.S
         assert type(product) is Polynomial
-        assert product == self.S.as_polynomial() * self.S.as_polynomial()
+        p = Polynomial(self.S.dim, self.S.terms)
+        assert product == p * p
 
     def test_coefficients_are_the_terms(self):
-        assert self.S.coefficients is self.S.terms
+        assert self.S.coefficients == self.S.terms
         assert self.S.coefficient((1, 2)) == Fraction(-1, 2)

@@ -52,7 +52,7 @@ def rotated_recursion(u: TruncatedSeries, v: TruncatedSeries, n_out: int) -> Tru
         for gamma, f_gamma in f_coeffs.items():
             if sum(gamma) > sum(beta):
                 continue
-            if not mi.leq_componentwise(gamma, mi.add(beta, k_tilde)):
+            if not all(a <= b for a, b in zip(gamma, mi.add(beta, k_tilde))):
                 continue
             assert mi.prec(gamma, beta)  # well-foundedness of the recursion
             vc = v_coeffs.get(mi.sub(mi.add(beta, k_tilde), gamma))
@@ -125,7 +125,7 @@ def test_series_ratio_matches_rotated_recursion(zero_pivot, data):
     out = series_ratio(u, v, n_out)
     assert out.residual_verified
     assert out.quotient.coefficients == rotated_recursion(u, v, n_out).coefficients
-    assert out.quotient.as_polynomial() == f
+    assert Polynomial(u.dim, out.quotient.terms) == f
     assert divide_by_harmonic(q * f, q).quotient == f
 
 
@@ -151,9 +151,11 @@ def test_no_strict_residual_sits_off_the_leading_monomial(zero_pivot, data):
         with pytest.raises(ResidualNonzero):
             series_ratio(u, v, n_out)
         with pytest.raises(NotDivisible):
-            divide_by_harmonic(u.as_polynomial(), q)
+            divide_by_harmonic(Polynomial(dim, u.terms), q)
     lead = max(q.terms, key=mi.graded_key)
-    assert not any(mi.leq_componentwise(lead, alpha) for alpha in residual.coefficients)
+    assert not any(
+        all(a <= b for a, b in zip(lead, alpha)) for alpha in residual.coefficients
+    )
 
 
 def stereographic_points(dim):
@@ -181,7 +183,7 @@ def test_normalize_rotation_skips_vanishing_candidates(dim, misses):
     rot, k = normalize_rotation(form)
     assert k == misses + 1
     assert rot.column(0) == expected
-    assert form.evaluate(rot.apply(e1(dim))) != 0
+    assert form.evaluate(rot.column(0)) != 0
     n = range(dim)
     assert all(
         sum(rot.rows[i][m] * rot.rows[j][m] for m in n) == (i == j) for i in n for j in n
@@ -210,7 +212,7 @@ def test_4d_xy_divisor_is_fast():
     assert elapsed < 1.0
     u, v = as_series(q * f, 7), as_series(q, 7)
     out, elapsed = cpu_seconds(lambda: series_ratio(u, v, 5))
-    assert out.quotient.as_polynomial() == f
+    assert Polynomial(4, out.quotient.terms) == f
     assert elapsed < 1.0
 
 

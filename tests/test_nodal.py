@@ -438,6 +438,16 @@ class TestZeroSetSample:
         with pytest.raises(BisectionError):
             zero_set_sample(PAPER_H, Region.ball((0, 0, 0), 0.5), 7, tol=-1.0)
 
+    @pytest.mark.parametrize("z0", [5e-324, -5e-324])
+    def test_subnormal_box_keeps_its_brackets(self, z0):
+        # near (1, -1, 5e-324) w is about -1.5e-323, and its product with a
+        # value of w there underflows to 0; bisection lost such edges and
+        # raised BisectionError near [1.0, -0.75, 5e-324]
+        points, _ = zero_set_sample(PAPER_H, Region.box((-1, -1, z0), (1, 1, 1)), 8)
+        assert points
+        values = PAPER_H.evaluate_array(list(np.array(points).T))
+        assert np.all(np.abs(values) < 1e-9)
+
     def test_3d_point_cloud(self):
         points, segments = zero_set_sample(PAPER_H, Region.ball((0, 0, 0), 0.5), 12)
         assert segments == []

@@ -8,6 +8,8 @@ points must agree bit for bit.  Bisected points are held to 2 ulp; on the
 cases below they agree bit for bit as well.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,16 @@ class TestBatchedBisection:
         for k in range(a.shape[1]):
             alone = _bisect_edges(w, a[:, k:k + 1], b[:, k:k + 1], fa[k:k + 1])
             assert alone[:, 0].tobytes() == batch[:, k].tobytes()
+
+    def test_values_whose_products_underflow_keep_their_bracket(self):
+        # w(-1) * w(m) underflows to -0 for every midpoint m past 0, which
+        # a test by the product's sign reads as no sign change
+        w = Polynomial(1, {(1,): Fraction(1, 10**300)})
+        a, b = np.array([[-1.0]]), np.array([[0.5]])
+        fa = w.evaluate_array(list(a))
+        assert fa[0] * w.evaluate_array([np.array([0.125])])[0] == 0.0
+        root = _bisect_edges(w, a, b, fa)
+        assert abs(root[0, 0]) < 1e-20
 
 
 def bisect_edges_to_the_cap(w, a, b, fa):

@@ -13,6 +13,7 @@ from harmonic_ratios import (
     harmonic_basis,
     rotate,
 )
+from harmonic_ratios import multiindex as mi
 from harmonic_ratios.polynomial import CoefficientOverflow
 from harmonic_ratios.rotation import cayley_from_params, identity
 
@@ -103,17 +104,17 @@ class TestStructure:
         if p.is_zero():
             return
         total = Polynomial.zero(p.dim)
-        degrees = []
-        for d, part in p.homogeneous_parts():
-            assert part.is_homogeneous() and not part.is_zero()
-            degrees.append(d)
+        for d in range(p.leading_degree(), p.total_degree() + 1):
+            part = p.homogeneous_part(d)
+            assert part.is_zero() or part.total_degree() == part.leading_degree() == d
             total = total + part
-        assert degrees == sorted(degrees)
         assert total == p
+        assert p.homogeneous_part(p.total_degree() + 1).is_zero()
 
     def test_homogeneous_parts_of_zero_raise(self):
+        assert Polynomial.zero(2).homogeneous_part(0).is_zero()
         with pytest.raises(ValueError):
-            Polynomial.zero(2).homogeneous_parts()
+            Polynomial.zero(2).leading_part()
 
     def test_leading_part(self):
         p = X * Y + X**3
@@ -123,7 +124,7 @@ class TestStructure:
     def test_leading_term_graded_order(self):
         # same degree: the reversed-tuple comparison breaks the tie
         p = X * X + Y * Y
-        alpha, _ = p.leading_term()
+        alpha, _ = p.sorted_terms()[-1]
         assert alpha == (0, 2)
 
 
@@ -249,8 +250,8 @@ class TestPlanFreshness:
         )
         if evaluated_first:
             series.evaluate_array(self.POINTS)
-        poly = series.as_polynomial()
-        assert poly.terms is series.terms
+        poly = Polynomial(series.dim, series.terms)
+        assert poly.terms == series.terms
         expected = self.fresh_values(series).tobytes()
         assert poly.evaluate_array(self.POINTS).tobytes() == expected
         assert series.evaluate_array(self.POINTS).tobytes() == expected
@@ -336,6 +337,146 @@ class TestHarmonicBasis:
         assert len(harmonic_basis(2, 0)) == 1
         assert all(b.is_harmonic() for b in harmonic_basis(3, 1))
 
+    @pytest.mark.parametrize("dim,max_degree", [(1, 10), (2, 12), (3, 10), (4, 8), (5, 6), (6, 5)])
+    def test_closed_form_matches_row_reduction(self, dim, max_degree):
+        for degree in range(max_degree + 1):
+            got = harmonic_basis(dim, degree)
+            want = row_reduced_harmonic_basis(dim, degree)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g == w, (dim, degree, g, w)
+
+
+def row_reduced_harmonic_basis(dim, degree):
+    """The harmonic basis by rational row reduction of the Laplacian on
+    degree-``degree`` forms: one member per free column, in
+    ``mi.iter_degree`` order, the former ``harmonic_basis``."""
+    monos = list(mi.iter_degree(dim, degree))
+    target = list(mi.iter_degree(dim, degree - 2)) if degree >= 2 else []
+    if not target:
+        return [Polynomial.monomial(dim, m) for m in monos]
+    row_of = {m: i for i, m in enumerate(target)}
+    nrows, ncols = len(target), len(monos)
+    mat = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for j, m in enumerate(monos):
+        for i in range(dim):
+            if m[i] >= 2:
+                b = list(m)
+                b[i] -= 2
+                mat[row_of[tuple(b)]][j] += m[i] * (m[i] - 1)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [vi - f * vr for vi, vr in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        coeffs = {monos[fc]: Fraction(1)}
+        for ri, pc in enumerate(pivots):
+            if mat[ri][fc]:
+                coeffs[monos[pc]] = -mat[ri][fc]
+        basis.append(Polynomial(dim, coeffs))
+    return basis
+
+
+# The queries as they were computed from the Fraction map ``terms``, kept
+# as oracles for the ones that read the packed store.
+
+
+def terms_coefficient(p, alpha):
+    return p.terms.get(tuple(alpha), Fraction(0))
+
+
+def terms_sorted_terms(p):
+    return sorted(p.terms.items(), key=lambda t: mi.graded_key(t[0]))
+
+
+def terms_homogeneous_part(p, degree):
+    return Polynomial(p.dim, {a: c for a, c in p.terms.items() if sum(a) == degree})
+
+
+def terms_leading_part(p):
+    k = min(map(sum, p.terms))
+    return k, terms_homogeneous_part(p, k)
+
+
+def terms_evaluate(p, point):
+    total = Fraction(0)
+    for a, c in p.terms.items():
+        for x, e in zip(point, a):
+            if e:
+                c *= Fraction(x) ** e
+        total += c
+    return total
+
+
+@st.composite
+def wide_polynomials(draw):
+    """Polynomials of dims 1-4 whose exponents may pass 127, which needs a
+    packing wider than the default one, and a rational point."""
+    dim = draw(st.integers(1, 4))
+    exponent = st.one_of(st.integers(0, 4), st.integers(120, 300))
+    terms = draw(st.dictionaries(
+        st.tuples(*[exponent] * dim),
+        st.fractions(min_value=-10, max_value=10, max_denominator=9),
+        max_size=8,
+    ))
+    point = draw(st.lists(
+        st.fractions(min_value=-2, max_value=2, max_denominator=5),
+        min_size=dim, max_size=dim,
+    ))
+    return Polynomial(dim, terms), point
+
+
+class TestStoreQueriesMatchTheTermsOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(wide_polynomials(), st.data())
+    def test_queries(self, case, data):
+        p, point = case
+        last = Polynomial.variable(p.dim, p.dim - 1)
+        for q in (p, p * last):  # from the constructor, and from a kernel
+            top = q._store[0].top
+            probes = list(q.terms) + [
+                (top + 1,) + (0,) * (q.dim - 1),
+                (0,) * (q.dim - 1) + (top + 1,),
+                data.draw(st.tuples(*[st.integers(0, 300)] * q.dim)),
+            ]
+            for alpha in probes:
+                assert q.coefficient(alpha) == terms_coefficient(q, alpha)
+            assert q.sorted_terms() == terms_sorted_terms(q)
+            for d in {*map(sum, q.terms), 0, 1, 301}:
+                part, want = q.homogeneous_part(d), terms_homogeneous_part(q, d)
+                assert part == want
+                assert list(part.terms.items()) == list(want.terms.items())
+            if q.is_zero():
+                with pytest.raises(ValueError):
+                    q.leading_part()
+            else:
+                (k, lead), (k_want, lead_want) = q.leading_part(), terms_leading_part(q)
+                assert k == k_want and lead == lead_want
+            assert q.evaluate(point) == terms_evaluate(q, point)
+            assert type(q.evaluate(point)) is Fraction
+
+    def test_coefficient_beyond_the_packing(self):
+        p = Polynomial(2, {(3, 1): Fraction(2, 3)})
+        top = p._store[0].top
+        assert p.coefficient((3, 1)) == Fraction(2, 3)
+        assert p.coefficient((top + 1, 0)) == 0
+        assert p.coefficient((10**30, 10**30)) == 0
+        assert Polynomial.zero(3).coefficient((0, 0, 0)) == 0
+
 
 class TestRotation:
     def test_requires_exact_matrix(self):
@@ -357,4 +498,5 @@ class TestRotation:
         rot = cayley_from_params(2, [Fraction(1, 3)])
         p = X**3 - 3 * X * Y**2
         pt = (Fraction(2, 7), Fraction(-1, 4))
-        assert rotate(p, rot).evaluate(pt) == p.evaluate(rot.apply(pt))
+        image = [sum(m * x for m, x in zip(row, pt)) for row in rot.rows]
+        assert rotate(p, rot).evaluate(pt) == p.evaluate(image)

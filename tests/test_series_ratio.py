@@ -43,7 +43,7 @@ def dense_ratio_oracle(u: TruncatedSeries, v: TruncatedSeries, n_out: int):
     for alpha in equations:
         row = [Fraction(0)] * len(unknowns)
         for beta in unknowns:
-            if mi.leq_componentwise(beta, alpha):
+            if all(b <= a for b, a in zip(beta, alpha)):
                 coeff = v.coefficient(mi.sub(alpha, beta))
                 if coeff:
                     row[col[beta]] = coeff
@@ -81,7 +81,7 @@ class TestPolynomialRatios:
         u = poly_series((X * X - Y * Y) * (X * Y), 8)
         v = poly_series(X * Y, 8)
         out = series_ratio(u, v, 4)
-        assert out.quotient.as_polynomial() == X * X - Y * Y
+        assert Polynomial(2, out.quotient.terms) == X * X - Y * Y
         assert out.residual_verified
 
     def test_agrees_with_dense_oracle(self):
