@@ -30,12 +30,8 @@ from .certificates import (
 )
 from .division import DivisionError, divide_by_harmonic, series_ratio
 from .nodal import (
-    COUNT_CELL_BYTES,
-    COUNT_FIXED_BYTES,
-    CRITICAL_CELL_BYTES,
+    BeyondMemory,
     NonFiniteValues,
-    SeedsBeyondMemory,
-    _physical_memory,
     critical_set_sample,
     nodal_domain_count,
     write_points_csv,
@@ -50,7 +46,6 @@ from .verify import (
     RatioEvaluator,
     RatioVanishes,
     ResidualVanishes,
-    _grid_side,
     harnack_constant,
     leading_zero_inclusion,
     max_principle_check,
@@ -164,8 +159,7 @@ def _flag_type(
             limit = io._exceeded_digit_limit(text)
             if limit:
                 why = f"more digits than sys.get_int_max_str_digits() allows, {limit}"
-        shown = repr(text) if len(text) <= 32 else f"{text[:32]!r}..."
-        raise argparse.ArgumentTypeError(f"bad {noun} {shown} ({why})")
+        raise argparse.ArgumentTypeError(f"bad {noun} {io._quote(text)} ({why})")
 
     return parse
 
@@ -210,20 +204,6 @@ def _pair(args: argparse.Namespace) -> _catalog.SharedZeroPair:
         return _catalog.shared_pair(u_name.strip(), v_name.strip())
     except (_catalog.UnknownEntry, ValueError) as exc:
         raise CliError(str(exc)) from exc
-
-
-def _check_memory(flag: str, value: int, points: int, size: int, besides: int = 0) -> None:
-    """Refuse, before they are allocated, ``points`` points of ``size``
-    bytes each and ``besides`` bytes more that have more bytes than
-    physical memory."""
-    memory = _physical_memory()
-    if memory is not None and points * size + besides > memory:
-        raise CliError(
-            f"{flag} {value} asks for {points} points of {size} byte(s) "
-            f"each, {points * size} bytes"
-            + (f", and {besides} bytes besides" if besides else "")
-            + f", more than the {memory} bytes of physical memory"
-        )
 
 
 def _write(path: str, text: str) -> str:
@@ -364,15 +344,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else pair.region
         )
     if args.check == "max":
-        # the uniform draw holds two candidates per sample, then the inside
-        # candidates and their stacked copy: 40 bytes per coordinate, and a
-        # mask byte per candidate
-        _check_memory("--interior-samples", args.interior_samples,
-                      args.interior_samples, 40 * region.dim + 2)
-        # the boundary sweep and its evaluation, at their peak (tracemalloc):
-        # 42 bytes per sample in 2D, 72 on a 3D ball's Fibonacci sphere
-        _check_memory("--boundary-samples", args.boundary_samples,
-                      args.boundary_samples, (42, 72)[region.dim - 2])
         evaluator = RatioEvaluator.for_pair(pair)
         report = max_principle_check(
             evaluator,
@@ -383,9 +354,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     elif args.check == "harnack":
-        # u, v and f as float64 and three masks at every grid point
-        _check_memory("--samples", args.samples,
-                      _grid_side(args.samples, region.dim) ** region.dim, 27)
         evaluator = RatioEvaluator.for_pair(pair)
         report = harnack_constant(
             evaluator, region, samples=args.samples, floor=args.floor
@@ -410,11 +378,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"--h0 {args.h0!r} halved {args.halvings} times is no longer "
                 "a positive normal float"
             )
-        # the uniform draw for four stencil candidates per sample (two
-        # draws per candidate), its inside copy and the stacked candidates,
-        # at their peak (tracemalloc): 328 bytes per sample in 2D, 480 on a
-        # 3D box
-        _check_memory("--samples", args.samples, args.samples, 152 * region.dim + 24)
         report = residual_convergence(
             pair.u,
             pair.v,
@@ -426,9 +389,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             min_order=args.min_order,
         )
     elif args.check == "leading":
-        # one circle of points, its values and rolled copies, at their peak
-        # (tracemalloc): 57 bytes per sample in 2D, 131 in 3D
-        _check_memory("--samples", args.samples, args.samples, (57, 131)[region.dim - 2])
         # u and v each through its vanishing order, so both leading forms
         # are there
         report = leading_zero_inclusion(
@@ -446,13 +406,6 @@ def cmd_nodal(args: argparse.Namespace) -> int:
     w = load_polynomial(args.fn)
     region = parse_region(args, w.dim)
     if args.action == "count":
-        # the int8 sign grid, one byte per cell, and what signing and
-        # labelling it hold besides
-        cells = args.res**w.dim
-        _check_memory(
-            "--res", args.res, cells, 1,
-            (COUNT_CELL_BYTES - 1) * cells + COUNT_FIXED_BYTES,
-        )
         count = nodal_domain_count(w, region, args.res, band_rel=args.band)
         passed = args.expect is None or count == args.expect
         payload = {
@@ -464,10 +417,6 @@ def cmd_nodal(args: argparse.Namespace) -> int:
         }
         return _emit(args.out, payload, [str(count)])
     if args.action == "plot":
-        # w at the (res + 1)^dim grid nodes, its sign-change products and
-        # the refined points, at their peak (tracemalloc): 18 to 26 bytes
-        # per node in 2D and 3D
-        _check_memory("--res", args.res, (args.res + 1) ** w.dim, 26)
         points, segments = zero_set_sample(w, region, args.res)
         os.makedirs(args.out, exist_ok=True)
         if w.dim == 2:
@@ -485,19 +434,13 @@ def cmd_nodal(args: argparse.Namespace) -> int:
         }
         return _emit(args.out, payload, [f"{len(points)} zero points -> {art}"])
     if args.action == "critical":
-        # the scan of the grid^dim cells; critical_set_sample refuses a seed
-        # stack beyond memory itself
-        _check_memory("--grid", args.grid, args.grid**w.dim, CRITICAL_CELL_BYTES)
-        try:
-            report = critical_set_sample(
-                w,
-                region,
-                grid=args.grid,
-                tol_value=args.tol,
-                tol_gradient=args.tol,
-            )
-        except SeedsBeyondMemory as exc:
-            raise CliError(f"--grid {args.grid} finds {exc}") from exc
+        report = critical_set_sample(
+            w,
+            region,
+            grid=args.grid,
+            tol_value=args.tol,
+            tol_gradient=args.tol,
+        )
         payload = {"command": "nodal critical", "passed": True}
         payload.update(report.to_dict())
         return _emit(
@@ -662,8 +605,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     built on the first call only, and ``$HARMONIC_RATIOS_OUT`` is read on
     every call that gives no ``--out``.  Bad input exits 2, among others a
     ``verify elliptic`` residual that is exactly 0 (no decay order to fit)
-    and a ``nodal`` grid or a ``verify`` sample count of more bytes than the
-    machine's physical memory.
+    and a ``nodal`` grid or a ``verify`` sample count whose peak, as the
+    routine that allocates it measures it, is more bytes than the machine's
+    physical memory (``BeyondMemory``, reported with the flag that sized it).
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -677,6 +621,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # looked up by name on every call, so a rebound cmd_* takes effect
         return globals()[f"cmd_{args.command}"](args)
+    except BeyondMemory as exc:
+        flag = "--res" if exc.name == "resolution" else "--" + exc.name.replace("_", "-")
+        print(f"error: {flag} {exc.value} {exc.need}", file=sys.stderr)
+        return 2
     except (
         CliError, io.FormatError, CoefficientOverflow, DegenerateRegion,
         NonFiniteValues, RatioVanishes, ResidualVanishes,

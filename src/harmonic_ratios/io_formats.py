@@ -40,6 +40,11 @@ def _format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _quote(text: str) -> str:
+    """``text`` for an error message: quoted, and cut after 32 characters."""
+    return repr(text) if len(text) <= 32 else f"{text[:32]!r}..."
+
+
 def _exceeded_digit_limit(text: str) -> int:
     """``sys.get_int_max_str_digits()`` if ``text`` has a run of more
     digits than that limit allows ``int`` to read, else 0."""
@@ -53,17 +58,17 @@ def _parse_fraction(text: str) -> Fraction:
     # Fraction also reads exponent form, where a few bytes such as 1e9999999
     # build a huge integer; the format is p/q (or a plain decimal)
     if "e" in text or "E" in text:
-        raise FormatError(f"bad rational {text!r} (want p/q, no exponent)")
+        raise FormatError(f"bad rational {_quote(text)} (want p/q, no exponent)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         limit = _exceeded_digit_limit(text)
         if limit:
             raise FormatError(
-                f"rational {text[:32]!r}... has more digits than "
+                f"rational {_quote(text)} has more digits than "
                 f"sys.get_int_max_str_digits() allows ({limit})"
             ) from None
-        raise FormatError(f"bad rational {text!r}") from exc
+        raise FormatError(f"bad rational {_quote(text)}") from exc
 
 
 def _meaningful_lines(text: str) -> List[str]:
@@ -73,18 +78,18 @@ def _meaningful_lines(text: str) -> List[str]:
 
 def _parse_term(line: str, dim: int) -> Tuple[MultiIndex, Fraction]:
     if ":" not in line:
-        raise FormatError(f"term line missing ':': {line!r}")
+        raise FormatError(f"term line missing ':': {_quote(line)}")
     coeff_text, exp_text = line.split(":", 1)
     coeff = _parse_fraction(coeff_text.strip())
     parts = exp_text.split()
     if len(parts) != dim:
-        raise FormatError(f"expected {dim} exponents in {line!r}")
+        raise FormatError(f"expected {dim} exponents in {_quote(line)}")
     try:
         alpha = tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise FormatError(f"bad exponent in {line!r}") from exc
+        raise FormatError(f"bad exponent in {_quote(line)}") from exc
     if any(e < 0 for e in alpha):
-        raise FormatError(f"negative exponent in {line!r}")
+        raise FormatError(f"negative exponent in {_quote(line)}")
     return alpha, coeff
 
 
@@ -112,7 +117,7 @@ def _header_int(line: str) -> int:
     try:
         return int(line.split()[1])
     except (IndexError, ValueError) as exc:
-        raise FormatError(f"bad header {line!r}") from exc
+        raise FormatError(f"bad header {_quote(line)}") from exc
 
 
 def _header_dim(line: str) -> int:
@@ -231,19 +236,26 @@ def format_certificate(cert: BoundCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _certificate_int(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # int()'s own message holds the whole text
+        raise FormatError(f"bad certificate: {name} {_quote(text)} is not an integer") from None
+
+
 def parse_certificate(text: str) -> BoundCertificate:
     fields: Dict[str, str] = {}
     for line in _meaningful_lines(text):
         if "=" not in line:
-            raise FormatError(f"certificate line missing '=': {line!r}")
+            raise FormatError(f"certificate line missing '=': {_quote(line)}")
         key, value = line.split("=", 1)
         fields[key.strip()] = value.strip()
     try:
         return BoundCertificate(
             a0=_parse_fraction(fields["a0"]),
             r=_parse_fraction(fields["r"]),
-            k=int(fields["k"]),
-            n=int(fields["n"]),
+            k=_certificate_int(fields["k"], "k"),
+            n=_certificate_int(fields["n"], "n"),
             A=_parse_fraction(fields["A"]),
             R=tuple(_parse_fraction(t) for t in fields["R"].split()),
         )
@@ -251,5 +263,5 @@ def parse_certificate(text: str) -> BoundCertificate:
         raise FormatError(f"certificate missing field {exc}") from exc
     except FormatError:
         raise
-    except ValueError as exc:  # int() of k or n, or the constants' checks
+    except ValueError as exc:  # the constants' checks
         raise FormatError(f"bad certificate: {exc}") from exc

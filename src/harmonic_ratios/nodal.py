@@ -31,15 +31,13 @@ class BisectionError(ArithmeticError):
     """A refined zero-crossing point misses the requested accuracy."""
 
 
-class SeedsBeyondMemory(MemoryError):
-    """The critical-set scan found more Gauss-Newton seeds than physical
-    memory holds."""
+class BeyondMemory(MemoryError):
+    """A call refused before it allocates: its peak passes physical memory.
+    ``name`` = ``value`` is the argument that sized it, ``need`` the bytes."""
 
-    def __init__(self, seeds: int, size: int, memory: int):
-        super().__init__(
-            f"{seeds} seeds of {size} byte(s) each to refine, {seeds * size} "
-            f"bytes, more than the {memory} bytes of physical memory"
-        )
+    def __init__(self, name: str, value: int, need: str):
+        super().__init__(f"{name} {value} {need}")
+        self.name, self.value, self.need = name, value, need
 
 
 class NonFiniteValues(ArithmeticError):
@@ -72,6 +70,17 @@ def _physical_memory() -> Optional[int]:
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
         return None
     return pages * size if pages > 0 and size > 0 else None
+
+
+def _refuse_beyond_memory(name: str, value: int, units: int, size: int, fixed: int = 0,
+                          what: str = "asks for {} points of {} byte(s) each") -> None:
+    """Raise ``BeyondMemory`` for ``name`` = ``value`` when ``units`` of
+    ``size`` bytes and ``fixed`` more exceed physical memory, if known."""
+    memory = _physical_memory()
+    if memory is not None and units * size + fixed > memory:
+        besides = f", and {fixed} bytes besides" if fixed else ""
+        raise BeyondMemory(name, value, f"{what.format(units, size)}, {units * size} bytes"
+                           f"{besides}, more than the {memory} bytes of physical memory")
 
 
 def depth_of_zero(w: Polynomial, x: Sequence) -> int:
@@ -159,16 +168,16 @@ def _gauss_newton_critical(
     return out.T
 
 
-# the peak of ``critical_set_sample`` (tracemalloc) is at most
-# CRITICAL_CELL_BYTES per grid cell plus CRITICAL_SEED_BYTES * (dim + 1) per
-# seed.  The scan holds w, |grad w|, one gradient component and their
-# masks: 34.0 bytes per cell at most, on imzk:2 in a 2D disk at grids 150
-# and 300 and paperH in a cube at grid 72, and 26 to 30 elsewhere (rezk:3,
-# rezk:5, paperH in a ball).  The Gauss-Newton stage holds 299 to 323 bytes
-# per seed in 2D (imzk:9, rezk:12 at grid 300) and 428 in 3D (paperH, grid
-# 96).
+# the peak of ``critical_set_sample`` (tracemalloc) is that of its scan or
+# that of its Gauss-Newton stage, which holds no grid array.  The scan holds
+# w, |grad w|, one gradient component and their masks: 34.0 to 34.7 bytes
+# per cell from grid 150 in 2D and 32 in 3D up (imzk:2 and rezk:5 in a
+# disk, paperH in a cube and a ball).  The Gauss-Newton stage holds the
+# lstsq stack of every seed still iterating and the arrays of its step: 285
+# bytes per seed in 2D (rezk:5, grid 100), 454 to 456 in 3D (paperH in a
+# ball, grids 32 and 48)
 CRITICAL_CELL_BYTES = 36
-CRITICAL_SEED_BYTES = 110
+CRITICAL_SEED_BYTES = 120  # per seed and equation, of which there are dim + 1
 
 
 def critical_set_sample(
@@ -191,10 +200,10 @@ def critical_set_sample(
     everything else is left unclassified (never "bad").
 
     Raises ``NonFiniteValues`` when w or |grad w| is not finite on the
-    grid, and ``SeedsBeyondMemory``, before refining, when the seeds need
-    more bytes than physical memory: at a deep zero most cells near it are
-    seeds.
+    grid, and ``BeyondMemory`` before the scan or the refinement of the
+    seeds (at a deep zero most cells near it) would pass physical memory.
     """
+    _refuse_beyond_memory("grid", grid, grid**w.dim, CRITICAL_CELL_BYTES)
     axes, mask, h = region.grid(grid)
     coords = np.ix_(*axes)
     grads = w.gradient()
@@ -219,9 +228,9 @@ def critical_set_sample(
         & (gnorm <= 2.0 * h * g_scale)
     )
     seeds = np.column_stack([a[i] for a, i in zip(axes, np.nonzero(seed_mask))])
-    size, memory = CRITICAL_SEED_BYTES * (w.dim + 1), _physical_memory()
-    if memory is not None and len(seeds) * size > memory:
-        raise SeedsBeyondMemory(len(seeds), size, memory)
+    del wv, sq, gnorm, mask, seed_mask  # no grid array is held while refining
+    _refuse_beyond_memory("grid", grid, len(seeds), CRITICAL_SEED_BYTES * (w.dim + 1),
+                          what="finds {} seeds of {} byte(s) each to refine")
 
     refined = _gauss_newton_critical(w, grads, hess, seeds)
     refined = refined[~np.isnan(refined[:, 0])]
@@ -295,16 +304,15 @@ def _classify_curve_points(
 # w and its gradient are this large; 2^18 was slower at paperH 256^3
 _SLAB_CELLS = 2**16
 
-# the peak of ``nodal_domain_count`` (tracemalloc) is at most COUNT_CELL_BYTES
-# per cell plus COUNT_FIXED_BYTES.  One byte per cell is the int8 sign grid.
-# The rest grows with an axis-0 plane: a slab's float arrays, the block of
-# _CHUNK_PLANES planes scanned for runs, and the runs.  paperH in a cube
-# holds 329 bytes per plane cell beyond the grid at 256^3 to 384^3, which
-# is under one byte per cell from 330^3 up and under one byte per cell
-# plus COUNT_FIXED_BYTES below; rezk:3 in the unit disk holds 3.6 MB beyond
-# the grid from 500^2 to 4000^2
-COUNT_CELL_BYTES = 2
-COUNT_FIXED_BYTES = 2**24
+# the peak of ``nodal_domain_count`` (tracemalloc) is at most
+# COUNT_CELL_BYTES per cell, the int8 sign grid, plus COUNT_PLANE_BYTES per
+# cell of an axis-0 plane or of a slab, whichever is larger: a slab's float
+# arrays, the block of _CHUNK_PLANES planes scanned for runs, and the runs,
+# a few per grid row.  Beyond the grid, rezk:3 and rezk:12 in the unit disk
+# hold 56 to 58 bytes per slab cell (1000^2 to 3000^2 cells) and paperH in
+# a cube 327 per plane cell (256^3); x y z, with more runs per row, 351
+COUNT_CELL_BYTES = 1
+COUNT_PLANE_BYTES = 340
 
 
 def _sign_grid(
@@ -424,15 +432,16 @@ def nodal_domain_count(
     cut off.  Every component counts for other w.
 
     Components are found among runs of same-sign cells along the last axis
-    (see ``label``), not cell by cell.  Memory, at most ``COUNT_CELL_BYTES``
-    per cell plus ``COUNT_FIXED_BYTES``: 1 byte per cell (the int8 sign
-    grid), float values of w and its gradient on one slab of
+    (see ``label``), not cell by cell.  Memory: 1 byte per cell (the int8
+    sign grid), float values of w and its gradient on one slab of
     ``_SLAB_CELLS`` cells (or one axis-0 plane, if larger) while the grid is
     signed, 2 bytes per cell of one block of 32 planes while runs are found,
     and a few hundred bytes per run of one sign while they are joined;
     paperH in the ball of radius 0.5 at resolution 512 has 0.3 million runs
-    and peaks at about 230 MB resident.
+    and peaks at about 230 MB resident.  ``BeyondMemory`` refuses more.
     """
+    _refuse_beyond_memory("resolution", resolution, resolution**region.dim, COUNT_CELL_BYTES,
+                          COUNT_PLANE_BYTES * max(resolution ** (region.dim - 1), _SLAB_CELLS))
     signs, shell = _sign_grid(w, region, resolution, band_rel)
     return _count_domains(signs, shell, w.is_harmonic())
 
@@ -603,6 +612,15 @@ def _bisect_edges(
     return 0.5 * (a + b)
 
 
+# the peak of ``zero_set_sample`` (tracemalloc): w at every grid node, its
+# signs and sign-change masks, and the refined points and their lists, which
+# grow with the zero set's size, not with the grid.  26 bytes per node bound
+# rezk:3 (17.5) and imzk:9 (20.8) in 2D at 1600^2 cells and paperH in a
+# ball (23.7) and in a cube (22.9) at 80^3; paperH in a ball holds 28.4 at
+# 60^3, where its points weigh more
+PLOT_NODE_BYTES = 26
+
+
 def zero_set_sample(
     w: Polynomial,
     region: Region,
@@ -617,13 +635,15 @@ def zero_set_sample(
     2D: marching squares, where a grid node with w exactly 0 is a point
     itself; returns (points, segments) where segments index into the point
     list.  3D: points with no connectivity (a point cloud for dumps).  Only
-    geometry inside the region is returned.
+    geometry inside the region is returned.  ``BeyondMemory`` refuses a
+    grid whose nodes at ``PLOT_NODE_BYTES`` each pass physical memory.
     """
     lo, hi = region.bounding_box()
     dim = len(lo)
     if dim not in (2, 3):
         raise ValueError("zero_set_sample implemented for dim 2 and 3")
     n = resolution + 1
+    _refuse_beyond_memory("resolution", resolution, n**dim, PLOT_NODE_BYTES)
     axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
     vals = w.evaluate_array(np.ix_(*axes))
     scale = max(float(np.max(np.abs(vals))), 1e-300)

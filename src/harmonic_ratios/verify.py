@@ -22,7 +22,7 @@ from numpy.random import default_rng
 
 from .catalog import expand
 from .division import DivisionError, series_ratio
-from .nodal import _bisect_edges
+from .nodal import _bisect_edges, _refuse_beyond_memory
 from .polynomial import Polynomial
 from .regions import Region
 from .reports import VerificationReport
@@ -146,6 +146,17 @@ def _pair_series(pair) -> Optional[TruncatedSeries]:
         return None
 
 
+# the peaks (tracemalloc) of max_principle_check's two draws, in bytes per
+# sample, as formulas in the dimension.  The interior draw holds two
+# candidates per sample, then the inside candidates and their stacked copy:
+# 40 bytes per coordinate and a mask byte per candidate, 82.0 in a square
+# and 120.0 in a cube (10^6 samples).  The boundary sweep and its
+# evaluation hold 42.0 on a circle, 80.0 on a 3D ball's Fibonacci sphere
+# and 79.9 on a cube's faces
+INTERIOR_SAMPLE_BYTES = lambda dim: 40 * dim + 3
+BOUNDARY_SAMPLE_BYTES = lambda dim: 38 * dim - 33
+
+
 def max_principle_check(
     evaluator: RatioEvaluator,
     region: Region,
@@ -154,9 +165,13 @@ def max_principle_check(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> VerificationReport:
-    """Interior extremes of f = u/v must not exceed the boundary extremes."""
+    """Interior extremes of f = u/v must not exceed the boundary extremes.
+    ``BeyondMemory`` refuses a draw that would pass physical memory."""
     if boundary_samples < 4 or interior_samples < 1:
         raise DegenerateRegion("need at least 4 boundary and 1 interior samples")
+    for name, count, size in (("interior_samples", interior_samples, INTERIOR_SAMPLE_BYTES),
+                              ("boundary_samples", boundary_samples, BOUNDARY_SAMPLE_BYTES)):
+        _refuse_beyond_memory(name, count, count, size(region.dim))
     rng = default_rng(seed)
     bd = region.sample_boundary(boundary_samples)
     it = region.sample_interior(interior_samples, rng)
@@ -187,9 +202,10 @@ def max_principle_check(
     )
 
 
-def _grid_side(samples: int, dim: int) -> int:
-    """Points per axis of the Harnack grid of about ``samples`` points."""
-    return max(int(round(samples ** (1.0 / dim))), 1)
+# the peak of harnack_constant (tracemalloc): u, v and f as float64 and
+# three masks at every grid point, 27.0 bytes per point in 2D and 3D (10^6
+# points), and up to 31 kB besides
+HARNACK_POINT_BYTES = 28
 
 
 def harnack_constant(
@@ -203,9 +219,11 @@ def harnack_constant(
     Samples are a deterministic grid including the region's extreme points,
     so monotone ratios attain their true extremes up to grid resolution.
     Finiteness is the claim being verified; the value itself is reported.
+    ``BeyondMemory`` refuses a grid that would pass physical memory.
     """
-    axes = [np.linspace(a, b, _grid_side(samples, region.dim))
-            for a, b in zip(*region.bounding_box())]
+    side = max(int(round(samples ** (1.0 / region.dim))), 1)  # points per axis
+    _refuse_beyond_memory("samples", samples, side**region.dim, HARNACK_POINT_BYTES)
+    axes = [np.linspace(a, b, side) for a, b in zip(*region.bounding_box())]
     coords = np.ix_(*axes)
     inside = region.mask(coords)
     f, ok = evaluator._evaluate(coords, where=inside)
@@ -341,6 +359,13 @@ def _stencil_samples(
     return pts
 
 
+# the peak of residual_convergence (tracemalloc), in bytes per sample as a
+# formula in the dimension: the uniform draw for four stencil candidates per
+# sample (two draws per candidate), its inside copy and the stacked
+# candidates, 328.0 in 2D and 480.0 in 3D (3 * 10^4 to 10^6 samples)
+ELLIPTIC_SAMPLE_BYTES = lambda dim: 152 * dim + 25
+
+
 def residual_convergence(
     u: Func,
     v: Func,
@@ -351,7 +376,9 @@ def residual_convergence(
     seed: int = 0,
     min_order: float = 1.9,
 ) -> VerificationReport:
-    """Halve h repeatedly and fit the decay order of the residual."""
+    """Halve h repeatedly and fit the decay order of the residual.
+    ``BeyondMemory`` refuses a draw that would pass physical memory."""
+    _refuse_beyond_memory("samples", samples, samples, ELLIPTIC_SAMPLE_BYTES(region.dim))
     hs = [h0 * 0.5**j for j in range(halvings + 1)]
     pts = _stencil_samples(v, region, hs, samples, seed)
     residuals = []
@@ -377,6 +404,13 @@ def residual_convergence(
     )
 
 
+# the peak of leading_zero_inclusion (tracemalloc), in bytes per circle
+# point as a formula in the dimension: one circle of points, its values,
+# their signs and rolled copies, 58.1 in 2D (10^5 to 4 * 10^5 points) and
+# 107.7 to 109.1 in 3D (5 * 10^3 to 4 * 10^4)
+LEADING_SAMPLE_BYTES = lambda dim: 51 * dim - 43
+
+
 def leading_zero_inclusion(
     u: TruncatedSeries,
     v: TruncatedSeries,
@@ -394,14 +428,15 @@ def leading_zero_inclusion(
     Then |u_k| is required to be below tol relative to its scale.  A zero
     series has no leading part, so a zero u or v raises ``ValueError``: a
     truncation below the vanishing order would otherwise pass having
-    checked nothing.
+    checked nothing.  ``BeyondMemory`` refuses circles that would pass physical memory.
     """
     if u.is_zero() or v.is_zero():
         raise ValueError("a zero series has no leading part to compare")
-    u_lead = u.homogeneous_part(u.leading_degree())
-    v_lead = v.homogeneous_part(v.leading_degree())
     dim = u.dim
     n = max(samples, 16)
+    _refuse_beyond_memory("samples", samples, n, LEADING_SAMPLE_BYTES(dim))
+    u_lead = u.homogeneous_part(u.leading_degree())
+    v_lead = v.homogeneous_part(v.leading_degree())
     theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
 
     rng = default_rng(seed)
@@ -418,11 +453,12 @@ def leading_zero_inclusion(
     u_scale = 0.0
     on_grid, starts, ends, f_starts = [], [], [], []
     for a, b in circles:
-        pts = np.outer(a, np.cos(theta)) + np.outer(b, np.sin(theta))
+        pts = np.outer(a, np.cos(theta))
+        pts += np.outer(b, np.sin(theta))  # in place: one array of points fewer
         vals = v_lead.evaluate_array(list(pts))
         u_vals = u_lead.evaluate_array(list(pts))
         u_scale = max(u_scale, float(np.max(np.abs(u_vals))))
-        sign = np.sign(vals)
+        sign = np.sign(vals).astype(np.int8)
         cross = sign * np.roll(sign, -1) < 0
         on_grid.append(pts[:, vals == 0.0])
         starts.append(pts[:, cross])

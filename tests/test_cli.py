@@ -11,7 +11,10 @@ from harmonic_ratios.cli import main
 from harmonic_ratios.io_formats import (
     format_polynomial, format_series, parse_polynomial, parse_series,
 )
-from harmonic_ratios.nodal import CRITICAL_CELL_BYTES
+from harmonic_ratios import nodal, verify
+from harmonic_ratios.nodal import (
+    COUNT_CELL_BYTES, CRITICAL_CELL_BYTES, CRITICAL_SEED_BYTES, PLOT_NODE_BYTES,
+)
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -502,9 +505,9 @@ class TestExitTwoInputs:
     def test_sign_grid_beyond_physical_memory_exits_two(self, tmp_path, capsys, args):
         # about 10**18 grid points: no machine has that much memory
         points, size = {
-            "count": (10**18, 1),  # sign grid cells, one byte each
-            "plot": ((10**6 + 1) ** 3, 26),  # bytes per grid node at the peak
-            "critical": (10**18, CRITICAL_CELL_BYTES),  # bytes per grid cell, the scan
+            "count": (10**18, COUNT_CELL_BYTES),  # sign grid cells
+            "plot": ((10**6 + 1) ** 3, PLOT_NODE_BYTES),  # grid nodes
+            "critical": (10**18, CRITICAL_CELL_BYTES),  # grid cells, the scan
         }[args[0]]
         assert run(tmp_path, "nodal", *args) == 2
         err = capsys.readouterr().err
@@ -514,15 +517,13 @@ class TestExitTwoInputs:
 
     @pytest.mark.parametrize("args, points, size", [
         (("critical", "--grid", "200"), 200**3, CRITICAL_CELL_BYTES),
-        (("plot", "--res", "200"), 201**3, 26),
+        (("plot", "--res", "200"), 201**3, PLOT_NODE_BYTES),
     ])
     def test_peak_beyond_physical_memory_exits_two(
         self, tmp_path, capsys, monkeypatch, args, points, size
     ):
-        import harmonic_ratios.cli as cli
-
         # 8 bytes per cell or node fit in 64 MiB; the peak does not
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**26)
+        monkeypatch.setattr(nodal, "_physical_memory", lambda: 2**26)
         assert points * 8 <= 2**26 < points * size
         assert run(tmp_path, "nodal", args[0], "--fn", "paperH",
                    "--ball", "0,0,0:0.5", *args[1:]) == 2
@@ -531,17 +532,13 @@ class TestExitTwoInputs:
         assert not list(tmp_path.iterdir())
 
     def test_seeds_beyond_physical_memory_exit_two(self, tmp_path, capsys, monkeypatch):
-        import harmonic_ratios.cli as cli
-        import harmonic_ratios.nodal as nodal
-
         # rezk:12 vanishes to order 12 at the origin, so 64052 of the 90000
-        # cells at grid 300 seed a Gauss-Newton refinement of 330 bytes each:
-        # the cells fit in 8 MiB at 72 bytes each, the seeds do not
-        cells, seeds, size = 300**2, 64052, 330
+        # cells at grid 300 seed a Gauss-Newton refinement: the scan fits in
+        # 8 MiB, the seeds do not
+        cells, seeds, size = 300**2, 64052, CRITICAL_SEED_BYTES * 3
         memory = 2**23
-        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
         monkeypatch.setattr(nodal, "_physical_memory", lambda: memory)
-        assert cells * 72 <= memory < seeds * size
+        assert cells * CRITICAL_CELL_BYTES <= memory < seeds * size
         assert run(tmp_path, "nodal", "critical", "--fn", "rezk:12",
                    "--ball", "0,0:1", "--grid", "300") == 2
         err = capsys.readouterr().err
@@ -551,33 +548,32 @@ class TestExitTwoInputs:
 
     @pytest.mark.parametrize("args, flag, points, size", [
         (("harnack", "--pair", "expsin,coshsin", "--samples", "1e9"),
-         "--samples 1000000000", 31623**2, 27),
+         "--samples 1000000000", 31623**2, verify.HARNACK_POINT_BYTES),
         (("harnack", "--pair", "paperH,paperH", "--samples", "1e9"),
-         "--samples 1000000000", 1000**3, 27),
+         "--samples 1000000000", 1000**3, verify.HARNACK_POINT_BYTES),
         (("max", "--pair", "expsin,coshsin", "--interior-samples", "1e9"),
-         "--interior-samples 1000000000", 10**9, 82),
+         "--interior-samples 1000000000", 10**9, verify.INTERIOR_SAMPLE_BYTES(2)),
         (("max", "--pair", "paperH,paperH", "--interior-samples", "1e9"),
-         "--interior-samples 1000000000", 10**9, 122),
+         "--interior-samples 1000000000", 10**9, verify.INTERIOR_SAMPLE_BYTES(3)),
         (("max", "--pair", "expsin,coshsin", "--boundary-samples", "1e9"),
-         "--boundary-samples 1000000000", 10**9, 42),
+         "--boundary-samples 1000000000", 10**9, verify.BOUNDARY_SAMPLE_BYTES(2)),
         (("max", "--pair", "paperH,paperH", "--ball", "0,0,0:1",
-          "--boundary-samples", "1e9"), "--boundary-samples 1000000000", 10**9, 72),
+          "--boundary-samples", "1e9"), "--boundary-samples 1000000000", 10**9,
+         verify.BOUNDARY_SAMPLE_BYTES(3)),
         (("elliptic", "--pair", "expsin,coshsin", "--samples", "1e9"),
-         "--samples 1000000000", 10**9, 328),
+         "--samples 1000000000", 10**9, verify.ELLIPTIC_SAMPLE_BYTES(2)),
         (("elliptic", "--pair", "paperH,paperH", "--samples", "1e9"),
-         "--samples 1000000000", 10**9, 480),
+         "--samples 1000000000", 10**9, verify.ELLIPTIC_SAMPLE_BYTES(3)),
         (("leading", "--pair", "expsin,coshsin", "--samples", "1e9"),
-         "--samples 1000000000", 10**9, 57),
+         "--samples 1000000000", 10**9, verify.LEADING_SAMPLE_BYTES(2)),
         (("leading", "--pair", "paperH,paperH", "--samples", "1e9"),
-         "--samples 1000000000", 10**9, 131),
+         "--samples 1000000000", 10**9, verify.LEADING_SAMPLE_BYTES(3)),
     ])
     def test_samples_beyond_physical_memory_exit_two(
         self, tmp_path, capsys, monkeypatch, args, flag, points, size
     ):
-        import harmonic_ratios.cli as cli
-
         # a machine of 8 GiB, so that no machine runs these counts here
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**33)
+        monkeypatch.setattr(nodal, "_physical_memory", lambda: 2**33)
         assert run(tmp_path, "verify", *args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} asks for {points} points")
@@ -585,11 +581,9 @@ class TestExitTwoInputs:
         assert not list(tmp_path.iterdir())
 
     def test_physical_memory_without_sysconf(self, monkeypatch):
-        import harmonic_ratios.cli as cli
-
-        assert cli._physical_memory() > 0
+        assert nodal._physical_memory() > 0
         monkeypatch.delattr(os, "sysconf")
-        assert cli._physical_memory() is None
+        assert nodal._physical_memory() is None
 
     @pytest.mark.parametrize("args", [
         ("nodal", "count", "--fn", "rezk:2000", "--box", "-1,1,-1,1", "--res", "8"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from harmonic_ratios import Polynomial, TruncatedSeries, bound_certificate
 from harmonic_ratios.io_formats import (
     FormatError,
+    _quote,
     format_certificate,
     format_polynomial,
     format_series,
@@ -141,6 +142,40 @@ class TestCertificateFormat:
             parse_certificate("\n".join(lines))
 
 
+LONG = "x" * 5000
+DIGITS = "1" + "0" * 5000
+CERTIFICATE = format_certificate(bound_certificate(1, 1, 1, 1, 2))
+
+
+class TestErrorsQuoteAtMost32Characters:
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_polynomial, f"dim 2\n{LONG} : 2 0\n", "bad rational 'xxx"),
+        (parse_polynomial, f"dim 2\n{DIGITS}e1 : 2 0\n", "bad rational '100"),
+        (parse_polynomial, f"dim 2\n{DIGITS}/1 : 2 0\n", "rational '100"),
+        (parse_polynomial, f"dim 2\n{LONG}\n", "term line missing ':': 'xxx"),
+        (parse_polynomial, f"dim 2\n1 : 2 0 {LONG}\n", "expected 2 exponents in '1 :"),
+        (parse_polynomial, f"dim 2\n1 : 2 {DIGITS}\n", "bad exponent in '1 :"),
+        (parse_polynomial, f"dim 2\n{DIGITS[:4000]} : 2 -1\n", "negative exponent in '100"),
+        (parse_polynomial, f"dim {LONG}\n", "bad header 'dim xxx"),
+        (parse_series, f"dim 2\ncenter 0 0\nmaxdeg {LONG}\n", "bad header 'maxdeg xxx"),
+        (parse_certificate, f"{LONG}\n", "certificate line missing '=': 'xxx"),
+        (parse_certificate, CERTIFICATE.replace("k = 1", f"k = {LONG}"),
+         "bad certificate: k 'xxx"),
+        (parse_certificate, CERTIFICATE.replace("n = 2", f"n = {DIGITS}"),
+         "bad certificate: n '100"),
+    ], ids=[
+        "rational", "exponent-form", "digit-limit", "missing-colon", "exponent-count",
+        "exponent-digits", "negative-exponent", "dim-header", "maxdeg-header",
+        "missing-equals", "certificate-k", "certificate-n",
+    ])
+    def test_message(self, parse, text, message):
+        with pytest.raises(FormatError) as info:
+            parse(text)
+        error = str(info.value)
+        assert error.startswith(message) and "'..." in error
+        assert len(error) < 120
+
+
 # Words of the three formats, with small exponent forms, which the parsers
 # reject (a large one such as 1e99999999 would take minutes to build).
 WORDS = [
@@ -206,11 +241,11 @@ class TestParsersRaiseOnlyFormatError:
 
 def fraction_parse_rational(text):
     if "e" in text or "E" in text:
-        raise FormatError(f"bad rational {text!r} (want p/q, no exponent)")
+        raise FormatError(f"bad rational {_quote(text)} (want p/q, no exponent)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {text!r}") from exc
+        raise FormatError(f"bad rational {_quote(text)}") from exc
 
 
 def fraction_lines(text):
@@ -224,18 +259,18 @@ def fraction_lines(text):
 
 def fraction_term(line, dim):
     if ":" not in line:
-        raise FormatError(f"term line missing ':': {line!r}")
+        raise FormatError(f"term line missing ':': {_quote(line)}")
     coeff_text, exp_text = line.split(":", 1)
     coeff = fraction_parse_rational(coeff_text.strip())
     parts = exp_text.split()
     if len(parts) != dim:
-        raise FormatError(f"expected {dim} exponents in {line!r}")
+        raise FormatError(f"expected {dim} exponents in {_quote(line)}")
     try:
         alpha = tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise FormatError(f"bad exponent in {line!r}") from exc
+        raise FormatError(f"bad exponent in {_quote(line)}") from exc
     if any(e < 0 for e in alpha):
-        raise FormatError(f"negative exponent in {line!r}")
+        raise FormatError(f"negative exponent in {_quote(line)}")
     return alpha, coeff
 
 
@@ -243,7 +278,7 @@ def fraction_header_int(line):
     try:
         return int(line.split()[1])
     except (IndexError, ValueError) as exc:
-        raise FormatError(f"bad header {line!r}") from exc
+        raise FormatError(f"bad header {_quote(line)}") from exc
 
 
 def fraction_header_dim(line):

@@ -105,30 +105,6 @@ class TestCriticalSet:
             [-0.75 + k / 6 for k in range(10)] + [-11 / 12, 11 / 12]
         )
 
-    @pytest.mark.parametrize("w, region, grids", [
-        # few seeds: the scan's arrays are the peak
-        (catalog_get("imzk:2").polynomial, Region.ball((0.1, 0.2), 0.7), (150, 300)),
-        (PAPER_H, Region.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5)), (24, 48)),
-        # a deep zero: one cell in five or six is a seed
-        (catalog_get("rezk:5").polynomial, Region.ball((0, 0), 1.0), (150, 300)),
-        (PAPER_H, Region.ball((0, 0, 0), 1.0), (24, 48)),
-    ], ids=["imzk2-disk", "paperH-cube", "rezk5-disk", "paperH-ball"])
-    def test_peak_memory_within_the_declared_size(self, w, region, grids):
-        # the sizes that `nodal critical` and the seed check hold against
-        # physical memory
-        for grid in grids:
-            tracemalloc.start()
-            try:
-                report = critical_set_sample(w, region, grid=grid)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            seeds = int(report.notes.split(" seeds,")[0].rsplit(" ", 1)[1])
-            assert peak <= (
-                nodal_module.CRITICAL_CELL_BYTES * grid**w.dim
-                + nodal_module.CRITICAL_SEED_BYTES * (w.dim + 1) * seeds
-            )
-
     def test_chains_come_in_the_order_of_their_first_point(self):
         # points 0, 2, 4 chain along x (spacing 2 h), 1 and 3 along y, 5 is alone
         h = 0.1
@@ -336,22 +312,6 @@ class TestChunkedCount:
             tracemalloc.stop()
         assert count == 2
         assert peak <= 3 * resolution**3
-
-    @pytest.mark.parametrize("w, region, resolutions", [
-        (catalog_get("rezk:3").polynomial, Region.ball((0, 0), 1.0), (1000, 3000)),
-        (PAPER_H, Region.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5)), (128, 256)),
-    ])
-    def test_peak_memory_within_the_declared_size(self, w, region, resolutions):
-        # the sizes that `nodal count` checks against physical memory
-        for resolution in resolutions:
-            tracemalloc.start()
-            try:
-                nodal_domain_count(w, region, resolution)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            cells = resolution**w.dim
-            assert peak <= nodal_module.COUNT_CELL_BYTES * cells + nodal_module.COUNT_FIXED_BYTES
 
 
 def dense_sign_grid(w, region, resolution, band_rel):
