@@ -8,6 +8,7 @@ of critical points, and bisection-refined level-set extraction.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -305,98 +306,111 @@ def _classify_curve_points(
 _SLAB_CELLS = 2**16
 
 # the peak of ``nodal_domain_count`` (tracemalloc) is at most
-# COUNT_CELL_BYTES per cell, the int8 sign grid, plus COUNT_PLANE_BYTES per
-# cell of an axis-0 plane or of a slab, whichever is larger: a slab's float
-# arrays, the block of _CHUNK_PLANES planes scanned for runs, and the runs,
-# a few per grid row.  Beyond the grid, rezk:3 and rezk:12 in the unit disk
-# hold 56 to 58 bytes per slab cell (1000^2 to 3000^2 cells) and paperH in
-# a cube 327 per plane cell (256^3); x y z, with more runs per row, 351
+# COUNT_PLANE_BYTES per cell of an axis-0 plane or of a slab, whichever is
+# larger: a slab's arrays and the runs of each sign, a few per grid row,
+# while they are joined.  No array spans the grid; COUNT_CELL_BYTES, the
+# byte per cell of the sign grid once held, is kept as a margin.  rezk:3
+# and rezk:12 in the unit disk peak at 63 to 64 bytes per slab cell (1000^2
+# to 3000^2 cells), the freed block of eight floats per slab cell that
+# tracemalloc counts; paperH holds 137 per plane cell in a ball, 212 in a
+# cube of side 1 and 274 in one of side 2, and x y z, two runs per row, 234
+# (256^3)
 COUNT_CELL_BYTES = 1
 COUNT_PLANE_BYTES = 340
 
 
 def _sign_grid(
     w: Polynomial, region: Region, resolution: int, band_rel: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """int8 sign grid over the region's bounding box, 0 outside the region
-    or inside the zero-detection band, and the flat indices of the region's
-    boundary shell: its cells whose 3^dim neighbourhood leaves the region or
-    the grid.
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The sign grid over the region's bounding box, held as the runs of
+    its positive cells and of its negative cells: maximal rows of them
+    along the last axis.  For each of the two signs, the flat indices of
+    the first and the last cell of every run, both increasing, and whether
+    the run holds a cell of the region's boundary shell (a cell whose 3^dim
+    neighbourhood leaves the region or the grid).
 
-    A cell is inside the band when |w| falls below the absolute detection
-    threshold ``band_rel * max |w|`` or below sqrt(dim) * h * |grad w| at its
-    center.  The gradient term marks cells the zero set may cross, which is
-    what prevents same-sign bridges where many nodal sectors meet at a deep
-    zero.
+    A cell is signed when it lies in the region and |w| at its center
+    exceeds both the absolute detection threshold ``band_rel * max |w|``
+    and sqrt(dim) * h * |grad w|.  The gradient term marks cells the zero
+    set may cross, which is what prevents same-sign bridges where many
+    nodal sectors meet at a deep zero.
 
     w, its gradient and the region mask are evaluated on the open mesh of
     the cell-center axes, each point once, one slab of whole axis-0 planes
     at a time: as many planes as fit in ``_SLAB_CELLS`` cells, and at least
-    one.  So the float arrays of every dimension hold about
-    max(``_SLAB_CELLS``, resolution^(dim-1)) cells, not the whole grid.  A
-    slab signed before the largest |w| was seen is evaluated again only if
-    one of its signed cells may lie inside the final absolute threshold.
-    Raises ``NonFiniteValues`` once w or its gradient overflows on a
-    slab, or a slab's largest |w| is not finite.
+    one (in 1D the one row).  Each slab hands over its runs and keeps no
+    sign, so the arrays of every dimension hold about
+    max(``_SLAB_CELLS``, resolution^(dim-1)) cells, reused from slab to
+    slab, beside the runs.  A slab signed before the largest |w| was seen
+    is signed again against the final threshold only if one of its signed
+    cells may lie inside it.  Raises ``NonFiniteValues`` once w or its
+    gradient overflows on a slab, or a slab's largest |w| is not finite.
     """
     axes, h = region.grid_axes(resolution)
     dim = len(axes)
     grads = w.gradient()
     safety = float(np.sqrt(dim))
-    signs = np.zeros((resolution,) * dim, dtype=np.int8)
     plane = resolution ** (dim - 1)
-    rows = max(_SLAB_CELLS // plane, 1)
+    rows = max(_SLAB_CELLS // plane, 1) if dim > 1 else resolution  # runs stay whole
     slabs = [slice(k, min(k + rows, resolution)) for k in range(0, resolution, rows)]
-    beyond = np.zeros((1,) + signs.shape[1:], dtype=bool)  # a row past the grid
+    beyond = np.zeros((1,) + (resolution,) * (dim - 1), dtype=bool)  # a row past the grid
+    # one slab's buffers, kept across slabs; the last slab may be shorter
+    cells = min(rows, resolution) * plane
+    # a freed block of eight slabs' floats raises glibc's heap trim threshold
+    # to twice its size, so the slabs' temporaries stay in the heap instead
+    # of being handed back and faulted in again after every slab: paperH at
+    # 256^3 took about 30k minor page faults on a process's first count
+    # without it, under 3k with it
+    np.empty(8 * cells)
+    band = np.empty(cells)
+    pos, neg = np.empty(cells, dtype=bool), np.empty(cells, dtype=bool)
+    edge = np.empty((cells // resolution, resolution + 1), dtype=bool)
 
+    @functools.lru_cache(maxsize=3)  # a slab's window reads three slabs
     def inside(i: int) -> np.ndarray:
-        if i == len(slabs):
+        if i < 0 or i == len(slabs):
             return beyond
         return region.mask(np.ix_(axes[0][slabs[i]], *axes[1:]))
 
+    # every slab, then again each one whose smallest signed |w|, seen
+    # before the largest |w| was, may lie inside the final threshold
+    def order():
+        yield from range(len(slabs))
+        yield from [i for i, low in enumerate(least) if low <= band_rel * scale]
+
     scale = 1e-300
-    least = []  # per slab, the smallest |w| of a cell left signed
-    shell = []
-    before, mask = beyond, inside(0)
-    for i, sl in enumerate(slabs):
-        after = inside(i + 1)
+    least, runs = [np.inf] * len(slabs), [None] * len(slabs)  # per slab
+    for i in order():
+        sl = slabs[i]
+        window = np.concatenate([inside(i - 1)[-1:], inside(i), inside(i + 1)[:1]])
         coords = np.ix_(axes[0][sl], *axes[1:])
-        # inline, not in a function: its return freed the last gradient
-        # array early, and the first 256^3 count of a process took a third
-        # longer (heap pages returned and faulted in again)
+        n = (sl.stop - sl.start) * plane
+        b, p, q = (a[:n].reshape(window[1:-1].shape) for a in (band, pos, neg))
         with _finite_floats():
             vals = w.evaluate_array(coords)
-            band = None  # |grad w|^2, then the band, in place
-            for g in grads:
+            for k, g in enumerate(grads):  # |grad w|^2, then the band, in b
                 sq = g.evaluate_array(coords)
-                sq *= sq
-                band = sq if band is None else np.add(band, sq, out=band)
-            np.sqrt(band, out=band)
-        band *= safety * h
-        absv = np.abs(vals)
+                np.multiply(sq, sq, out=sq if k else b)
+                if k:
+                    b += sq
+            np.sqrt(b, out=b)
+        b *= safety * h
+        np.less(vals, 0, out=q)
+        absv = np.abs(vals, out=vals)
         largest = float(np.max(absv))
         if not math.isfinite(largest):
             raise NonFiniteValues("w")
         scale = max(scale, largest)
-        np.maximum(band, band_rel * scale, out=band)
+        np.maximum(b, band_rel * scale, out=b)
         # band >= 0, so a cell is signed when |w| > band, with the sign of w
-        signed = absv > band
-        signed &= mask
-        least.append(float(np.min(absv, where=signed, initial=np.inf)))
-        neg = vals < 0
-        neg &= signed
-        signed ^= neg  # the positive cells
-        signs[sl] = signed
-        signs[sl] -= neg
-        window = np.concatenate([before[-1:], mask, after[:1]])
-        shell.append(_shell_indices(window) + sl.start * plane)
-        before, mask = mask, after
-    band_abs = band_rel * scale
-    for sl, low in zip(slabs, least):
-        if low <= band_abs:
-            vals = w.evaluate_array(np.ix_(axes[0][sl], *axes[1:]))
-            signs[sl][np.abs(vals) <= band_abs] = 0
-    return signs, np.concatenate(shell)
+        np.greater(absv, b, out=p)
+        p &= window[1:-1]
+        least[i] = float(np.min(absv, where=p, initial=np.inf))
+        q &= p
+        p ^= q  # the positive cells
+        shell = _shell_indices(window)
+        runs[i] = [_runs(m, shell, edge, sl.start * plane) for m in (p, q)]
+    return [tuple(map(np.concatenate, zip(*(slab[s] for slab in runs)))) for s in (0, 1)]
 
 
 def _shell_indices(window: np.ndarray) -> np.ndarray:
@@ -406,11 +420,37 @@ def _shell_indices(window: np.ndarray) -> np.ndarray:
     past the other edges count as outside."""
     core = window[:-2] & window[1:-1] & window[2:]
     for axis in range(1, core.ndim):
-        a = np.moveaxis(core, axis, 0)
-        eroded = np.zeros_like(a)
-        eroded[1:-1] = a[:-2] & a[1:-1] & a[2:]
-        core = np.moveaxis(eroded, 0, axis)
+        at = (slice(None),) * axis  # the axes before ``axis``
+        eroded = np.zeros_like(core)
+        eroded[at + (slice(1, -1),)] = (core[at + (slice(None, -2),)]
+                                        & core[at + (slice(1, -1),)] & core[at + (slice(2, None),)])
+        core = eroded
     return np.flatnonzero(window[1:-1] & ~core)
+
+
+def _runs(mask: np.ndarray, shell: np.ndarray, edge: np.ndarray,
+          offset: int = 0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of ``mask``, maximal rows of its True cells along the last
+    axis: the flat indices of their first and last cells plus ``offset``,
+    both increasing, and whether each holds a cell of ``shell`` (flat
+    indices into ``mask``).  ``edge`` is a bool buffer of at least one row
+    of ``mask.shape[-1] + 1`` per row of ``mask``.
+    """
+    width = mask.shape[-1]
+    rows = mask.reshape(-1, width)
+    e = edge[:len(rows)]
+    # a run of row r from column i to j flips the padded row at i and
+    # j + 1, that is at flat indices r * (width + 1) + i and + j + 1
+    e[:, 0] = rows[:, 0]
+    e[:, -1] = rows[:, -1]
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=e[:, 1:-1])
+    flips = np.flatnonzero(e)
+    cells = flips - flips // (width + 1)
+    first, last = cells[0::2], cells[1::2] - 1
+    # a cell of the mask lies in the last run that starts at or before it
+    held = np.zeros(first.size, dtype=bool)
+    held[np.searchsorted(first, shell[rows.ravel()[shell]], side="right") - 1] = True
+    return first + offset, last + offset, held
 
 
 def nodal_domain_count(
@@ -432,59 +472,50 @@ def nodal_domain_count(
     cut off.  Every component counts for other w.
 
     Components are found among runs of same-sign cells along the last axis
-    (see ``label``), not cell by cell.  Memory: 1 byte per cell (the int8
-    sign grid), float values of w and its gradient on one slab of
-    ``_SLAB_CELLS`` cells (or one axis-0 plane, if larger) while the grid is
-    signed, 2 bytes per cell of one block of 32 planes while runs are found,
-    and a few hundred bytes per run of one sign while they are joined;
-    paperH in the ball of radius 0.5 at resolution 512 has 0.3 million runs
-    and peaks at about 230 MB resident.  ``BeyondMemory`` refuses more.
+    (see ``label``), not cell by cell, and no array spans the grid.
+    Memory: the float values of w and its gradient and a few masks on one
+    slab of ``_SLAB_CELLS`` cells (or one axis-0 plane, if larger) while
+    the slabs are signed (``_sign_grid``), and a few dozen bytes per run,
+    a few hundred per run of one sign while they are joined; paperH in the
+    ball of radius 0.5 at resolution 512 has 0.3 million runs and peaks at
+    about 80 MB resident.  ``BeyondMemory`` refuses more.
     """
     _refuse_beyond_memory("resolution", resolution, resolution**region.dim, COUNT_CELL_BYTES,
                           COUNT_PLANE_BYTES * max(resolution ** (region.dim - 1), _SLAB_CELLS))
-    signs, shell = _sign_grid(w, region, resolution, band_rel)
-    return _count_domains(signs, shell, w.is_harmonic())
+    runs = _sign_grid(w, region, resolution, band_rel)
+    return _count_domains(runs, (resolution,) * region.dim, w.is_harmonic())
 
 
-_CHUNK_PLANES = 32  # axis-0 planes scanned for runs at once
+def _count_domains(runs: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+                   shape: Tuple[int, ...], harmonic: bool) -> int:
+    """Number of same-sign components, under the full 3^dim neighbourhood,
+    of a grid of ``shape`` given as the runs of each sign (``_sign_grid``);
+    if ``harmonic``, only those with a run that holds a shell cell count.
 
-
-def _count_domains(signs: np.ndarray, shell: np.ndarray, harmonic: bool) -> int:
-    """Number of same-sign components of the sign grid ``signs`` under the
-    full 3^dim neighbourhood; if ``harmonic``, only those holding a cell of
-    ``shell`` (sorted flat indices) count.
-
-    Each sign is labelled once (``label``), as runs along the last axis.
-    Without ``harmonic`` the count is the number of component roots.  With
-    it, a shell cell lies in the run whose first cell is the last one at or
-    before it, if that run reaches it, and the components of those runs
-    are the ones that count.
+    Each sign is labelled once (``label``).  Without ``harmonic`` the count
+    is the number of component roots; with it, the number of components
+    of the runs that hold a shell cell.
     """
     total = 0
-    for s in (1, -1):
-        first, last, roots = label(signs, s)
-        if not harmonic:
+    for first, last, held in runs:
+        roots = label(first, last, shape)
+        if harmonic:
+            total += np.unique(roots[held]).size
+        else:
             total += int(np.count_nonzero(roots == np.arange(roots.size)))
-        elif roots.size:
-            run = np.searchsorted(first, shell, side="right") - 1
-            held = run[(run >= 0) & (last[run] >= shell)]
-            reached = np.zeros(roots.size, dtype=bool)
-            reached[roots[held]] = True
-            total += int(np.count_nonzero(reached))
     return total
 
 
-def label(signs: np.ndarray, sign: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Components of the cells of ``signs`` equal to ``sign`` under the full
-    3^dim neighbourhood, held as runs: maximal rows of such cells along the
-    last axis.
+def label(first: np.ndarray, last: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Components, under the full 3^dim neighbourhood, of the cells of one
+    sign of a grid of ``shape``, held as runs: maximal rows of such cells
+    along the last axis, given by the flat indices of their first and last
+    cells, both increasing.
 
-    Returns the flat indices of the first and the last cell of every run,
-    both increasing, and the component of every run, named by its first run
+    Returns the component of every run, named by its first run
     (``_components`` of the links between runs that ``_links`` finds).
     """
-    first, last = _runs(signs, sign)
-    return first, last, _components(first.size, *_links(first, last, signs.shape))
+    return _components(first.size, *_links(first, last, shape))
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -507,34 +538,6 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         joined = a != b
         a, b = a[joined], b[joined]
     return roots
-
-
-def _runs(signs: np.ndarray, sign: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the first and the last cell of every run of ``sign``
-    in ``signs``, in increasing order.
-
-    The grid is scanned ``_CHUNK_PLANES`` axis-0 planes at a time.  A run
-    never leaves its row, so the blocks do not overlap, and only one
-    block's mask and edges are allocated.
-    """
-    width = signs.shape[-1]
-    rows = signs.reshape(-1, width)
-    step = _CHUNK_PLANES * math.prod(signs.shape[1:-1])  # rows per block
-    edges = np.empty((min(step, len(rows)), width + 1), dtype=bool)
-    firsts, lasts = [], []
-    for start in range(0, len(rows), step):
-        mask = rows[start:start + step] == sign
-        edge = edges[:len(mask)]
-        # a run of row r from column i to j flips the padded row at i and
-        # j + 1, that is at flat indices r * (width + 1) + i and + j + 1
-        edge[:, 0] = mask[:, 0]
-        edge[:, -1] = mask[:, -1]
-        np.not_equal(mask[:, 1:], mask[:, :-1], out=edge[:, 1:-1])
-        flips = np.flatnonzero(edge)
-        cells = flips - flips // (width + 1) + start * width
-        firsts.append(cells[0::2])
-        lasts.append(cells[1::2] - 1)
-    return np.concatenate(firsts), np.concatenate(lasts)
 
 
 def _links(

@@ -22,7 +22,7 @@ from numpy.random import default_rng
 
 from .catalog import expand
 from .division import DivisionError, series_ratio
-from .nodal import _bisect_edges, _refuse_beyond_memory
+from .nodal import _SLAB_CELLS, _bisect_edges, _refuse_beyond_memory
 from .polynomial import Polynomial
 from .regions import Region
 from .reports import VerificationReport
@@ -101,7 +101,7 @@ class RatioEvaluator:
         return self._evaluate([pts[:, i] for i in range(pts.shape[1])])
 
     def _evaluate(
-        self, coords: Sequence[np.ndarray], where=True
+        self, coords: Sequence[np.ndarray], where=True, scale: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(values, valid mask) at the points given as one float coordinate
         array per axis, in the broadcast shape of the arrays.
@@ -109,14 +109,17 @@ class RatioEvaluator:
         ``np.ix_(*axes)`` gives a tensor grid on which u and v see each axis
         value once.  Points outside the boolean mask ``where`` (by default
         there are none) are invalid and take no part in the guard scale or
-        the fallback.  Fallback points are taken in row-major order.
+        the fallback.  Fallback points are taken in row-major order.  The
+        guard scale is the largest |v| at the points, unless ``scale``
+        gives it: a grid evaluated in blocks shares its scale.
         """
         shape = np.broadcast(*coords).shape
         uv, vv = self.u(*coords), self.v(*coords)
         if np.shape(uv) != shape or np.shape(vv) != shape:  # u or v ignores an axis
             uv, vv = np.broadcast_to(uv, shape), np.broadcast_to(vv, shape)
         absv = np.abs(vv)
-        scale = max(float(absv.max(initial=0.0, where=where)), 1e-300)
+        if scale is None:
+            scale = max(float(absv.max(initial=0.0, where=where)), 1e-300)
         safe = absv >= GUARD * scale
         del absv  # one float array fewer at the peak
         near = ~safe & where
@@ -147,14 +150,24 @@ def _pair_series(pair) -> Optional[TruncatedSeries]:
 
 
 # the peaks (tracemalloc) of max_principle_check's two draws, in bytes per
-# sample, as formulas in the dimension.  The interior draw holds two
-# candidates per sample, then the inside candidates and their stacked copy:
+# sample, as formulas in the dimension; a call peaks at the larger one.  The
+# interior draw holds two candidates per sample, then the inside candidates
+# and their stacked copy:
 # 40 bytes per coordinate and a mask byte per candidate, 82.0 in a square
 # and 120.0 in a cube (10^6 samples).  The boundary sweep and its
 # evaluation hold 42.0 on a circle, 80.0 on a 3D ball's Fibonacci sphere
 # and 79.9 on a cube's faces
 INTERIOR_SAMPLE_BYTES = lambda dim: 40 * dim + 3
 BOUNDARY_SAMPLE_BYTES = lambda dim: 38 * dim - 33
+
+
+def _extremes(evaluator: RatioEvaluator, points: np.ndarray) -> Tuple[float, float, int, int]:
+    """Largest and smallest valid f at ``points``, and the counts of valid
+    and of skipped points; ``DegenerateRegion`` if none is valid."""
+    f, ok = evaluator(points)
+    if not np.any(ok):
+        raise DegenerateRegion("no valid ratio samples in the region")
+    return float(np.max(f[ok])), float(np.min(f[ok])), int(np.sum(ok)), int(np.sum(~ok))
 
 
 def max_principle_check(
@@ -172,15 +185,11 @@ def max_principle_check(
     for name, count, size in (("interior_samples", interior_samples, INTERIOR_SAMPLE_BYTES),
                               ("boundary_samples", boundary_samples, BOUNDARY_SAMPLE_BYTES)):
         _refuse_beyond_memory(name, count, count, size(region.dim))
-    rng = default_rng(seed)
-    bd = region.sample_boundary(boundary_samples)
-    it = region.sample_interior(interior_samples, rng)
-    f_bd, ok_bd = evaluator(bd)
-    f_it, ok_it = evaluator(it)
-    if not np.any(ok_bd) or not np.any(ok_it):
-        raise DegenerateRegion("no valid ratio samples in the region")
-    bmax, bmin = float(np.max(f_bd[ok_bd])), float(np.min(f_bd[ok_bd]))
-    imax, imin = float(np.max(f_it[ok_it])), float(np.min(f_it[ok_it]))
+    # each draw is reduced before the next is made, so the peak is the
+    # larger draw's; the interior draw alone uses the generator
+    bmax, bmin, b_ok, b_skip = _extremes(evaluator, region.sample_boundary(boundary_samples))
+    imax, imin, i_ok, i_skip = _extremes(
+        evaluator, region.sample_interior(interior_samples, default_rng(seed)))
     scale = max(abs(bmax), abs(bmin), abs(imax), abs(imin), 1e-300)
     passed = imax <= bmax + tol * scale and imin >= bmin - tol * scale
     return VerificationReport(
@@ -192,19 +201,16 @@ def max_principle_check(
             "interior_max": imax,
             "interior_min": imin,
         },
-        samples={
-            "boundary": int(np.sum(ok_bd)),
-            "interior": int(np.sum(ok_it)),
-            "skipped": int(np.sum(~ok_bd) + np.sum(~ok_it)),
-        },
+        samples={"boundary": b_ok, "interior": i_ok, "skipped": b_skip + i_skip},
         tolerance=tol,
         notes="relative tolerance against the largest observed |f|",
     )
 
 
-# the peak of harnack_constant (tracemalloc): u, v and f as float64 and
-# three masks at every grid point, 27.0 bytes per point in 2D and 3D (10^6
-# points), and up to 31 kB besides
+# the peak of harnack_constant (tracemalloc) is that of one block of rows:
+# u, v and f as float64 and a few masks at about _SLAB_CELLS points, 2.5 to
+# 2.8 MB in 2D and 3D (2.5 * 10^5 to 10^6 points).  The grid evaluated whole
+# held 27.0 bytes per point; that bound is kept
 HARNACK_POINT_BYTES = 28
 
 
@@ -219,18 +225,36 @@ def harnack_constant(
     Samples are a deterministic grid including the region's extreme points,
     so monotone ratios attain their true extremes up to grid resolution.
     Finiteness is the claim being verified; the value itself is reported.
-    ``BeyondMemory`` refuses a grid that would pass physical memory.
+
+    The grid is evaluated in blocks of axis-0 rows of about
+    ``nodal._SLAB_CELLS`` points each (at least one row), twice: once for
+    the guard scale, the largest |v| inside the whole grid, and once for f,
+    whose extremes and counts each block reduces in place.  So no array
+    spans the grid.  ``BeyondMemory`` refuses a grid that would pass
+    physical memory.
     """
     side = max(int(round(samples ** (1.0 / region.dim))), 1)  # points per axis
     _refuse_beyond_memory("samples", samples, side**region.dim, HARNACK_POINT_BYTES)
     axes = [np.linspace(a, b, side) for a, b in zip(*region.bounding_box())]
-    coords = np.ix_(*axes)
-    inside = region.mask(coords)
-    f, ok = evaluator._evaluate(coords, where=inside)
-    vals = np.abs(f[ok])
-    if len(vals) == 0:
+    rows = max(_SLAB_CELLS // side ** (region.dim - 1), 1)
+    blocks = [np.ix_(axes[0][k:k + rows], *axes[1:]) for k in range(0, side, rows)]
+    scale = 0.0  # np.maximum, not max: a NaN |v| spreads as in one reduction
+    for coords in blocks:
+        absv = np.abs(np.broadcast_to(evaluator.v(*coords), np.broadcast(*coords).shape))
+        scale = np.maximum(scale, absv.max(initial=0.0, where=region.mask(coords)))
+    scale = max(float(scale), 1e-300)
+    sup, inf, valid, points = -np.inf, np.inf, 0, 0
+    for coords in blocks:
+        inside = region.mask(coords)
+        f, ok = evaluator._evaluate(coords, where=inside, scale=scale)
+        absf = np.abs(f, out=f)
+        sup = np.maximum(sup, absf.max(initial=-np.inf, where=ok))
+        inf = np.minimum(inf, absf.min(initial=np.inf, where=ok))
+        valid += int(np.count_nonzero(ok))
+        points += int(np.count_nonzero(inside))
+    if valid == 0:
         raise DegenerateRegion("no valid ratio samples in the region")
-    sup, inf = float(np.max(vals)), float(np.min(vals))
+    sup, inf = float(sup), float(inf)
     if inf < floor * sup:
         raise RatioVanishes(
             f"|f| reaches {inf:.3e} against sup {sup:.3e}; zero sets differ"
@@ -240,10 +264,7 @@ def harnack_constant(
         name="harnack_constant",
         passed=bool(np.isfinite(c_star)),
         extremes={"sup_abs_f": sup, "inf_abs_f": inf, "C_star": c_star},
-        samples={
-            "grid_points": len(vals),
-            "skipped": int(np.count_nonzero(inside)) - len(vals),
-        },
+        samples={"grid_points": valid, "skipped": points - valid},
         tolerance=floor,
         notes="empirical constant over a deterministic grid",
     )

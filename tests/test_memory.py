@@ -37,6 +37,8 @@ REZK3 = catalog_get("rezk:3").polynomial
 DISK = Region.ball((0, 0), 1.0)
 BALL = Region.ball((0, 0, 0), 1.0)
 HALF_CUBE = Region.box((-0.5,) * 3, (0.5,) * 3)
+CUBE = Region.box((-1,) * 3, (1,) * 3)
+XYZ = Polynomial.variable(3, 0) * Polynomial.variable(3, 1) * Polynomial.variable(3, 2)
 
 
 def max_check(pair, region, boundary, interior):
@@ -58,6 +60,9 @@ CASES = {
     "max-boundary-disk": lambda: max_check(EXPSIN, DISK, 250_000, 1),
     "max-boundary-ball": lambda: max_check(PAPER, BALL, 250_000, 1),
     "max-boundary-box": lambda: max_check(PAPER, PAPER.region, 250_000, 1),
+    # the boundary draw is reduced before the interior draw is made, so the
+    # peak is the larger draw's, not the sum of the two
+    "max-both-2d": lambda: max_check(EXPSIN, EXPSIN.region, 250_000, 250_000),
     "elliptic-2d": lambda: residual_convergence(
         EXPSIN.u, EXPSIN.v, EXPSIN.region, 0.05, 3, 30_000),
     # f = u/v is not constant here, so the residual does not vanish
@@ -68,6 +73,8 @@ CASES = {
     "leading-3d": leading(PAPER, 10_000),
     "count-2d": lambda: nodal_domain_count(REZK3, DISK, 1000),
     "count-3d": lambda: nodal_domain_count(PAPER_H, HALF_CUBE, 256),
+    # two runs in every grid row, more than paperH's
+    "count-xyz-cube": lambda: nodal_domain_count(XYZ, CUBE, 256),
     "plot-2d": lambda: zero_set_sample(REZK3, DISK, 800),
     "plot-3d": lambda: zero_set_sample(PAPER_H, BALL, 80),
     # few seeds: the scan is the peak

@@ -1,5 +1,6 @@
 """Nodal-set analysis: depth, critical points, domain counts, level sets."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -21,10 +22,10 @@ from harmonic_ratios import (
 )
 import harmonic_ratios.nodal as nodal_module
 from harmonic_ratios.nodal import (
-    _CHUNK_PLANES,
     BisectionError,
     NotAZero,
     _count_domains,
+    _runs,
     _sign_grid,
     write_points_csv,
     write_svg,
@@ -183,6 +184,44 @@ def whole_grid_count(signs, shell, harmonic):
     return total
 
 
+def grid_runs(signs, shell):
+    """The runs of each sign of a whole sign grid, with their shell flags
+    for the sorted flat indices ``shell``, in the form ``_sign_grid`` gives."""
+    width = signs.shape[-1]
+    edge = np.empty((signs.size // width, width + 1), dtype=bool)
+    return [_runs(signs == s, shell, edge) for s in (1, -1)]
+
+
+def count(signs, shell, harmonic):
+    """The domain count of a whole sign grid, from its runs."""
+    return _count_domains(grid_runs(signs, shell), signs.shape, harmonic)
+
+
+def assembled(runs, shape):
+    """The int8 sign grid that the runs of each sign cover."""
+    signs = np.zeros(math.prod(shape), dtype=np.int8)
+    for s, (first, last, _) in zip((1, -1), runs):
+        cover = np.zeros(signs.size + 1, dtype=np.intp)
+        np.add.at(cover, first, 1)
+        np.add.at(cover, last + 1, -1)
+        signs[np.cumsum(cover[:-1]) > 0] = s
+    return signs.reshape(shape)
+
+
+def shell_oracle(region, resolution):
+    """The region's cells minus its erosion by the full 3^dim neighbourhood."""
+    _, mask, _ = region.grid(resolution)
+    eroded = ndimage.binary_erosion(mask, np.ones((3,) * mask.ndim), border_value=0)
+    return mask & ~eroded
+
+
+def held_oracle(runs, shell):
+    """For each sign, whether each of its runs holds a cell of the bool grid
+    ``shell``."""
+    before = np.concatenate([[0], np.cumsum(shell.ravel())])
+    return [before[last + 1] - before[first] > 0 for first, last, _ in runs]
+
+
 def box_shell(shape):
     """Sorted flat indices of the cells on the faces of a grid."""
     inner = np.zeros(shape, dtype=bool)
@@ -191,14 +230,14 @@ def box_shell(shape):
 
 
 class TestChunkedCount:
-    """``_count_domains`` scans the sign grid for runs in blocks of axis-0
-    planes; its count must equal the whole-grid labelling's."""
+    """The count from the runs of each sign (``_runs``, ``_count_domains``)
+    must equal the whole-grid labelling's."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_random_grids_match_whole_grid_labelling(self, data):
         dim = data.draw(st.sampled_from([2, 3]), label="dim")
-        planes = data.draw(st.integers(1, 3 * _CHUNK_PLANES + 2), label="planes")
+        planes = data.draw(st.integers(1, 98), label="planes")
         side = st.integers(1, 6 if dim == 2 else 4)
         shape = (planes, *data.draw(st.tuples(*[side] * (dim - 1)), label="rest"))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -209,7 +248,7 @@ class TestChunkedCount:
         )
         shell = np.flatnonzero(rng.random(signs.size) < data.draw(st.floats(0, 1)))
         for harmonic in (True, False):
-            assert _count_domains(signs, shell, harmonic) == whole_grid_count(
+            assert count(signs, shell, harmonic) == whole_grid_count(
                 signs, shell, harmonic
             )
 
@@ -223,34 +262,34 @@ class TestChunkedCount:
          Region.box((-1, -0.8), (0.9, 1))),
     ])
     def test_chunk_edges_match_whole_grid_labelling(self, w, region, resolution):
-        # the blocks hold planes 0-31, 32-63 and 64-95: 32 and 64 planes
-        # end on a block's last plane, 33, 34 and 65 one or two planes into
-        # the next block, 63 one plane short of it
-        signs, shell = _sign_grid(w, region, resolution, 1e-10)
+        # at resolutions 63 to 65 a 3D grid takes 4 or 5 slabs of 15 or 16
+        # planes, the last one shorter; the count must equal the labelling
+        # of the assembled sign grid with the erosion shell
+        runs = _sign_grid(w, region, resolution, 1e-10)
+        signs = assembled(runs, (resolution,) * region.dim)
+        shell = np.flatnonzero(shell_oracle(region, resolution))
         expected = whole_grid_count(signs, shell, w.is_harmonic())
         assert nodal_domain_count(w, region, resolution) == expected
 
     @pytest.mark.parametrize("shape", [(64, 3), (64, 3, 3)])
     def test_component_crossing_a_chunk_edge_at_a_corner(self, shape):
-        # planes 30, 31 and 32 hold one cell each, touching only at corners;
-        # plane 31 is the last plane of the first block and plane 32 the
-        # first of the second
+        # planes 30, 31 and 32 hold one cell each, touching only at corners
         signs = np.zeros(shape, dtype=np.int8)
         for step, plane in enumerate((30, 31, 32)):
             signs[(plane,) + (step,) * (len(shape) - 1)] = 1
         far_end = np.ravel_multi_index((32,) + (2,) * (len(shape) - 1), shape)
         for harmonic in (True, False):
-            assert _count_domains(signs, np.array([far_end]), harmonic) == 1
-        assert _count_domains(signs, np.array([], dtype=np.intp), True) == 0
+            assert count(signs, np.array([far_end]), harmonic) == 1
+        assert count(signs, np.array([], dtype=np.intp), True) == 0
 
     def test_enclosed_component_counts_only_for_non_harmonic_input(self):
-        # a box across the edge of the first two blocks, clear of the faces
+        # a box clear of the faces
         signs = -np.ones((70, 9, 9), dtype=np.int8)
         signs[20:50, 3:6, 3:6] = 0
         signs[21:49, 4, 4] = 1
         shell = box_shell(signs.shape)
-        assert _count_domains(signs, shell, False) == 2
-        assert _count_domains(signs, shell, True) == 1
+        assert count(signs, shell, False) == 2
+        assert count(signs, shell, True) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -268,7 +307,7 @@ class TestChunkedCount:
         )
         shell = np.flatnonzero(rng.random(signs.size) < data.draw(st.floats(0, 1)))
         for harmonic in (True, False):
-            assert _count_domains(signs, shell, harmonic) == whole_grid_count(
+            assert count(signs, shell, harmonic) == whole_grid_count(
                 signs, shell, harmonic
             )
 
@@ -276,15 +315,15 @@ class TestChunkedCount:
     def test_all_zero_grid_has_no_domain(self, shape):
         signs = np.zeros(shape, dtype=np.int8)
         for harmonic in (True, False):
-            assert _count_domains(signs, box_shell(shape), harmonic) == 0
+            assert count(signs, box_shell(shape), harmonic) == 0
 
     def test_empty_shell_counts_nothing_for_harmonic_input(self):
         signs = np.random.default_rng(5).choice(
             np.array([-1, 0, 1], dtype=np.int8), size=(40, 6, 6)
         )
         empty = np.array([], dtype=np.intp)
-        assert _count_domains(signs, empty, True) == 0
-        assert _count_domains(signs, empty, False) == whole_grid_count(signs, empty, False)
+        assert count(signs, empty, True) == 0
+        assert count(signs, empty, False) == whole_grid_count(signs, empty, False)
 
     @pytest.mark.parametrize("zeros", [0.0, 0.5])
     def test_noise_grid_of_one_cell_runs(self, zeros):
@@ -296,13 +335,14 @@ class TestChunkedCount:
         )
         shell = box_shell(signs.shape)
         for harmonic in (True, False):
-            assert _count_domains(signs, shell, harmonic) == whole_grid_count(
+            assert count(signs, shell, harmonic) == whole_grid_count(
                 signs, shell, harmonic
             )
 
-    def test_peak_memory_stays_under_three_bytes_per_cell(self):
+    def test_peak_memory_stays_under_one_byte_per_cell(self):
         # the whole-grid labelling held a bool grid and an int32 label grid
-        # beside the int8 sign grid: 6.15 bytes per cell at this size
+        # beside the int8 sign grid, 6.15 bytes per cell at this size; the
+        # sign grid alone held 1.8
         resolution = 256
         tracemalloc.start()
         try:
@@ -311,7 +351,7 @@ class TestChunkedCount:
         finally:
             tracemalloc.stop()
         assert count == 2
-        assert peak <= 3 * resolution**3
+        assert peak < resolution**3
 
 
 def dense_sign_grid(w, region, resolution, band_rel):
@@ -353,15 +393,15 @@ class TestSignGrid:
 
     @pytest.mark.parametrize("w, region, resolution, band_rel", CASES)
     def test_matches_dense_evaluation(self, w, region, resolution, band_rel):
-        signs, _ = _sign_grid(w, region, resolution, band_rel)
+        runs = _sign_grid(w, region, resolution, band_rel)
+        signs = assembled(runs, (resolution,) * region.dim)
         assert np.array_equal(signs, dense_sign_grid(w, region, resolution, band_rel))
 
     @pytest.mark.parametrize("w, region, resolution, band_rel", CASES)
     def test_shell_is_the_region_minus_its_erosion(self, w, region, resolution, band_rel):
-        _, shell = _sign_grid(w, region, resolution, band_rel)
-        axes, mask, _ = region.grid(resolution)
-        eroded = ndimage.binary_erosion(mask, np.ones((3,) * mask.ndim), border_value=0)
-        assert np.array_equal(shell, np.flatnonzero(mask & ~eroded))
+        runs = _sign_grid(w, region, resolution, band_rel)
+        expected = held_oracle(runs, shell_oracle(region, resolution))
+        assert all(np.array_equal(held, e) for (_, _, held), e in zip(runs, expected))
 
     # every case fits in one slab of the default budget; these budgets give
     # one plane per slab, and slabs of several planes with a shorter last one
@@ -369,11 +409,11 @@ class TestSignGrid:
     @pytest.mark.parametrize("w, region, resolution, band_rel", CASES)
     def test_slabs_match_dense(self, monkeypatch, cells, w, region, resolution, band_rel):
         monkeypatch.setattr(nodal_module, "_SLAB_CELLS", cells)
-        signs, shell = _sign_grid(w, region, resolution, band_rel)
+        runs = _sign_grid(w, region, resolution, band_rel)
+        signs = assembled(runs, (resolution,) * region.dim)
         assert np.array_equal(signs, dense_sign_grid(w, region, resolution, band_rel))
-        axes, mask, _ = region.grid(resolution)
-        eroded = ndimage.binary_erosion(mask, np.ones((3,) * mask.ndim), border_value=0)
-        assert np.array_equal(shell, np.flatnonzero(mask & ~eroded))
+        expected = held_oracle(runs, shell_oracle(region, resolution))
+        assert all(np.array_equal(held, e) for (_, _, held), e in zip(runs, expected))
 
 
 class TestZeroSetSample:

@@ -1,5 +1,6 @@
 """Numeric checks on ratios of harmonic functions with a shared zero set."""
 
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -228,14 +229,14 @@ class TestHarnack:
         seen = []
 
         class Recorder(RatioEvaluator):
-            def _evaluate(self, coords, where):
+            def _evaluate(self, coords, where, scale):
                 shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
                 seen.append(np.column_stack(
                     [np.broadcast_to(c, shape)[where] for c in coords]
                 ))
                 return np.ones(shape), where.copy()
 
-        harnack_constant(Recorder(u=None, v=None), region, samples)
+        harnack_constant(Recorder(u=None, v=lambda *coords: np.ones(())), region, samples)
         lo, hi = region.bounding_box()
         per_axis = round(samples ** (1 / region.dim))
         axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
@@ -243,6 +244,18 @@ class TestHarnack:
         expected = np.column_stack([m.ravel() for m in mesh])
         expected = expected[region.contains(expected)]
         assert len(seen) == 1 and np.array_equal(seen[0], expected)
+
+    def test_peak_memory_stays_under_four_bytes_per_point(self):
+        # the grid evaluated whole held u, v, f and three masks at every
+        # point: 27 bytes per point at this size
+        tracemalloc.start()
+        try:
+            report = harnack_constant(RatioEvaluator.for_pair(PAIR), PAIR.region, 1001**2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.samples["grid_points"] + report.samples["skipped"] == 1001**2
+        assert peak < 4 * 1001**2
 
     def test_differing_zero_sets_detected(self):
         # u vanishes where v does not: the "ratio" dips to zero
@@ -277,32 +290,35 @@ ONE3 = Polynomial.constant(3, 1)
 HALF3 = Polynomial.constant(3, Fraction(1, 2))
 
 
+MESH_CASES = [
+    # a grid column on x = 0: series fallback near the origin, invalid
+    # points beyond the trust radius
+    (lambda: RatioEvaluator.for_pair(PAIR), Region.box((-1, -1), (1, 1)), 41**2),
+    # polynomials, no series: v vanishes at the grid points with x = y - 1/2
+    (lambda: RatioEvaluator(
+        u=_polynomial_func(catalog_get("paperH").polynomial + ONE3 * 3),
+        v=_polynomial_func((X3 - Y3 + HALF3) * (Z3 + ONE3))),
+     Region.box((-1, -0.5, 0.25), (0.5, 1, 2)), 9**3),
+    (lambda: RatioEvaluator.for_pair(PAIR), Region.ball((0.0, 0.1), 0.6), 31**2),
+    # the grid column on x = 0 leaves this ball within the series' trust
+    # radius; the points outside stay invalid
+    (lambda: RatioEvaluator.for_pair(PAIR), Region.ball((0.3, 0.0), 0.35), 29**2),
+    # |v| peaks in the box's corners, outside the ball: the guard scale
+    # is the largest |v| inside, so more points stay valid
+    (lambda: RatioEvaluator(u=lambda x, y: (2 + x) * np.exp(40 * x * y),
+                            v=lambda x, y: np.exp(40 * x * y)),
+     Region.ball((0.0, 0.0), 1.0), 21**2),
+    # u and v ignore x, so on the mesh they come back one row wide
+    (lambda: RatioEvaluator(u=lambda x, y: np.exp(y), v=lambda x, y: np.cosh(y)),
+     Region.annulus((0.2, -0.1), 0.3, 0.9), 25**2),
+]
+
+
 class TestMeshPath:
     """The open mesh gives what the materialised point list gave, bit for
     bit: values, valid mask, C_star and counts."""
 
-    @pytest.mark.parametrize("make, region, samples", [
-        # a grid column on x = 0: series fallback near the origin, invalid
-        # points beyond the trust radius
-        (lambda: RatioEvaluator.for_pair(PAIR), Region.box((-1, -1), (1, 1)), 41**2),
-        # polynomials, no series: v vanishes at the grid points with x = y - 1/2
-        (lambda: RatioEvaluator(
-            u=_polynomial_func(catalog_get("paperH").polynomial + ONE3 * 3),
-            v=_polynomial_func((X3 - Y3 + HALF3) * (Z3 + ONE3))),
-         Region.box((-1, -0.5, 0.25), (0.5, 1, 2)), 9**3),
-        (lambda: RatioEvaluator.for_pair(PAIR), Region.ball((0.0, 0.1), 0.6), 31**2),
-        # the grid column on x = 0 leaves this ball within the series' trust
-        # radius; the points outside stay invalid
-        (lambda: RatioEvaluator.for_pair(PAIR), Region.ball((0.3, 0.0), 0.35), 29**2),
-        # |v| peaks in the box's corners, outside the ball: the guard scale
-        # is the largest |v| inside, so more points stay valid
-        (lambda: RatioEvaluator(u=lambda x, y: (2 + x) * np.exp(40 * x * y),
-                                v=lambda x, y: np.exp(40 * x * y)),
-         Region.ball((0.0, 0.0), 1.0), 21**2),
-        # u and v ignore x, so on the mesh they come back one row wide
-        (lambda: RatioEvaluator(u=lambda x, y: np.exp(y), v=lambda x, y: np.cosh(y)),
-         Region.annulus((0.2, -0.1), 0.3, 0.9), 25**2),
-    ])
+    @pytest.mark.parametrize("make, region, samples", MESH_CASES)
     def test_mesh_equals_point_list(self, make, region, samples):
         axes, f_list, ok_list, report, counts = _point_list_harnack(
             make(), region, samples
@@ -313,6 +329,15 @@ class TestMeshPath:
         assert f.shape == ok.shape == inside.shape
         assert f[inside].tobytes() == f_list.tobytes()
         assert np.array_equal(ok[inside], ok_list) and not np.any(ok[~inside])
+        got = harnack_constant(make(), region, samples)
+        assert got.extremes == report and got.samples == counts
+
+    # blocks of one row, and of several rows with a shorter last block
+    @pytest.mark.parametrize("cells", [1, 100])
+    @pytest.mark.parametrize("make, region, samples", MESH_CASES)
+    def test_blocks_equal_point_list(self, monkeypatch, cells, make, region, samples):
+        monkeypatch.setattr(verify_module, "_SLAB_CELLS", cells)
+        _, _, _, report, counts = _point_list_harnack(make(), region, samples)
         got = harnack_constant(make(), region, samples)
         assert got.extremes == report and got.samples == counts
 
