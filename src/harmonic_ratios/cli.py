@@ -31,6 +31,7 @@ from .certificates import (
 from .division import DivisionError, divide_by_harmonic, series_ratio
 from .nodal import (
     BeyondMemory,
+    BisectionError,
     NonFiniteValues,
     critical_set_sample,
     nodal_domain_count,
@@ -110,10 +111,13 @@ def parse_region(args: argparse.Namespace, dim: int) -> Region:
         spec = args.ball
         try:
             center_txt, radius_txt = spec.split(":")
-            center = [float(c) for c in center_txt.split(",")]
-            region = Region.ball(center, float(radius_txt))
+            center, radius = [float(c) for c in center_txt.split(",")], float(radius_txt)
         except ValueError as exc:
             raise CliError(f"bad --ball spec {spec!r} (want cx,cy[,cz]:r)") from exc
+        try:
+            region = Region.ball(center, radius)
+        except ValueError as exc:
+            raise CliError(f"bad --ball spec {spec!r}: {exc}") from exc
     elif getattr(args, "box", None):
         spec = args.box
         try:
@@ -417,7 +421,12 @@ def cmd_nodal(args: argparse.Namespace) -> int:
         }
         return _emit(args.out, payload, [str(count)])
     if args.action == "plot":
-        points, segments = zero_set_sample(w, region, args.res)
+        if w.dim not in (2, 3):
+            raise CliError(f"nodal plot draws functions of dimension 2 or 3, not {w.dim}")
+        try:
+            points, segments = zero_set_sample(w, region, args.res)
+        except BisectionError as exc:
+            return _fail(args.out, "nodal plot", "zero-set bisection", exc)
         os.makedirs(args.out, exist_ok=True)
         if w.dim == 2:
             art = os.path.join(args.out, "nodal_set.svg")

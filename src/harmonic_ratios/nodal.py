@@ -84,6 +84,18 @@ def _refuse_beyond_memory(name: str, value: int, units: int, size: int, fixed: i
                            f"{besides}, more than the {memory} bytes of physical memory")
 
 
+# points of one slab of a grid scan, one 256^2 plane: the float arrays of
+# w and its gradient are this large; 2^18 was slower at paperH 256^3
+_SLAB_CELLS = 2**16
+
+
+def _slabs(count: int, plane: int) -> List[slice]:
+    """The slabs of ``count`` axis-0 planes of ``plane`` points each, in order:
+    runs of whole planes, as many as fit in ``_SLAB_CELLS`` points, at least one."""
+    rows = max(_SLAB_CELLS // plane, 1)
+    return [slice(k, min(k + rows, count)) for k in range(0, count, rows)]
+
+
 def depth_of_zero(w: Polynomial, x: Sequence) -> int:
     """Degree of the first nonzero homogeneous term of w expanded at x.
 
@@ -170,13 +182,15 @@ def _gauss_newton_critical(
 
 
 # the peak of ``critical_set_sample`` (tracemalloc) is that of its scan or
-# that of its Gauss-Newton stage, which holds no grid array.  The scan holds
-# w, |grad w|, one gradient component and their masks: 34.0 to 34.7 bytes
-# per cell from grid 150 in 2D and 32 in 3D up (imzk:2 and rezk:5 in a
-# disk, paperH in a cube and a ball).  The Gauss-Newton stage holds the
-# lstsq stack of every seed still iterating and the arrays of its step: 285
-# bytes per seed in 2D (rezk:5, grid 100), 454 to 456 in 3D (paperH in a
-# ball, grids 32 and 48)
+# that of its Gauss-Newton stage.  The scan holds |w|, |grad w|, the squared
+# gradient components and masks on one slab of ``_slabs``, and the seeds: 1.7
+# MB for imzk:2 in a disk at grid 1000 (1.7 bytes per cell), 1.6 MB for
+# paperH in a cube at grid 48.  The Gauss-Newton stage holds the lstsq
+# stack of every seed still iterating and the arrays of its step: 285 bytes
+# per seed in 2D (rezk:5, grid 100), 454 to 456 in 3D (paperH in a ball,
+# grids 32 and 48).  CRITICAL_CELL_BYTES is the 34.0 to 34.7 bytes per cell
+# that the scan of the whole grid held, kept as an upper bound: a tighter
+# one would start the scan of paperH at grid 1000 that CI expects refused
 CRITICAL_CELL_BYTES = 36
 CRITICAL_SEED_BYTES = 120  # per seed and equation, of which there are dim + 1
 
@@ -200,36 +214,40 @@ def critical_set_sample(
     that chain into a sampled curve with one common depth are marked good;
     everything else is left unclassified (never "bad").
 
-    Raises ``NonFiniteValues`` when w or |grad w| is not finite on the
-    grid, and ``BeyondMemory`` before the scan or the refinement of the
-    seeds (at a deep zero most cells near it) would pass physical memory.
+    One pass over the slabs of ``_slabs`` takes the grid's max |w| and max
+    |grad w|, a second the seeds.  Raises ``NonFiniteValues`` when w or
+    |grad w| is not finite on the grid, and ``BeyondMemory`` before the
+    scan or the refinement of the seeds (at a deep zero most cells near it)
+    would pass physical memory.
     """
     _refuse_beyond_memory("grid", grid, grid**w.dim, CRITICAL_CELL_BYTES)
-    axes, mask, h = region.grid(grid)
-    coords = np.ix_(*axes)
+    axes, h = region.grid_axes(grid)
+    slabs = [[axes[0][sl], *axes[1:]] for sl in _slabs(grid, grid ** (w.dim - 1))]
     grads = w.gradient()
     hess = [[g.partial(j) for j in range(w.dim)] for g in grads]
-    with _finite_floats():
-        wv = w.evaluate_array(coords)
-        gnorm = None  # |grad w|^2, then |grad w|, in place
-        for g in grads:
-            sq = g.evaluate_array(coords)
-            sq *= sq
-            gnorm = sq if gnorm is None else np.add(gnorm, sq, out=gnorm)
-        np.sqrt(gnorm, out=gnorm)
-    w_scale = max(float(np.max(np.abs(wv))), 1e-300)
-    g_scale = max(float(np.max(gnorm)), 1e-300)
+
+    # a slab's arrays live in these two calls only, so none is held while
+    # the seeds are refined
+    def scan(slab):
+        coords = np.ix_(*slab)
+        with _finite_floats():
+            absw = np.abs(w.evaluate_array(coords))
+            gnorm = np.sqrt(sum(g.evaluate_array(coords) ** 2 for g in grads))
+        return coords, absw, gnorm
+
+    def seeds_in(slab):
+        coords, absw, gnorm = scan(slab)
+        seed = region.mask(coords) & (absw <= 2.0 * h * w_scale) & (gnorm <= 2.0 * h * g_scale)
+        return np.column_stack([a[i] for a, i in zip(slab, np.nonzero(seed))])
+
+    # one np.max over the slabs' maxima, not a running max: a NaN spreads
+    maxima = np.max([[np.max(a) for a in scan(slab)[1:]] for slab in slabs], axis=0)
+    w_scale, g_scale = (max(float(m), 1e-300) for m in maxima)
     # Gauss-Newton on values that are not finite would hand LAPACK inf and
     # nan; the maxima tell such values from an infinite coordinate too
     if not math.isfinite(w_scale + g_scale):
         raise NonFiniteValues("w or its gradient")
-    seed_mask = (
-        mask
-        & (np.abs(wv) <= 2.0 * h * w_scale)
-        & (gnorm <= 2.0 * h * g_scale)
-    )
-    seeds = np.column_stack([a[i] for a, i in zip(axes, np.nonzero(seed_mask))])
-    del wv, sq, gnorm, mask, seed_mask  # no grid array is held while refining
+    seeds = np.concatenate([seeds_in(slab) for slab in slabs])  # in row-major order
     _refuse_beyond_memory("grid", grid, len(seeds), CRITICAL_SEED_BYTES * (w.dim + 1),
                           what="finds {} seeds of {} byte(s) each to refine")
 
@@ -301,10 +319,6 @@ def _classify_curve_points(
     return out
 
 
-# cells of one slab of the sign grid, one 256^2 plane: the float arrays of
-# w and its gradient are this large; 2^18 was slower at paperH 256^3
-_SLAB_CELLS = 2**16
-
 # the peak of ``nodal_domain_count`` (tracemalloc) is at most
 # COUNT_PLANE_BYTES per cell of an axis-0 plane or of a slab, whichever is
 # larger: a slab's arrays and the runs of each sign, a few per grid row,
@@ -351,11 +365,10 @@ def _sign_grid(
     grads = w.gradient()
     safety = float(np.sqrt(dim))
     plane = resolution ** (dim - 1)
-    rows = max(_SLAB_CELLS // plane, 1) if dim > 1 else resolution  # runs stay whole
-    slabs = [slice(k, min(k + rows, resolution)) for k in range(0, resolution, rows)]
+    slabs = _slabs(resolution, plane) if dim > 1 else [slice(0, resolution)]  # whole runs
     beyond = np.zeros((1,) + (resolution,) * (dim - 1), dtype=bool)  # a row past the grid
     # one slab's buffers, kept across slabs; the last slab may be shorter
-    cells = min(rows, resolution) * plane
+    cells = (slabs[0].stop - slabs[0].start) * plane
     # a freed block of eight slabs' floats raises glibc's heap trim threshold
     # to twice its size, so the slabs' temporaries stay in the heap instead
     # of being handed back and faulted in again after every slab: paperH at
@@ -615,13 +628,20 @@ def _bisect_edges(
     return 0.5 * (a + b)
 
 
-# the peak of ``zero_set_sample`` (tracemalloc): w at every grid node, its
-# signs and sign-change masks, and the refined points and their lists, which
-# grow with the zero set's size, not with the grid.  26 bytes per node bound
-# rezk:3 (17.5) and imzk:9 (20.8) in 2D at 1600^2 cells and paperH in a
-# ball (23.7) and in a cube (22.9) at 80^3; paperH in a ball holds 28.4 at
-# 60^3, where its points weigh more
+# the peak of ``zero_set_sample`` (tracemalloc): w, its signs and its
+# sign-change masks on one slab of ``_slabs``, and the sign-changing edges,
+# the refined points and their lists, which grow with the zero set's size,
+# not with the grid.  Per node: rezk:3 2.1 and imzk:9 5.5 in 2D at 1600^2
+# cells; paperH in a ball 15.4 at 80^3 and 20.4 at 60^3, and 28.8 at 40^3,
+# where its points, about 500 bytes each, pass the bound.  PLOT_NODE_BYTES
+# is the bound of the whole grid's arrays (17.5 to 23.7 bytes per node),
+# kept as an upper bound: a tighter one would start the plot of paperH at
+# resolution 1500 that CI expects refused
 PLOT_NODE_BYTES = 26
+
+# a grid square's sides in scan order: bottom, right, top, left, given by
+# the offset of their first node and their axis
+_SIDES = ((0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1))
 
 
 def zero_set_sample(
@@ -634,12 +654,15 @@ def zero_set_sample(
 
     Every sign-changing edge of the grid over the region's bounding box is
     refined by bisection, all edges together, and each refined point must
-    meet |w| <= tol relative to the grid scale (else ``BisectionError``).
-    2D: marching squares, where a grid node with w exactly 0 is a point
-    itself; returns (points, segments) where segments index into the point
-    list.  3D: points with no connectivity (a point cloud for dumps).  Only
-    geometry inside the region is returned.  ``BeyondMemory`` refuses a
-    grid whose nodes at ``PLOT_NODE_BYTES`` each pass physical memory.
+    meet |w| <= tol relative to the largest |w| at a node (else
+    ``BisectionError``).  2D: marching squares, where a grid node with w
+    exactly 0 is a point itself; returns (points, segments) where segments
+    index into the point list.  3D: points with no connectivity (a point
+    cloud for dumps).  Only geometry inside the region is returned.  The
+    slabs of ``_slabs`` are evaluated in turn, each with the node plane
+    after it, and hand over their crossings.  Raises ``NonFiniteValues``
+    where w is not finite at a node, and ``BeyondMemory`` for a grid whose
+    nodes at ``PLOT_NODE_BYTES`` each pass physical memory.
     """
     lo, hi = region.bounding_box()
     dim = len(lo)
@@ -648,37 +671,55 @@ def zero_set_sample(
     n = resolution + 1
     _refuse_beyond_memory("resolution", resolution, n**dim, PLOT_NODE_BYTES)
     axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
-    vals = w.evaluate_array(np.ix_(*axes))
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    # a sign change is told by signs: the product of two tiny values
-    # underflows to 0
-    sign = np.sign(vals).astype(np.int8)
+    scale, parts = 0.0, []
+    for sl in _slabs(resolution, n ** (dim - 1)):
+        slab = [axes[0][sl.start:sl.stop + 1], *axes[1:]]
+        with _finite_floats():
+            vals = w.evaluate_array(np.ix_(*slab))
+        scale = np.maximum(scale, np.max(np.abs(vals)))  # a NaN spreads
+        # a sign change is told by signs: the product of two tiny values
+        # underflows to 0
+        sign = np.sign(vals).astype(np.int8)
+        if dim == 2:
+            # A side whose first node is a zero of w yields that node (key
+            # 3*node); otherwise a sign change yields its crossing (key
+            # 3*node + 1 + axis); each key comes with w at its node.
+            r, c = len(vals) - 1, resolution  # the slab's rows and columns of cells
+            zero = vals == 0.0
+            change = (sign[:-1] * sign[1:] < 0, sign[:, :-1] * sign[:, 1:] < 0)
+            has = [zero[di:di + r, dj:dj + c] | change[axis][di:di + r, dj:dj + c]
+                   for di, dj, axis in _SIDES]
+            has[3] &= ~zero[:-1, :-1]  # the bottom side already gave that node
+            ci, cj = np.nonzero(has[0] | has[1] | has[2] | has[3])
+            keys, wkey = np.full((ci.size, 4), -1), np.empty((ci.size, 4))
+            for col, (di, dj, axis) in enumerate(_SIDES):
+                i, j = ci + di, cj + dj
+                node = (sl.start + i) * n + j
+                key = np.where(zero[i, j], 3 * node, 3 * node + 1 + axis)
+                keys[:, col] = np.where(has[col][ci, cj], key, -1)
+                wkey[:, col] = vals[i, j]
+            parts.append((keys, wkey))
+        else:
+            # the edges along axes 1 and 2 of the node plane after a slab
+            # are the next slab's, but for the last slab's
+            planes = len(vals) - (sl.stop < resolution)
+            for axis in range(3):
+                first = [slice(0, planes), slice(None), slice(None)]
+                second = list(first)
+                first[axis], second[axis] = slice(0, -1), slice(1, None)
+                idx = np.nonzero(sign[tuple(first)] * sign[tuple(second)] < 0)
+                a = np.stack([slab[k][idx[k]] for k in range(3)])
+                b = np.stack([slab[k][idx[k] + (k == axis)] for k in range(3)])
+                parts.append((axis, a, b, vals[tuple(first)][idx]))
+    scale = max(float(scale), 1e-300)
 
     if dim == 2:
-        # Each cell's sides in scan order: bottom, right, top, left, given by
-        # the offset of their first node and their axis.  A side whose first
-        # node is a zero of w yields that node (key 3*node); otherwise a sign
-        # change yields its crossing (key 3*node + 1 + axis).  Points are
-        # numbered by first appearance over the cells in row-major order.
-        zero = vals == 0.0
-        change = (sign[:-1] * sign[1:] < 0, sign[:, :-1] * sign[:, 1:] < 0)
-        sides = ((0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1))
-        has = [
-            zero[di:di + resolution, dj:dj + resolution]
-            | change[axis][di:di + resolution, dj:dj + resolution]
-            for di, dj, axis in sides
-        ]
-        has[3] &= ~zero[:-1, :-1]  # the bottom side already gave that node
-        ci, cj = np.nonzero(has[0] | has[1] | has[2] | has[3])
-        keys = np.full((ci.size, 4), -1)
-        for col, (di, dj, axis) in enumerate(sides):
-            i, j = ci + di, cj + dj
-            key = np.where(zero[i, j], 3 * (i * n + j), 3 * (i * n + j) + 1 + axis)
-            keys[:, col] = np.where(has[col][ci, cj], key, -1)
-        cell, _ = np.nonzero(keys >= 0)
-        uniq, first, inverse = np.unique(
-            keys[keys >= 0], return_index=True, return_inverse=True
-        )
+        keys, wkey = (np.concatenate(p) for p in zip(*parts))
+        found = keys >= 0
+        # points are numbered by first appearance over the cells in
+        # row-major order
+        cell, _ = np.nonzero(found)
+        uniq, first, inverse = np.unique(keys[found], return_index=True, return_inverse=True)
         order = np.argsort(first)
         point_id = np.empty_like(order)
         point_id[order] = np.arange(order.size)
@@ -691,27 +732,13 @@ def zero_set_sample(
         i0, j0 = np.divmod(at, n)
         pts = np.stack([axes[0][i0], axes[1][j0]])
         edge = kind > 0
+        f0 = wkey[found][first[order]][edge]
         i0, j0, kind = i0[edge], j0[edge], kind[edge]
         ends = np.stack([axes[0][i0 + (kind == 1)], axes[1][j0 + (kind == 2)]])
-        pts[:, edge] = _bisect_edges(w, pts[:, edge], ends, vals[i0, j0])
+        pts[:, edge] = _bisect_edges(w, pts[:, edge], ends, f0)
     else:
-        a_parts, b_parts, f_parts = [], [], []
-        for axis in range(3):
-            first = [slice(None)] * 3
-            second = [slice(None)] * 3
-            first[axis] = slice(0, -1)
-            second[axis] = slice(1, None)
-            f0 = vals[tuple(first)]
-            idx = np.nonzero(sign[tuple(first)] * sign[tuple(second)] < 0)
-            ends = np.stack([axes[k][idx[k]] for k in range(3)])
-            a_parts.append(ends)
-            ends = ends.copy()
-            ends[axis] = axes[axis][idx[axis] + 1]
-            b_parts.append(ends)
-            f_parts.append(f0[idx])
-        pts = _bisect_edges(
-            w, *(np.concatenate(p, axis=-1) for p in (a_parts, b_parts, f_parts))
-        )
+        parts.sort(key=lambda part: part[0])  # stable: the slabs stay in order
+        pts = _bisect_edges(w, *(np.concatenate(p, axis=-1) for p in list(zip(*parts))[1:]))
         segs = np.empty((0, 2), dtype=int)
 
     miss = np.flatnonzero(np.abs(w.evaluate_array(list(pts))) > tol * scale)

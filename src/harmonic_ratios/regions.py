@@ -29,14 +29,15 @@ class Region:
     def ball(center: Sequence[float], radius: float) -> "Region":
         if not radius > 0:  # also rejects NaN
             raise ValueError("ball radius must be positive")
-        return Region(kind="ball", center=tuple(map(float, center)), radius=float(radius))
+        return Region(kind="ball", center=tuple(map(float, center)),
+                      radius=float(radius))._finite_extent()
 
     @staticmethod
     def box(lo: Sequence[float], hi: Sequence[float]) -> "Region":
         lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
         if len(lo) != len(hi) or not all(a < b for a, b in zip(lo, hi)):
             raise ValueError("box needs lo < hi per axis")
-        return Region(kind="box", lo=lo, hi=hi)
+        return Region(kind="box", lo=lo, hi=hi)._finite_extent()
 
     @staticmethod
     def annulus(center: Sequence[float], inner: float, outer: float) -> "Region":
@@ -47,7 +48,20 @@ class Region:
             center=tuple(map(float, center)),
             radius=float(outer),
             inner=float(inner),
-        )
+        )._finite_extent()
+
+    def _finite_extent(self) -> "Region":
+        """This region, once every side hi - lo of its bounding box is
+        finite, and so every bound: grids over a box with an infinite side
+        have infinite or NaN coordinates and cell width.  A side of width 0
+        passes.  In Python floats, which overflow without a warning."""
+        if self.kind == "box":
+            sides = [b - a for a, b in zip(self.lo, self.hi)]
+        else:
+            sides = [(c + self.radius) - (c - self.radius) for c in self.center]
+        if not all(map(math.isfinite, sides)):
+            raise ValueError(f"the {self.kind}'s extent is beyond the float range")
+        return self
 
     @property
     def dim(self) -> int:
@@ -161,12 +175,3 @@ class Region:
             for i in range(self.dim)
         ]
         return axes, h
-
-    def grid(self, resolution: int) -> Tuple[List[np.ndarray], np.ndarray, float]:
-        """Cell-center grid of the bounding box.
-
-        Returns (per-axis center coordinates, inside-region mask over the
-        grid with 'ij' indexing, cell width).
-        """
-        axes, h = self.grid_axes(resolution)
-        return axes, self.mask(np.ix_(*axes)), h

@@ -22,7 +22,7 @@ from numpy.random import default_rng
 
 from .catalog import expand
 from .division import DivisionError, series_ratio
-from .nodal import _SLAB_CELLS, _bisect_edges, _refuse_beyond_memory
+from .nodal import _bisect_edges, _refuse_beyond_memory, _slabs
 from .polynomial import Polynomial
 from .regions import Region
 from .reports import VerificationReport
@@ -208,9 +208,9 @@ def max_principle_check(
 
 
 # the peak of harnack_constant (tracemalloc) is that of one block of rows:
-# u, v and f as float64 and a few masks at about _SLAB_CELLS points, 2.5 to
-# 2.8 MB in 2D and 3D (2.5 * 10^5 to 10^6 points).  The grid evaluated whole
-# held 27.0 bytes per point; that bound is kept
+# u, v and f as float64 and a few masks on one slab of ``nodal._slabs``,
+# 2.5 to 2.8 MB in 2D and 3D (2.5 * 10^5 to 10^6 points).  The grid
+# evaluated whole held 27.0 bytes per point; that bound is kept
 HARNACK_POINT_BYTES = 28
 
 
@@ -226,18 +226,16 @@ def harnack_constant(
     so monotone ratios attain their true extremes up to grid resolution.
     Finiteness is the claim being verified; the value itself is reported.
 
-    The grid is evaluated in blocks of axis-0 rows of about
-    ``nodal._SLAB_CELLS`` points each (at least one row), twice: once for
-    the guard scale, the largest |v| inside the whole grid, and once for f,
-    whose extremes and counts each block reduces in place.  So no array
-    spans the grid.  ``BeyondMemory`` refuses a grid that would pass
-    physical memory.
+    The slabs of ``nodal._slabs`` are evaluated twice: once for the guard
+    scale, the largest |v| inside the whole grid, and once for f, whose
+    extremes and counts each slab reduces in place.  So no array spans
+    the grid.  ``BeyondMemory`` refuses a grid that would pass physical
+    memory.
     """
     side = max(int(round(samples ** (1.0 / region.dim))), 1)  # points per axis
     _refuse_beyond_memory("samples", samples, side**region.dim, HARNACK_POINT_BYTES)
     axes = [np.linspace(a, b, side) for a, b in zip(*region.bounding_box())]
-    rows = max(_SLAB_CELLS // side ** (region.dim - 1), 1)
-    blocks = [np.ix_(axes[0][k:k + rows], *axes[1:]) for k in range(0, side, rows)]
+    blocks = [np.ix_(axes[0][sl], *axes[1:]) for sl in _slabs(side, side ** (region.dim - 1))]
     scale = 0.0  # np.maximum, not max: a NaN |v| spreads as in one reduction
     for coords in blocks:
         absv = np.abs(np.broadcast_to(evaluator.v(*coords), np.broadcast(*coords).shape))

@@ -618,7 +618,10 @@ class TestExitTwoInputs:
         ("nodal", "count", "--fn", "rezk:1000", "--ball", "0,0:1", "--res", "64"),
         ("nodal", "critical", "--fn", "paperH", "--ball", "0,0,1e308:0.5", "--grid", "8"),
         ("nodal", "critical", "--fn", "rezk:3", "--ball", "1e300,0:1", "--grid", "8"),
-    ], ids=["count-rezk1000", "critical-paperH-far", "critical-rezk3-far"])
+        ("nodal", "plot", "--fn", "paperH", "--ball", "0,0,1e308:0.5", "--res", "8"),
+        ("nodal", "plot", "--fn", "rezk:3", "--ball", "1e300,0:1", "--res", "8"),
+    ], ids=["count-rezk1000", "critical-paperH-far", "critical-rezk3-far",
+            "plot-paperH-far", "plot-rezk3-far"])
     def test_values_beyond_the_float_range_exit_two(self, tmp_path, capfd, args):
         out = tmp_path / "out"
         assert run(out, *args) == 2
@@ -628,6 +631,44 @@ class TestExitTwoInputs:
         assert captured.err.startswith("error: w or its gradient is not finite on the grid")
         assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("nodal", "count", "--fn", "saddle2d", "--ball", "0,0:1e308", "--res", "8"),
+        ("nodal", "plot", "--fn", "saddle2d", "--box", "-1e308,1e308,0,1", "--res", "8"),
+        ("verify", "harnack", "--pair", "expsin,coshsin", "--ball", "0,0:1e308"),
+    ])
+    def test_region_extent_beyond_the_float_range_exits_two(self, tmp_path, capfd, args):
+        # hi - lo overflows to inf: no grid can be laid over the region
+        out = tmp_path / "out"
+        assert run(out, *args) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""  # no numpy warning either
+        assert captured.err.startswith("error: ")
+        assert "extent is beyond the float range" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_plot_of_a_dimension_without_a_drawing_exits_two(self, tmp_path, capfd, dim):
+        fn = write_poly(tmp_path / "w.poly", Polynomial.variable(dim, 0))
+        center = ",".join(["0"] * dim)
+        out = tmp_path / "out"
+        assert run(out, "nodal", "plot", "--fn", fn, "--ball", f"{center}:1") == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: nodal plot draws functions of dimension 2 or 3, not {dim}\n"
+        assert not out.exists()
+
+    def test_failed_bisection_is_a_failed_check(self, tmp_path, capsys):
+        # w reaches 5e282 on the grid, and no bisected point of degree 1000
+        # comes within 1e-12 of that; the routine's own accuracy check fails
+        assert run(tmp_path, "nodal", "plot", "--fn", "rezk:1000",
+                   "--ball", "0,0:1", "--res", "16") == 1
+        out = capsys.readouterr().out
+        assert out.startswith("zero-set bisection failed: bisection stopped at |w| > 1e-12")
+        report = json.loads((tmp_path / "nodal_plot_report.json").read_text())
+        assert report["passed"] is False and report["error"] == "BisectionError"
+        assert not (tmp_path / "nodal_set.svg").exists()
 
     @pytest.mark.parametrize("name", ["rezk:100000", "imzk:2049"])
     def test_catalog_parameter_beyond_its_bound_exits_two(self, tmp_path, capsys, name):

@@ -77,6 +77,8 @@ CASES = {
     "count-xyz-cube": lambda: nodal_domain_count(XYZ, CUBE, 256),
     "plot-2d": lambda: zero_set_sample(REZK3, DISK, 800),
     "plot-3d": lambda: zero_set_sample(PAPER_H, BALL, 80),
+    # the refined points weigh more per node here than at 80^3
+    "plot-3d-60": lambda: zero_set_sample(PAPER_H, BALL, 60),
     # few seeds: the scan is the peak
     "critical-imzk2-disk": lambda: critical_set_sample(
         catalog_get("imzk:2").polynomial, Region.ball((0.1, 0.2), 0.7), grid=300),
@@ -100,6 +102,27 @@ def test_each_routine_refuses_its_own_peak(monkeypatch, call):
     monkeypatch.setattr(nodal, "_physical_memory", lambda: peak - 1)
     with pytest.raises(BeyondMemory):
         call()
+
+
+# calls that hold one slab of their grid at a time, and few points: the
+# peak stays below 4 bytes per grid unit (34.0 per cell and 17.4 per node
+# when the grid was evaluated whole)
+FLAT = {
+    "critical-imzk2-disk-1000": (lambda: critical_set_sample(
+        catalog_get("imzk:2").polynomial, Region.ball((0.1, 0.2), 0.7), grid=1000), 1000**2),
+    "plot-rezk3-disk-1600": (lambda: zero_set_sample(REZK3, DISK, 1600), 1601**2),
+}
+
+
+@pytest.mark.parametrize("call, units", FLAT.values(), ids=FLAT.keys())
+def test_peak_is_flat_in_the_grid(call, units):
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * units
 
 
 def test_a_refusal_allocates_nothing_first(monkeypatch):

@@ -210,7 +210,8 @@ def assembled(runs, shape):
 
 def shell_oracle(region, resolution):
     """The region's cells minus its erosion by the full 3^dim neighbourhood."""
-    _, mask, _ = region.grid(resolution)
+    axes, _ = region.grid_axes(resolution)
+    mask = region.mask(np.ix_(*axes))
     eroded = ndimage.binary_erosion(mask, np.ones((3,) * mask.ndim), border_value=0)
     return mask & ~eroded
 

@@ -1,4 +1,5 @@
-"""The batched nodal refinements against their one-point-at-a-time forms.
+"""The batched nodal refinements against their one-point-at-a-time forms,
+and the slab scans against their whole-grid forms.
 
 ``reference_gauss_newton`` and ``reference_zero_set`` are the per-seed
 Gauss-Newton and the per-edge bisection that ``critical_set_sample`` and
@@ -6,6 +7,10 @@ Gauss-Newton and the per-edge bisection that ``critical_set_sample`` and
 evaluate w through ``evaluate_array``, one point at a time.  The critical
 points must agree bit for bit.  Bisected points are held to 2 ulp; on the
 cases below they agree bit for bit as well.
+
+``seeds_and_derivatives`` and ``whole_grid_zero_set`` evaluate the whole
+grid at once, as both routines did before they scanned it in slabs; the
+slab scans must give the same seeds, points and segments, bit for bit.
 """
 
 from fractions import Fraction
@@ -14,8 +19,9 @@ import numpy as np
 import pytest
 
 from harmonic_ratios import Polynomial, Region, catalog_get, critical_set_sample
-from harmonic_ratios import zero_set_sample
-from harmonic_ratios.nodal import _bisect_edges, _gauss_newton_critical, _lstsq_stack
+from harmonic_ratios import nodal, zero_set_sample
+from harmonic_ratios.nodal import BisectionError, _bisect_edges, _gauss_newton_critical
+from harmonic_ratios.nodal import _lstsq_stack
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -52,8 +58,9 @@ def reference_gauss_newton(w, grads, hess, x0, iterations=50):
 
 def seeds_and_derivatives(w, region, grid):
     """The seed scan of ``critical_set_sample``."""
-    axes, mask, h = region.grid(grid)
+    axes, h = region.grid_axes(grid)
     coords = np.ix_(*axes)
+    mask = region.mask(coords)
     grads = w.gradient()
     hess = [[g.partial(j) for j in range(w.dim)] for g in grads]
     wv = w.evaluate_array(coords)
@@ -162,6 +169,147 @@ def reference_zero_set(w, region, resolution):
     remap = {old: new for new, old in enumerate(np.flatnonzero(inside))}
     segments = [(remap[a], remap[b]) for a, b in segments if a in remap and b in remap]
     return [p for p, ok in zip(points, inside) if ok], segments
+
+
+def whole_grid_zero_set(w, region, resolution, tol=1e-12):
+    """``zero_set_sample`` on the grid evaluated whole: w at every node."""
+    lo, hi = region.bounding_box()
+    dim = len(lo)
+    n = resolution + 1
+    axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
+    vals = w.evaluate_array(np.ix_(*axes))
+    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    sign = np.sign(vals).astype(np.int8)
+
+    if dim == 2:
+        zero = vals == 0.0
+        change = (sign[:-1] * sign[1:] < 0, sign[:, :-1] * sign[:, 1:] < 0)
+        sides = ((0, 0, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1))
+        has = [
+            zero[di:di + resolution, dj:dj + resolution]
+            | change[axis][di:di + resolution, dj:dj + resolution]
+            for di, dj, axis in sides
+        ]
+        has[3] &= ~zero[:-1, :-1]
+        ci, cj = np.nonzero(has[0] | has[1] | has[2] | has[3])
+        keys = np.full((ci.size, 4), -1)
+        for col, (di, dj, axis) in enumerate(sides):
+            i, j = ci + di, cj + dj
+            key = np.where(zero[i, j], 3 * (i * n + j), 3 * (i * n + j) + 1 + axis)
+            keys[:, col] = np.where(has[col][ci, cj], key, -1)
+        cell, _ = np.nonzero(keys >= 0)
+        uniq, first, inverse = np.unique(
+            keys[keys >= 0], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        point_id = np.empty_like(order)
+        point_id[order] = np.arange(order.size)
+        ids = point_id[inverse]
+        same = cell[1:] == cell[:-1]
+        segs = np.column_stack([ids[:-1][same], ids[1:][same]])
+
+        at, kind = np.divmod(uniq[order], 3)
+        i0, j0 = np.divmod(at, n)
+        pts = np.stack([axes[0][i0], axes[1][j0]])
+        edge = kind > 0
+        i0, j0, kind = i0[edge], j0[edge], kind[edge]
+        ends = np.stack([axes[0][i0 + (kind == 1)], axes[1][j0 + (kind == 2)]])
+        pts[:, edge] = _bisect_edges(w, pts[:, edge], ends, vals[i0, j0])
+    else:
+        a_parts, b_parts, f_parts = [], [], []
+        for axis in range(3):
+            first = [slice(None)] * 3
+            second = [slice(None)] * 3
+            first[axis] = slice(0, -1)
+            second[axis] = slice(1, None)
+            f0 = vals[tuple(first)]
+            idx = np.nonzero(sign[tuple(first)] * sign[tuple(second)] < 0)
+            ends = np.stack([axes[k][idx[k]] for k in range(3)])
+            a_parts.append(ends)
+            ends = ends.copy()
+            ends[axis] = axes[axis][idx[axis] + 1]
+            b_parts.append(ends)
+            f_parts.append(f0[idx])
+        pts = _bisect_edges(
+            w, *(np.concatenate(p, axis=-1) for p in (a_parts, b_parts, f_parts))
+        )
+        segs = np.empty((0, 2), dtype=int)
+
+    miss = np.flatnonzero(np.abs(w.evaluate_array(list(pts))) > tol * scale)
+    if miss.size:
+        raise BisectionError(
+            f"bisection stopped at |w| > {tol:g} * {scale:g} "
+            f"near {pts[:, miss[0]].tolist()}"
+        )
+    inside = region.contains(pts.T)
+    renumber = np.cumsum(inside) - 1
+    segs = renumber[segs[inside[segs].all(axis=1)]]
+    return pts.T[inside].tolist(), [tuple(s) for s in segs.tolist()]
+
+
+# slab budgets: one cell row or node plane per slab, and slabs of several
+# with a shorter last one (the default budget holds each case in one slab)
+BUDGETS = [1, 700, 3000]
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("cells", [None] + BUDGETS)
+    @pytest.mark.parametrize("w, region, resolution", [
+        # x^2 - y^2 is exactly 0 on the nodes of the box's diagonals
+        (catalog_get("saddle2d").polynomial, Region.box((-1, -1), (1, 1)), 64),
+        (catalog_get("rezk:3").polynomial, Region.ball((0, 0), 1.0), 80),
+        (catalog_get("imzk:2").polynomial, Region.ball((0.1, 0.2), 0.7), 60),
+        (PAPER_H, Region.ball((0, 0, 0), 1.0), 16),
+        (PAPER_H, Region.box((-1, -1, -1), (1, 1, 1)), 13),
+        # zero on the three coordinate planes, which cut many slabs
+        (X3 * Y3 * Z3, Region.box((-1, -1, -1), (1, 1, 1)), 21),
+        (X3 * Y3 * Z3, Region.box((-1, -0.8, -0.9), (1, 1.1, 0.7)), 20),
+    ])
+    def test_zero_set_equals_whole_grid(self, monkeypatch, cells, w, region, resolution):
+        if cells is not None:
+            monkeypatch.setattr(nodal, "_SLAB_CELLS", cells)
+        points, segments = zero_set_sample(w, region, resolution)
+        assert points
+        assert (points, segments) == whole_grid_zero_set(w, region, resolution)
+
+    def test_bisection_error_follows_the_last_slab(self, monkeypatch):
+        # the check runs after the last slab, against the largest |w| of all
+        # slabs, here 100.02 near x = 0, in a middle slab; a negative
+        # tolerance fails every point, and the message names the scale
+        w = catalog_get("rezk:3").polynomial + Polynomial.constant(2, 100) - X * X * 100
+        region = Region.box((-1, -1), (1.2, 1))
+        monkeypatch.setattr(nodal, "_SLAB_CELLS", 100)
+        with pytest.raises(BisectionError) as got:
+            zero_set_sample(w, region, 40, tol=-1.0)
+        with pytest.raises(BisectionError) as expected:
+            whole_grid_zero_set(w, region, 40, tol=-1.0)
+        assert str(got.value) == str(expected.value)
+        assert "* 100.02 near" in str(got.value)
+
+    @pytest.mark.parametrize("cells", BUDGETS)
+    @pytest.mark.parametrize("w, region, grid", [
+        (PAPER_H, Region.ball((0, 0, 0), 1.0), 20),
+        (PAPER_H, Region.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5)), 16),
+        (catalog_get("imzk:2").polynomial, Region.ball((0.1, 0.2), 0.7), 100),
+        (catalog_get("rezk:5").polynomial, Region.ball((0, 0), 1.0), 60),
+        (X3 * Y3 * Z3, Region.ball((0, 0, 0), 1.0), 8),
+    ])
+    def test_critical_seeds_equal_whole_grid(self, monkeypatch, cells, w, region, grid):
+        monkeypatch.setattr(nodal, "_SLAB_CELLS", cells)
+        refined = []
+
+        def recording(w, grads, hess, seeds):
+            refined.append(seeds)
+            return _gauss_newton_critical(w, grads, hess, seeds)
+
+        monkeypatch.setattr(nodal, "_gauss_newton_critical", recording)
+        report = critical_set_sample(w, region, grid=grid)
+        expected = seeds_and_derivatives(w, region, grid)[0]
+        assert len(refined) == 1 and len(expected)
+        assert refined[0].shape == expected.shape
+        assert refined[0].tobytes() == expected.tobytes()
+        monkeypatch.undo()
+        assert report.to_dict() == critical_set_sample(w, region, grid=grid).to_dict()
 
 
 class TestBatchedGaussNewton:

@@ -30,6 +30,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Region.box(lo, hi)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Region.ball((0, 0), 1e308),
+        lambda: Region.ball((float("inf"), 0), 1.0),
+        lambda: Region.ball((0, 0), float("inf")),
+        lambda: Region.box((-1e308, 0), (1e308, 1)),
+        lambda: Region.box((0, float("-inf")), (1, 0)),
+        lambda: Region.annulus((0, 0, 0), 0.5, 1e308),
+        lambda: Region.annulus((0, float("nan")), 0.5, 1.0),
+    ])
+    def test_extent_beyond_the_float_range(self, recwarn, make):
+        with pytest.raises(ValueError, match="extent is beyond the float range"):
+            make()
+        assert not recwarn.list  # no numpy overflow warning on the way
+
+    def test_finite_degenerate_extent_is_kept(self):
+        # the z side rounds to 0 that far out; scans report the values there
+        lo, hi = Region.ball((0, 0, 1e308), 0.5).bounding_box()
+        assert lo[2] == hi[2] == 1e308
+
     def test_bad_annulus(self):
         with pytest.raises(ValueError):
             Region.annulus((0, 0), 2.0, 1.0)
@@ -74,7 +93,8 @@ class TestMask:
     @pytest.mark.parametrize("region", REGIONS, ids=lambda r: f"{r.kind}{r.dim}")
     @pytest.mark.parametrize("resolution", [1, 8, 33])
     def test_grid_mask_matches_norm_rule(self, region, resolution):
-        axes, mask, _ = region.grid(resolution)
+        axes, _ = region.grid_axes(resolution)
+        mask = region.mask(np.ix_(*axes))
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.column_stack([m.ravel() for m in mesh])
         assert mask.shape == (resolution,) * region.dim
@@ -150,11 +170,6 @@ class TestGrids:
         axes, h = Region.box((0, 0), (1, 1)).grid_axes(4)
         assert h == 0.25
         assert np.allclose(axes[0], [0.125, 0.375, 0.625, 0.875])
-
-    def test_grid_mask(self):
-        axes, mask, h = Region.ball((0, 0), 1.0).grid(8)
-        assert mask.shape == (8, 8)
-        assert mask[4, 4] and not mask[0, 0]
 
 
 class TestBoxBoundary3D:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import harmonic_ratios.nodal as nodal_module
 import harmonic_ratios.verify as verify_module
 from harmonic_ratios import (
     Polynomial,
@@ -336,7 +337,7 @@ class TestMeshPath:
     @pytest.mark.parametrize("cells", [1, 100])
     @pytest.mark.parametrize("make, region, samples", MESH_CASES)
     def test_blocks_equal_point_list(self, monkeypatch, cells, make, region, samples):
-        monkeypatch.setattr(verify_module, "_SLAB_CELLS", cells)
+        monkeypatch.setattr(nodal_module, "_SLAB_CELLS", cells)
         _, _, _, report, counts = _point_list_harnack(make(), region, samples)
         got = harnack_constant(make(), region, samples)
         assert got.extremes == report and got.samples == counts
