@@ -321,14 +321,15 @@ def _classify_curve_points(
 
 # the peak of ``nodal_domain_count`` (tracemalloc) is at most
 # COUNT_PLANE_BYTES per cell of an axis-0 plane or of a slab, whichever is
-# larger: a slab's arrays and the runs of each sign, a few per grid row,
-# while they are joined.  No array spans the grid; COUNT_CELL_BYTES, the
-# byte per cell of the sign grid once held, is kept as a margin.  rezk:3
+# larger (of the one row in 1D, which is one slab): a slab's arrays and the
+# runs of each sign, a few per grid row, while they are joined.  No array
+# spans the grid; COUNT_CELL_BYTES, the byte per cell of the sign grid once
+# held, is kept as a margin.  rezk:3
 # and rezk:12 in the unit disk peak at 63 to 64 bytes per slab cell (1000^2
 # to 3000^2 cells), the freed block of eight floats per slab cell that
 # tracemalloc counts; paperH holds 137 per plane cell in a ball, 212 in a
 # cube of side 1 and 274 in one of side 2, and x y z, two runs per row, 234
-# (256^3)
+# (256^3); x^3 - x/4 in 1D 42 per cell of its row (10^6 cells)
 COUNT_CELL_BYTES = 1
 COUNT_PLANE_BYTES = 340
 
@@ -344,18 +345,18 @@ def _sign_grid(
     neighbourhood leaves the region or the grid).
 
     A cell is signed when it lies in the region and |w| at its center
-    exceeds both the absolute detection threshold ``band_rel * max |w|``
-    and sqrt(dim) * h * |grad w|.  The gradient term marks cells the zero
-    set may cross, which is what prevents same-sign bridges where many
+    exceeds both ``band_rel`` times the largest |w| at a cell center in the
+    region and sqrt(dim) * h * |grad w|.  The gradient term marks cells the
+    zero set may cross, which is what prevents same-sign bridges where many
     nodal sectors meet at a deep zero.
 
     w, its gradient and the region mask are evaluated on the open mesh of
     the cell-center axes, each point once, one slab of whole axis-0 planes
     at a time: as many planes as fit in ``_SLAB_CELLS`` cells, and at least
     one (in 1D the one row).  Each slab hands over its runs and keeps no
-    sign, so the arrays of every dimension hold about
-    max(``_SLAB_CELLS``, resolution^(dim-1)) cells, reused from slab to
-    slab, beside the runs.  A slab signed before the largest |w| was seen
+    sign, so each array, fresh on every slab, holds about
+    max(``_SLAB_CELLS``, resolution^(dim-1)) cells (resolution in 1D),
+    beside the runs.  A slab signed before the largest |w| was seen
     is signed again against the final threshold only if one of its signed
     cells may lie inside it.  Raises ``NonFiniteValues`` once w or its
     gradient overflows on a slab, or a slab's largest |w| is not finite.
@@ -367,17 +368,13 @@ def _sign_grid(
     plane = resolution ** (dim - 1)
     slabs = _slabs(resolution, plane) if dim > 1 else [slice(0, resolution)]  # whole runs
     beyond = np.zeros((1,) + (resolution,) * (dim - 1), dtype=bool)  # a row past the grid
-    # one slab's buffers, kept across slabs; the last slab may be shorter
-    cells = (slabs[0].stop - slabs[0].start) * plane
     # a freed block of eight slabs' floats raises glibc's heap trim threshold
     # to twice its size, so the slabs' temporaries stay in the heap instead
     # of being handed back and faulted in again after every slab: paperH at
     # 256^3 took about 30k minor page faults on a process's first count
-    # without it, under 3k with it
-    np.empty(8 * cells)
-    band = np.empty(cells)
-    pos, neg = np.empty(cells, dtype=bool), np.empty(cells, dtype=bool)
-    edge = np.empty((cells // resolution, resolution + 1), dtype=bool)
+    # without it, under 3k with it.  One slab gains nothing from it
+    if len(slabs) > 1:
+        np.empty(8 * (slabs[0].stop - slabs[0].start) * plane)
 
     @functools.lru_cache(maxsize=3)  # a slab's window reads three slabs
     def inside(i: int) -> np.ndarray:
@@ -397,32 +394,31 @@ def _sign_grid(
         sl = slabs[i]
         window = np.concatenate([inside(i - 1)[-1:], inside(i), inside(i + 1)[:1]])
         coords = np.ix_(axes[0][sl], *axes[1:])
-        n = (sl.stop - sl.start) * plane
-        b, p, q = (a[:n].reshape(window[1:-1].shape) for a in (band, pos, neg))
         with _finite_floats():
             vals = w.evaluate_array(coords)
-            for k, g in enumerate(grads):  # |grad w|^2, then the band, in b
+            band = grads[0].evaluate_array(coords)
+            band *= band
+            for g in grads[1:]:  # |grad w|^2, then the band, in band
                 sq = g.evaluate_array(coords)
-                np.multiply(sq, sq, out=sq if k else b)
-                if k:
-                    b += sq
-            np.sqrt(b, out=b)
-        b *= safety * h
-        np.less(vals, 0, out=q)
+                sq *= sq
+                band += sq
+            np.sqrt(band, out=band)
+        band *= safety * h
+        neg = vals < 0
         absv = np.abs(vals, out=vals)
-        largest = float(np.max(absv))
+        largest = float(np.max(absv, where=window[1:-1], initial=0.0))
         if not math.isfinite(largest):
             raise NonFiniteValues("w")
         scale = max(scale, largest)
-        np.maximum(b, band_rel * scale, out=b)
+        np.maximum(band, band_rel * scale, out=band)
         # band >= 0, so a cell is signed when |w| > band, with the sign of w
-        np.greater(absv, b, out=p)
-        p &= window[1:-1]
-        least[i] = float(np.min(absv, where=p, initial=np.inf))
-        q &= p
-        p ^= q  # the positive cells
+        pos = absv > band
+        pos &= window[1:-1]
+        least[i] = float(np.min(absv, where=pos, initial=np.inf))
+        neg &= pos
+        pos ^= neg  # the positive cells
         shell = _shell_indices(window)
-        runs[i] = [_runs(m, shell, edge, sl.start * plane) for m in (p, q)]
+        runs[i] = [_runs(m, shell, sl.start * plane) for m in (pos, neg)]
     return [tuple(map(np.concatenate, zip(*(slab[s] for slab in runs)))) for s in (0, 1)]
 
 
@@ -441,17 +437,16 @@ def _shell_indices(window: np.ndarray) -> np.ndarray:
     return np.flatnonzero(window[1:-1] & ~core)
 
 
-def _runs(mask: np.ndarray, shell: np.ndarray, edge: np.ndarray,
+def _runs(mask: np.ndarray, shell: np.ndarray,
           offset: int = 0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The runs of ``mask``, maximal rows of its True cells along the last
     axis: the flat indices of their first and last cells plus ``offset``,
     both increasing, and whether each holds a cell of ``shell`` (flat
-    indices into ``mask``).  ``edge`` is a bool buffer of at least one row
-    of ``mask.shape[-1] + 1`` per row of ``mask``.
+    indices into ``mask``).
     """
     width = mask.shape[-1]
     rows = mask.reshape(-1, width)
-    e = edge[:len(rows)]
+    e = np.empty((len(rows), width + 1), dtype=bool)
     # a run of row r from column i to j flips the padded row at i and
     # j + 1, that is at flat indices r * (width + 1) + i and + j + 1
     e[:, 0] = rows[:, 0]
@@ -482,19 +477,22 @@ def nodal_domain_count(
     shell of the region (a cell whose neighbourhood leaves the region or
     the grid): by the maximum principle no nodal domain lies compactly
     inside the region, so an enclosed component is a fragment the band
-    cut off.  Every component counts for other w.
+    cut off.  Every component counts for other w.  ``band_rel`` scales
+    the region's largest |w|, not its bounding box's (see ``_sign_grid``).
 
     Components are found among runs of same-sign cells along the last axis
     (see ``label``), not cell by cell, and no array spans the grid.
     Memory: the float values of w and its gradient and a few masks on one
-    slab of ``_SLAB_CELLS`` cells (or one axis-0 plane, if larger) while
-    the slabs are signed (``_sign_grid``), and a few dozen bytes per run,
-    a few hundred per run of one sign while they are joined; paperH in the
-    ball of radius 0.5 at resolution 512 has 0.3 million runs and peaks at
-    about 80 MB resident.  ``BeyondMemory`` refuses more.
+    slab of ``_SLAB_CELLS`` cells (or one axis-0 plane, if larger; the one
+    row in 1D) while the slabs are signed (``_sign_grid``), and a few dozen
+    bytes per run, a few hundred per run of one sign while they are joined;
+    paperH in the ball of radius 0.5 at resolution 512 has 0.3 million runs
+    and peaks at about 80 MB resident.  ``BeyondMemory`` refuses more.
     """
+    # a 1D grid is one slab, its one row
+    slab = max(resolution ** (region.dim - 1), _SLAB_CELLS) if region.dim > 1 else resolution
     _refuse_beyond_memory("resolution", resolution, resolution**region.dim, COUNT_CELL_BYTES,
-                          COUNT_PLANE_BYTES * max(resolution ** (region.dim - 1), _SLAB_CELLS))
+                          COUNT_PLANE_BYTES * slab)
     runs = _sign_grid(w, region, resolution, band_rel)
     return _count_domains(runs, (resolution,) * region.dim, w.is_harmonic())
 
@@ -628,12 +626,12 @@ def _bisect_edges(
     return 0.5 * (a + b)
 
 
-# the peak of ``zero_set_sample`` (tracemalloc): w, its signs and its
-# sign-change masks on one slab of ``_slabs``, and the sign-changing edges,
-# the refined points and their lists, which grow with the zero set's size,
-# not with the grid.  Per node: rezk:3 2.1 and imzk:9 5.5 in 2D at 1600^2
-# cells; paperH in a ball 15.4 at 80^3 and 20.4 at 60^3, and 28.8 at 40^3,
-# where its points, about 500 bytes each, pass the bound.  PLOT_NODE_BYTES
+# the peak of ``zero_set_sample`` (tracemalloc): w, its signs, its zero and
+# sign-change masks on one slab of ``_slabs``, and the keys, the refined
+# points and their lists, which grow with the zero set's size, not with the
+# grid.  Per node: rezk:3 1.9 and imzk:9 4.9 in 2D at 1600^2 cells; paperH
+# in a ball 15.1 at 80^3 and 20.1 at 60^3, and 27.7 at 40^3, where its
+# points, about 500 bytes each, pass the bound.  PLOT_NODE_BYTES
 # is the bound of the whole grid's arrays (17.5 to 23.7 bytes per node),
 # kept as an upper bound: a tighter one would start the plot of paperH at
 # resolution 1500 that CI expects refused
@@ -652,17 +650,18 @@ def zero_set_sample(
 ) -> Tuple[List[List[float]], List[Tuple[int, int]]]:
     """Extract the zero level set on a grid.
 
-    Every sign-changing edge of the grid over the region's bounding box is
-    refined by bisection, all edges together, and each refined point must
-    meet |w| <= tol relative to the largest |w| at a node (else
-    ``BisectionError``).  2D: marching squares, where a grid node with w
-    exactly 0 is a point itself; returns (points, segments) where segments
-    index into the point list.  3D: points with no connectivity (a point
-    cloud for dumps).  Only geometry inside the region is returned.  The
-    slabs of ``_slabs`` are evaluated in turn, each with the node plane
-    after it, and hand over their crossings.  Raises ``NonFiniteValues``
-    where w is not finite at a node, and ``BeyondMemory`` for a grid whose
-    nodes at ``PLOT_NODE_BYTES`` each pass physical memory.
+    In 2D and 3D alike, a node of the grid over the region's bounding box
+    where w is exactly 0 is a point, and so is the crossing on every edge
+    where w changes sign, refined by bisection, all edges together; each
+    point must meet |w| <= tol relative to the largest |w| at a node (else
+    ``BisectionError``).  2D: marching squares; returns (points, segments)
+    where segments index into the point list.  3D: a point cloud, no
+    segments: the zero nodes, then the crossings along axes 0, 1 and 2,
+    each in row-major order.  Only geometry inside the region is returned.
+    The slabs of ``_slabs`` are evaluated in turn, each with the node plane
+    after it.  Raises ``NonFiniteValues`` where w is not finite at a node,
+    and ``BeyondMemory`` for a grid whose nodes at ``PLOT_NODE_BYTES`` each
+    pass physical memory.
     """
     lo, hi = region.bounding_box()
     dim = len(lo)
@@ -671,23 +670,29 @@ def zero_set_sample(
     n = resolution + 1
     _refuse_beyond_memory("resolution", resolution, n**dim, PLOT_NODE_BYTES)
     axes = [np.linspace(lo[i], hi[i], n) for i in range(dim)]
+    plane = n ** (dim - 1)
+    # a key names a node where w is 0 (kind 0) or the crossing on the edge
+    # from a node along axis a (kind 1 + a): node + kind * n^dim; each
+    # comes with w at its node
     scale, parts = 0.0, []
-    for sl in _slabs(resolution, n ** (dim - 1)):
+    for sl in _slabs(resolution, plane):
         slab = [axes[0][sl.start:sl.stop + 1], *axes[1:]]
         with _finite_floats():
             vals = w.evaluate_array(np.ix_(*slab))
         scale = np.maximum(scale, np.max(np.abs(vals)))  # a NaN spreads
-        # a sign change is told by signs: the product of two tiny values
-        # underflows to 0
+        # change[axis] marks the nodes whose edge along axis changes sign,
+        # told by signs: the product of two tiny values underflows to 0
         sign = np.sign(vals).astype(np.int8)
+        zero = vals == 0.0
+        change = np.zeros((dim,) + vals.shape, dtype=bool)
+        for axis, out in enumerate(change):  # views with the axis first
+            s = np.moveaxis(sign, axis, 0)
+            np.moveaxis(out, axis, 0)[:-1] = s[:-1] * s[1:] < 0
         if dim == 2:
-            # A side whose first node is a zero of w yields that node (key
-            # 3*node); otherwise a sign change yields its crossing (key
-            # 3*node + 1 + axis); each key comes with w at its node.
+            # each side of a cell yields the node it starts at, if w is 0
+            # there, or else the crossing on it, if w changes sign
             r, c = len(vals) - 1, resolution  # the slab's rows and columns of cells
-            zero = vals == 0.0
-            change = (sign[:-1] * sign[1:] < 0, sign[:, :-1] * sign[:, 1:] < 0)
-            has = [zero[di:di + r, dj:dj + c] | change[axis][di:di + r, dj:dj + c]
+            has = [zero[di:di + r, dj:dj + c] | change[axis, di:di + r, dj:dj + c]
                    for di, dj, axis in _SIDES]
             has[3] &= ~zero[:-1, :-1]  # the bottom side already gave that node
             ci, cj = np.nonzero(has[0] | has[1] | has[2] | has[3])
@@ -695,26 +700,26 @@ def zero_set_sample(
             for col, (di, dj, axis) in enumerate(_SIDES):
                 i, j = ci + di, cj + dj
                 node = (sl.start + i) * n + j
-                key = np.where(zero[i, j], 3 * node, 3 * node + 1 + axis)
+                key = np.where(zero[i, j], node, node + (1 + axis) * n**dim)
                 keys[:, col] = np.where(has[col][ci, cj], key, -1)
                 wkey[:, col] = vals[i, j]
             parts.append((keys, wkey))
         else:
-            # the edges along axes 1 and 2 of the node plane after a slab
-            # are the next slab's, but for the last slab's
+            # the node plane after a slab is the next slab's, but for the
+            # last slab's
             planes = len(vals) - (sl.stop < resolution)
-            for axis in range(3):
-                first = [slice(0, planes), slice(None), slice(None)]
-                second = list(first)
-                first[axis], second[axis] = slice(0, -1), slice(1, None)
-                idx = np.nonzero(sign[tuple(first)] * sign[tuple(second)] < 0)
-                a = np.stack([slab[k][idx[k]] for k in range(3)])
-                b = np.stack([slab[k][idx[k] + (k == axis)] for k in range(3)])
-                parts.append((axis, a, b, vals[tuple(first)][idx]))
+            for kind, mask in enumerate([zero, *change]):
+                at = np.flatnonzero(mask[:planes])
+                parts.append((sl.start * plane + at + kind * n**dim, vals.ravel()[at]))
     scale = max(float(scale), 1e-300)
 
+    if dim == 3:
+        # kind-major: the zero nodes, then the crossings along each axis,
+        # each in row-major order; every slab gave one part per kind
+        parts = [part for kind in range(dim + 1) for part in parts[kind::dim + 1]]
+    keys, wkey = (np.concatenate(p) for p in zip(*parts))
+    segs = np.empty((0, 2), dtype=int)
     if dim == 2:
-        keys, wkey = (np.concatenate(p) for p in zip(*parts))
         found = keys >= 0
         # points are numbered by first appearance over the cells in
         # row-major order
@@ -727,19 +732,17 @@ def zero_set_sample(
         # a cell's crossings chain into consecutive segments
         same = cell[1:] == cell[:-1]
         segs = np.column_stack([ids[:-1][same], ids[1:][same]])
+        keys, wkey = uniq[order], wkey[found][first[order]]
 
-        at, kind = np.divmod(uniq[order], 3)
-        i0, j0 = np.divmod(at, n)
-        pts = np.stack([axes[0][i0], axes[1][j0]])
-        edge = kind > 0
-        f0 = wkey[found][first[order]][edge]
-        i0, j0, kind = i0[edge], j0[edge], kind[edge]
-        ends = np.stack([axes[0][i0 + (kind == 1)], axes[1][j0 + (kind == 2)]])
-        pts[:, edge] = _bisect_edges(w, pts[:, edge], ends, f0)
-    else:
-        parts.sort(key=lambda part: part[0])  # stable: the slabs stay in order
-        pts = _bisect_edges(w, *(np.concatenate(p, axis=-1) for p in list(zip(*parts))[1:]))
-        segs = np.empty((0, 2), dtype=int)
+    def nodes(flat):  # the coordinates of nodes, one column each
+        return np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, (n,) * dim))])
+
+    # an edge ends one node further along its axis
+    kind, node = np.divmod(keys, n**dim)
+    edge = kind > 0
+    pts = nodes(node)
+    ends = nodes(node[edge] + n ** (dim - kind[edge]))
+    pts[:, edge] = _bisect_edges(w, pts[:, edge], ends, wkey[edge])
 
     miss = np.flatnonzero(np.abs(w.evaluate_array(list(pts))) > tol * scale)
     if miss.size:

@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,8 @@ from harmonic_ratios.io_formats import (
 )
 from harmonic_ratios import nodal, verify
 from harmonic_ratios.nodal import (
-    COUNT_CELL_BYTES, CRITICAL_CELL_BYTES, CRITICAL_SEED_BYTES, PLOT_NODE_BYTES,
+    COUNT_CELL_BYTES, COUNT_PLANE_BYTES, CRITICAL_CELL_BYTES, CRITICAL_SEED_BYTES,
+    PLOT_NODE_BYTES,
 )
 
 X = Polynomial.variable(2, 0)
@@ -201,6 +203,16 @@ class TestNodal:
         assert run(tmp_path, "nodal", "plot", "--fn", "saddle2d",
                    "--box", "-1,1,-1,1", "--res", "48") == 0
         assert (tmp_path / "nodal_set.svg").exists()
+
+    def test_3d_plot_keeps_the_zero_nodes(self, tmp_path, capsys):
+        # x y z vanishes on node planes only: every point is a zero node
+        x, y, z = (Polynomial.variable(3, i) for i in range(3))
+        fn = write_poly(tmp_path / "xyz.poly", x * y * z)
+        out = tmp_path / "out"
+        assert run(out, "nodal", "plot", "--fn", fn, "--box", "-1,1,-1,1,-1,1",
+                   "--res", "8") == 0
+        assert capsys.readouterr().out.startswith("217 zero points")
+        assert len((out / "nodal_set.csv").read_text().splitlines()) == 1 + 217
 
     def test_missing_region_exits_two(self, tmp_path):
         assert run(tmp_path, "nodal", "count", "--fn", "saddle2d") == 2
@@ -530,6 +542,19 @@ class TestExitTwoInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{points * size} bytes" in err
         assert not list(tmp_path.iterdir())
+
+    def test_1d_count_beyond_physical_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a 1D grid is one slab: its 10^6 cells take about 42 MB at their
+        # peak, far more than the 2^16-cell slab of 2D and 3D grids
+        x = Polynomial.variable(1, 0)
+        fn = write_poly(tmp_path / "w.poly", x * x * x - x.scale(Fraction(1, 4)))
+        monkeypatch.setattr(nodal, "_physical_memory", lambda: 2**26)
+        out = tmp_path / "out"
+        assert run(out, "nodal", "count", "--fn", fn, "--ball", "0:1", "--res", "1e6") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --res 1000000 asks for 1000000 points of 1 byte(s)")
+        assert f"{COUNT_PLANE_BYTES * 10**6} bytes besides" in err
+        assert not out.exists()
 
     def test_seeds_beyond_physical_memory_exit_two(self, tmp_path, capsys, monkeypatch):
         # rezk:12 vanishes to order 12 at the origin, so 64052 of the 90000

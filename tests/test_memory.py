@@ -9,6 +9,7 @@ stay below one byte per unit.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,8 @@ BALL = Region.ball((0, 0, 0), 1.0)
 HALF_CUBE = Region.box((-0.5,) * 3, (0.5,) * 3)
 CUBE = Region.box((-1,) * 3, (1,) * 3)
 XYZ = Polynomial.variable(3, 0) * Polynomial.variable(3, 1) * Polynomial.variable(3, 2)
+X1 = Polynomial.variable(1, 0)
+CUBIC_1D = X1 * X1 * X1 - X1.scale(Fraction(1, 4))
 
 
 def max_check(pair, region, boundary, interior):
@@ -75,6 +78,8 @@ CASES = {
     "count-3d": lambda: nodal_domain_count(PAPER_H, HALF_CUBE, 256),
     # two runs in every grid row, more than paperH's
     "count-xyz-cube": lambda: nodal_domain_count(XYZ, CUBE, 256),
+    # a 1D grid is one slab, its one row
+    "count-1d": lambda: nodal_domain_count(CUBIC_1D, Region.ball((0,), 1.0), 10**6),
     "plot-2d": lambda: zero_set_sample(REZK3, DISK, 800),
     "plot-3d": lambda: zero_set_sample(PAPER_H, BALL, 80),
     # the refined points weigh more per node here than at 80^3

@@ -171,6 +171,12 @@ class TestNodalDomainCount:
         w = X * X + Y * Y - Polynomial.constant(2, Fraction(1, 4))
         assert nodal_domain_count(w, Region.ball((0, 0), 1.0), 128) == 2
 
+    def test_threshold_scales_the_largest_value_in_the_region(self):
+        # |w| <= 1 in the disk and 2^36 at the corners of its box: a
+        # threshold of 1e-10 times the box's largest |w| signs no cell
+        w = catalog_get("rezk:72").polynomial
+        assert nodal_domain_count(w, Region.ball((0, 0), 1.0), 300) == 144
+
 
 def whole_grid_count(signs, shell, harmonic):
     """The domain count from one labelling of the whole sign grid per sign."""
@@ -187,9 +193,7 @@ def whole_grid_count(signs, shell, harmonic):
 def grid_runs(signs, shell):
     """The runs of each sign of a whole sign grid, with their shell flags
     for the sorted flat indices ``shell``, in the form ``_sign_grid`` gives."""
-    width = signs.shape[-1]
-    edge = np.empty((signs.size // width, width + 1), dtype=bool)
-    return [_runs(signs == s, shell, edge) for s in (1, -1)]
+    return [_runs(signs == s, shell) for s in (1, -1)]
 
 
 def count(signs, shell, harmonic):
@@ -356,18 +360,20 @@ class TestChunkedCount:
 
 
 def dense_sign_grid(w, region, resolution, band_rel):
-    """The sign grid computed directly on the full mesh of cell centers."""
+    """The sign grid computed directly on the full mesh of cell centers,
+    against the largest |w| at a cell center in the region."""
     axes, h = region.grid_axes(resolution)
     mesh = np.meshgrid(*axes, indexing="ij")
     vals = w.evaluate_array(mesh)
     gnorm = np.sqrt(sum(g.evaluate_array(mesh) ** 2 for g in w.gradient()))
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
+    pts = np.column_stack([m.ravel() for m in mesh])
+    inside = region.contains(pts).reshape(vals.shape)
+    scale = max(float(np.max(np.abs(vals[inside]), initial=0.0)), 1e-300)
     band = np.maximum(band_rel * scale, np.sqrt(len(axes)) * h * gnorm)
     signs = np.zeros(vals.shape, dtype=np.int8)
     signs[vals > band] = 1
     signs[vals < -band] = -1
-    pts = np.column_stack([m.ravel() for m in mesh])
-    signs[~region.contains(pts).reshape(vals.shape)] = 0
+    signs[~inside] = 0
     return signs
 
 
@@ -448,6 +454,18 @@ class TestZeroSetSample:
         assert points
         values = PAPER_H.evaluate_array(list(np.array(points).T))
         assert np.all(np.abs(values) < 1e-9)
+
+    def test_3d_zero_set_on_node_planes(self):
+        # x y z vanishes on the three coordinate planes through the middle
+        # nodes, 3 * 9^2 - 3 * 9 + 1 = 217 nodes, and changes sign on no edge
+        xyz = math.prod(Polynomial.variable(3, i) for i in range(3))
+        points, segments = zero_set_sample(xyz, Region.box((-1, -1, -1), (1, 1, 1)), 8)
+        assert len(points) == 217 and segments == []
+        assert all(0.0 in p for p in points)
+
+    def test_3d_singular_point_is_a_zero_node(self):
+        points, _ = zero_set_sample(PAPER_H, Region.ball((0, 0, 0), 1.0), 16)
+        assert [0.0, 0.0, 0.0] in points
 
     def test_3d_point_cloud(self):
         points, segments = zero_set_sample(PAPER_H, Region.ball((0, 0, 0), 0.5), 12)

@@ -112,7 +112,8 @@ def reference_bisect(w, p, q, fp):
 
 
 def reference_zero_set(w, region, resolution):
-    """The zero set by a scalar scan: cell by cell in 2D, edge by edge in 3D."""
+    """The zero set by a scalar scan: cell by cell in 2D; in 3D node by node
+    for the nodes where w is exactly 0, then edge by edge."""
     lo, hi = region.bounding_box()
     dim = len(lo)
     n = resolution + 1
@@ -120,6 +121,10 @@ def reference_zero_set(w, region, resolution):
     vals = w.evaluate_array(np.ix_(*axes))
     if dim == 3:
         points = []
+        for ijk in np.argwhere(vals == 0.0):
+            p = np.array([axes[a][ijk[a]] for a in range(3)])
+            if bool(region.contains(p[None, :])[0]):
+                points.append([float(v) for v in p])
         for axis in range(3):
             sl0 = [slice(None)] * 3
             sl1 = [slice(None)] * 3
@@ -216,6 +221,10 @@ def whole_grid_zero_set(w, region, resolution, tol=1e-12):
         ends = np.stack([axes[0][i0 + (kind == 1)], axes[1][j0 + (kind == 2)]])
         pts[:, edge] = _bisect_edges(w, pts[:, edge], ends, vals[i0, j0])
     else:
+        # the nodes where w is exactly 0, in row-major order, then the
+        # crossings along each axis
+        zero = np.nonzero(vals == 0.0)
+        nodes = np.stack([axes[k][zero[k]] for k in range(3)])
         a_parts, b_parts, f_parts = [], [], []
         for axis in range(3):
             first = [slice(None)] * 3
@@ -233,6 +242,7 @@ def whole_grid_zero_set(w, region, resolution, tol=1e-12):
         pts = _bisect_edges(
             w, *(np.concatenate(p, axis=-1) for p in (a_parts, b_parts, f_parts))
         )
+        pts = np.concatenate([nodes, pts], axis=1)
         segs = np.empty((0, 2), dtype=int)
 
     miss = np.flatnonzero(np.abs(w.evaluate_array(list(pts))) > tol * scale)
