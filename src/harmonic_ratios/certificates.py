@@ -103,24 +103,19 @@ def bound_certificate(a, c, r, k: int, n: int) -> BoundCertificate:
         raise ValueError("n must be at least 2")
     a0 = a / c
     A = 2 * a0 * r**k
-    threshold = 1 / (2 * a0 * r**k)
 
-    def product_minus_one(t: int, s: int) -> Fraction:
-        prod = Fraction(1, 1) / (1 - Fraction(1, t))
-        prod *= (Fraction(1) / (1 - Fraction(1, s))) ** (n - 1)
-        return prod - 1
+    def candidate(t: int, s: int) -> BoundCertificate:
+        r1 = t * r
+        return BoundCertificate(a0=a0, r=r, k=k, n=n, A=A, R=(r1,) + (s * r1,) * (n - 1))
 
     t, s = 2, 2
     double_t = True  # r << R1 is prioritized, per the construction recipe
-    while product_minus_one(t, s) > threshold:
+    while (cert := candidate(t, s)).product_slack() < 0:
         if double_t:
             t *= 2
         else:
             s *= 2
         double_t = not double_t
-    r1 = t * r
-    radii = (r1,) + (s * r1,) * (n - 1)
-    cert = BoundCertificate(a0=a0, r=r, k=k, n=n, A=A, R=radii)
     if not cert.is_well_formed():
         raise IllFormedCertificate(f"constructed certificate {cert} is not well formed")
     return cert

@@ -629,7 +629,7 @@ def _bisect_edges(
 # the peak of ``zero_set_sample`` (tracemalloc): w, its signs, its zero and
 # sign-change masks on one slab of ``_slabs``, and the keys, the refined
 # points and their lists, which grow with the zero set's size, not with the
-# grid.  Per node: rezk:3 1.9 and imzk:9 4.9 in 2D at 1600^2 cells; paperH
+# grid.  Per node: rezk:3 1.7 and imzk:9 4.3 in 2D at 1600^2 cells; paperH
 # in a ball 15.1 at 80^3 and 20.1 at 60^3, and 27.7 at 40^3, where its
 # points, about 500 bytes each, pass the bound.  PLOT_NODE_BYTES
 # is the bound of the whole grid's arrays (17.5 to 23.7 bytes per node),
@@ -652,12 +652,14 @@ def zero_set_sample(
 
     In 2D and 3D alike, a node of the grid over the region's bounding box
     where w is exactly 0 is a point, and so is the crossing on every edge
-    where w changes sign, refined by bisection, all edges together; each
-    point must meet |w| <= tol relative to the largest |w| at a node (else
-    ``BisectionError``).  2D: marching squares; returns (points, segments)
-    where segments index into the point list.  3D: a point cloud, no
-    segments: the zero nodes, then the crossings along axes 0, 1 and 2,
-    each in row-major order.  Only geometry inside the region is returned.
+    where w changes sign, refined by bisection, all edges together.  Points
+    come out in one order in every dimension: the zero nodes, then the
+    crossings along axis 0, then those along axis 1 (and 2), each in
+    row-major order.  Only points inside the region are returned, and each
+    of them must meet |w| <= tol relative to the largest |w| at a node
+    (else ``BisectionError``).  2D: marching squares; returns (points,
+    segments) where segments index into the point list.  3D: a point
+    cloud, no segments.
     The slabs of ``_slabs`` are evaluated in turn, each with the node plane
     after it.  Raises ``NonFiniteValues`` where w is not finite at a node,
     and ``BeyondMemory`` for a grid whose nodes at ``PLOT_NODE_BYTES`` each
@@ -674,7 +676,7 @@ def zero_set_sample(
     # a key names a node where w is 0 (kind 0) or the crossing on the edge
     # from a node along axis a (kind 1 + a): node + kind * n^dim; each
     # comes with w at its node
-    scale, parts = 0.0, []
+    scale, parts, sides = 0.0, [], []
     for sl in _slabs(resolution, plane):
         slab = [axes[0][sl.start:sl.stop + 1], *axes[1:]]
         with _finite_floats():
@@ -688,51 +690,42 @@ def zero_set_sample(
         for axis, out in enumerate(change):  # views with the axis first
             s = np.moveaxis(sign, axis, 0)
             np.moveaxis(out, axis, 0)[:-1] = s[:-1] * s[1:] < 0
+        # the node plane after a slab is the next slab's, but for the last
+        # slab's
+        planes = len(vals) - (sl.stop < resolution)
+        for kind, mask in enumerate([zero, *change]):
+            at = np.flatnonzero(mask[:planes])
+            parts.append((sl.start * plane + at + kind * n**dim, vals.ravel()[at]))
         if dim == 2:
-            # each side of a cell yields the node it starts at, if w is 0
+            # each side of a cell names the node it starts at, if w is 0
             # there, or else the crossing on it, if w changes sign
             r, c = len(vals) - 1, resolution  # the slab's rows and columns of cells
             has = [zero[di:di + r, dj:dj + c] | change[axis, di:di + r, dj:dj + c]
                    for di, dj, axis in _SIDES]
             has[3] &= ~zero[:-1, :-1]  # the bottom side already gave that node
             ci, cj = np.nonzero(has[0] | has[1] | has[2] | has[3])
-            keys, wkey = np.full((ci.size, 4), -1), np.empty((ci.size, 4))
+            keys = np.full((ci.size, 4), -1)
             for col, (di, dj, axis) in enumerate(_SIDES):
                 i, j = ci + di, cj + dj
                 node = (sl.start + i) * n + j
                 key = np.where(zero[i, j], node, node + (1 + axis) * n**dim)
                 keys[:, col] = np.where(has[col][ci, cj], key, -1)
-                wkey[:, col] = vals[i, j]
-            parts.append((keys, wkey))
-        else:
-            # the node plane after a slab is the next slab's, but for the
-            # last slab's
-            planes = len(vals) - (sl.stop < resolution)
-            for kind, mask in enumerate([zero, *change]):
-                at = np.flatnonzero(mask[:planes])
-                parts.append((sl.start * plane + at + kind * n**dim, vals.ravel()[at]))
+            sides.append(keys)
     scale = max(float(scale), 1e-300)
 
-    if dim == 3:
-        # kind-major: the zero nodes, then the crossings along each axis,
-        # each in row-major order; every slab gave one part per kind
-        parts = [part for kind in range(dim + 1) for part in parts[kind::dim + 1]]
+    # kind-major: the zero nodes, then the crossings along each axis, each
+    # in row-major order; every slab gave one part per kind, so the keys
+    # increase
+    parts = [part for kind in range(dim + 1) for part in parts[kind::dim + 1]]
     keys, wkey = (np.concatenate(p) for p in zip(*parts))
     segs = np.empty((0, 2), dtype=int)
     if dim == 2:
-        found = keys >= 0
-        # points are numbered by first appearance over the cells in
-        # row-major order
-        cell, _ = np.nonzero(found)
-        uniq, first, inverse = np.unique(keys[found], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        point_id = np.empty_like(order)
-        point_id[order] = np.arange(order.size)
-        ids = point_id[inverse]
-        # a cell's crossings chain into consecutive segments
+        # a cell's points chain into consecutive segments
+        sides = np.concatenate(sides)
+        cell, _ = np.nonzero(sides >= 0)
+        ids = np.searchsorted(keys, sides[sides >= 0])
         same = cell[1:] == cell[:-1]
         segs = np.column_stack([ids[:-1][same], ids[1:][same]])
-        keys, wkey = uniq[order], wkey[found][first[order]]
 
     def nodes(flat):  # the coordinates of nodes, one column each
         return np.stack([ax[i] for ax, i in zip(axes, np.unravel_index(flat, (n,) * dim))])
@@ -744,16 +737,17 @@ def zero_set_sample(
     ends = nodes(node[edge] + n ** (dim - kind[edge]))
     pts[:, edge] = _bisect_edges(w, pts[:, edge], ends, wkey[edge])
 
+    inside = region.contains(pts.T)
+    pts = pts[:, inside]
     miss = np.flatnonzero(np.abs(w.evaluate_array(list(pts))) > tol * scale)
     if miss.size:
         raise BisectionError(
             f"bisection stopped at |w| > {tol:g} * {scale:g} "
             f"near {pts[:, miss[0]].tolist()}"
         )
-    inside = region.contains(pts.T)
     renumber = np.cumsum(inside) - 1
     segs = renumber[segs[inside[segs].all(axis=1)]]
-    return pts.T[inside].tolist(), [tuple(s) for s in segs.tolist()]
+    return pts.T.tolist(), [tuple(s) for s in segs.tolist()]
 
 
 SVG_SIZE = 640

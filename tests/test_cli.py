@@ -687,10 +687,13 @@ class TestExitTwoInputs:
     def test_failed_bisection_is_a_failed_check(self, tmp_path, capsys):
         # w reaches 5e282 on the grid, and no bisected point of degree 1000
         # comes within 1e-12 of that; the routine's own accuracy check fails
+        # on a point that the plot would return, inside the box
         assert run(tmp_path, "nodal", "plot", "--fn", "rezk:1000",
-                   "--ball", "0,0:1", "--res", "16") == 1
+                   "--box", "-1,1,-1,1", "--res", "16") == 1
         out = capsys.readouterr().out
         assert out.startswith("zero-set bisection failed: bisection stopped at |w| > 1e-12")
+        near = json.loads(out.split(" near ")[1].splitlines()[0])
+        assert all(-1.0 <= v <= 1.0 for v in near)
         report = json.loads((tmp_path / "nodal_plot_report.json").read_text())
         assert report["passed"] is False and report["error"] == "BisectionError"
         assert not (tmp_path / "nodal_set.svg").exists()

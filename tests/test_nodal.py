@@ -437,6 +437,51 @@ class TestZeroSetSample:
         points, _ = zero_set_sample(w, Region.box((-1, -1), (1, 1)), 48)
         assert np.all(np.abs(w.evaluate_array(list(np.array(points).T))) < 1e-9)
 
+    def test_far_corner_zero_is_a_point(self):
+        # x^2 - y^2 is exactly 0 at the four corners of the box; the last
+        # node starts no side of a cell, and a path that names nodes by the
+        # sides they start drops (1, 1)
+        points, _ = zero_set_sample(
+            catalog_get("saddle2d").polynomial, Region.box((-1, -1), (1, 1)), 8
+        )
+        assert len(points) == 17
+        assert [1.0, 1.0] in points and [-1.0, -1.0] in points
+
+    @pytest.mark.parametrize("w, kinds", [
+        # x y is 0 on the middle row and column of nodes, and changes sign
+        # on no edge
+        (X * Y, {0}),
+        (catalog_get("rezk:3").polynomial, {0, 1, 2}),
+    ])
+    def test_2d_points_are_kind_major(self, w, kinds):
+        # the nodes where w is exactly 0, then the crossings on edges along
+        # axis 0, then those along axis 1, each group in row-major order
+        axis = np.linspace(-1, 1, 9)
+        points, _ = zero_set_sample(w, Region.box((-1, -1), (1, 1)), 8)
+
+        def key(p):
+            on = [bool(np.any(axis == v)) for v in p]
+            kind = 0 if all(on) else 1 if on[1] else 2
+            return (kind, *(int(np.searchsorted(axis, v, side="right")) for v in p))
+
+        assert points == sorted(points, key=key)
+        assert {key(p)[0] for p in points} == kinds
+
+    def test_2d_zero_nodes_are_row_major(self):
+        axis = np.linspace(-1, 1, 9).tolist()
+        points, _ = zero_set_sample(X * Y, Region.box((-1, -1), (1, 1)), 8)
+        assert points == [[x, y] for x in axis for y in axis if x * y == 0]
+
+    def test_accuracy_is_checked_on_returned_points_only(self):
+        # Re z^40 reaches 2^20 at the box's corners, and points bisected
+        # outside the unit disk miss 1e-12 of that; the plot does not
+        # return them, so they are not checked
+        w = catalog_get("rezk:40").polynomial
+        points, _ = zero_set_sample(w, Region.ball((0, 0), 1.0), 64)
+        assert points
+        assert all(x * x + y * y <= 1.0 for x, y in points)
+        assert np.all(np.abs(w.evaluate_array(list(np.array(points).T))) <= 1e-12 * 2**20)
+
     def test_missed_accuracy_raises(self):
         with pytest.raises(BisectionError):
             zero_set_sample(X * Y, Region.box((-1, -1), (1, 1)), 7, tol=-1.0)

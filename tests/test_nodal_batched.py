@@ -140,27 +140,28 @@ def reference_zero_set(w, region, resolution):
                     points.append([float(v) for v in pt])
         return points, []
 
-    points, segments, edge_point = [], [], {}
+    # a point's key is (kind, i, j): kind 0 for a node where w is 0, 1 +
+    # axis for the crossing on the edge from (i, j) along axis
+    found, segments = {}, []
 
     def crossing(i0, j0, i1, j1, axis):
         f0, f1 = vals[i0, j0], vals[i1, j1]
         if f0 == 0.0:
-            key = (i0, j0, -1)
+            key = (0, i0, j0)
         elif f0 * f1 < 0:
-            key = (i0, j0, axis)
+            key = (1 + axis, i0, j0)
         else:
             return None
-        if key not in edge_point:
+        if key not in found:
             p = np.array([axes[0][i0], axes[1][j0]])
             q = np.array([axes[0][i1], axes[1][j1]])
             pt = p if f0 == 0.0 else reference_bisect(w, p, q, f0)
-            edge_point[key] = len(points)
-            points.append([float(pt[0]), float(pt[1])])
-        return edge_point[key]
+            found[key] = [float(pt[0]), float(pt[1])]
+        return key
 
     for i in range(resolution):
         for j in range(resolution):
-            ids = [
+            keys = [
                 k for k in (
                     crossing(i, j, i + 1, j, 0),
                     crossing(i + 1, j, i + 1, j + 1, 1),
@@ -168,8 +169,15 @@ def reference_zero_set(w, region, resolution):
                     crossing(i, j, i, j + 1, 1),
                 ) if k is not None
             ]
-            ids = list(dict.fromkeys(ids))
-            segments.extend(zip(ids, ids[1:]))
+            keys = list(dict.fromkeys(keys))
+            segments.extend(zip(keys, keys[1:]))
+    if vals[-1, -1] == 0.0:  # the far corner starts no side of a cell
+        found[(0, resolution, resolution)] = [float(axes[0][-1]), float(axes[1][-1])]
+    # kind-major, then row-major
+    order = sorted(found)
+    point_id = {key: k for k, key in enumerate(order)}
+    points = [found[key] for key in order]
+    segments = [(point_id[a], point_id[b]) for a, b in segments]
     inside = region.contains(np.array(points).reshape(-1, 2))
     remap = {old: new for new, old in enumerate(np.flatnonzero(inside))}
     segments = [(remap[a], remap[b]) for a, b in segments if a in remap and b in remap]
@@ -200,20 +208,21 @@ def whole_grid_zero_set(w, region, resolution, tol=1e-12):
         keys = np.full((ci.size, 4), -1)
         for col, (di, dj, axis) in enumerate(sides):
             i, j = ci + di, cj + dj
-            key = np.where(zero[i, j], 3 * (i * n + j), 3 * (i * n + j) + 1 + axis)
+            node = i * n + j
+            key = np.where(zero[i, j], node, node + (1 + axis) * n * n)
             keys[:, col] = np.where(has[col][ci, cj], key, -1)
+        # the points in key order, kind-major: the zero nodes, then the
+        # crossings along axis 0, then along axis 1; the far corner starts
+        # no side of a cell
+        uniq = np.unique(keys[keys >= 0])
+        if zero[-1, -1]:
+            uniq = np.union1d(uniq, [n * n - 1])
         cell, _ = np.nonzero(keys >= 0)
-        uniq, first, inverse = np.unique(
-            keys[keys >= 0], return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        point_id = np.empty_like(order)
-        point_id[order] = np.arange(order.size)
-        ids = point_id[inverse]
+        ids = np.searchsorted(uniq, keys[keys >= 0])
         same = cell[1:] == cell[:-1]
         segs = np.column_stack([ids[:-1][same], ids[1:][same]])
 
-        at, kind = np.divmod(uniq[order], 3)
+        kind, at = np.divmod(uniq, n * n)
         i0, j0 = np.divmod(at, n)
         pts = np.stack([axes[0][i0], axes[1][j0]])
         edge = kind > 0
