@@ -4,7 +4,9 @@ Every subcommand writes a machine-readable JSON report next to its other
 artifacts and prints a short human summary.  Exit status: 0 when all
 requested checks pass, 1 when a check fails (the report path is printed),
 2 when inputs fail to parse, 3 on any other error (an ``internal error:``
-line on stderr naming the exception; this is a bug).
+line on stderr naming the exception; this is a bug).  Each action of
+``verify``, ``nodal`` and ``catalog`` accepts only the flags it reads (its
+``--help`` lists them): any other flag is a usage error, exit status 2.
 
 The output directory defaults to the ``HARMONIC_RATIOS_OUT`` environment
 variable, then to the current directory.  Runs are deterministic: a fixed
@@ -33,6 +35,7 @@ from .nodal import (
     BeyondMemory,
     BisectionError,
     NonFiniteValues,
+    ZeroFunction,
     critical_set_sample,
     nodal_domain_count,
     write_points_csv,
@@ -105,9 +108,9 @@ def load_series(arg: str) -> Union[TruncatedSeries, _catalog.CatalogEntry]:
 def parse_region(args: argparse.Namespace, dim: int) -> Region:
     """--ball 'cx,cy[,cz]:r' or --box 'x0,x1,y0,y1[,z0,z1]', of dimension
     ``dim``."""
-    if getattr(args, "ball", None) and getattr(args, "box", None):
+    if args.ball and args.box:
         raise CliError("give either --ball or --box, not both")
-    if getattr(args, "ball", None):
+    if args.ball:
         spec = args.ball
         try:
             center_txt, radius_txt = spec.split(":")
@@ -118,7 +121,7 @@ def parse_region(args: argparse.Namespace, dim: int) -> Region:
             region = Region.ball(center, radius)
         except ValueError as exc:
             raise CliError(f"bad --ball spec {spec!r}: {exc}") from exc
-    elif getattr(args, "box", None):
+    elif args.box:
         spec = args.box
         try:
             vals = [float(c) for c in spec.split(",")]
@@ -198,8 +201,6 @@ parse_rational = _flag_type(
 
 
 def _pair(args: argparse.Namespace) -> _catalog.SharedZeroPair:
-    if args.pair is None:
-        raise CliError("--pair is required")
     try:
         u_name, v_name = args.pair.split(",")
     except ValueError as exc:
@@ -282,13 +283,14 @@ def cmd_divide(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     degree = args.degree
-    if args.pair:
+    files = args.numerator, args.denominator
+    if args.pair and not any(files):
         pair = _pair(args)
         u, v = pair.u, pair.v
-    elif args.numerator and args.denominator:
+    elif all(files) and not args.pair:
         u, v = load_series(args.numerator), load_series(args.denominator)
     else:
-        raise CliError("give --pair or both --numerator and --denominator")
+        raise CliError("give either --pair or both --numerator and --denominator")
     u, v = _catalog.expand(u, v, degree)
     if u.dim != v.dim:
         raise CliError(f"the numerator has dimension {u.dim}, the denominator {v.dim}")
@@ -341,12 +343,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.check in ("max", "harnack", "elliptic", "leading"):
+    if args.check != "ortho":
         pair = _pair(args)
-        region = (
-            parse_region(args, pair.u.dimension) if (args.ball or args.box)
-            else pair.region
-        )
+    if args.check in ("max", "harnack", "elliptic"):
+        region = parse_region(args, pair.u.dimension) if args.ball or args.box else pair.region
     if args.check == "max":
         evaluator = RatioEvaluator.for_pair(pair)
         report = max_principle_check(
@@ -363,8 +363,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             evaluator, region, samples=args.samples, floor=args.floor
         )
     elif args.check == "ortho":
-        if args.q is None:
-            raise CliError("verify ortho needs --q")
         q = load_polynomial(args.q)
         if args.q2 == "1":
             q2 = Polynomial.constant(q.dim, 1)
@@ -392,15 +390,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             seed=args.seed,
             min_order=args.min_order,
         )
-    elif args.check == "leading":
-        # u and v each through its vanishing order, so both leading forms
-        # are there
+    else:
+        # leading: u and v each through its vanishing order, so both
+        # leading forms are there
         report = leading_zero_inclusion(
             _catalog.leading_expansion(pair.u), _catalog.leading_expansion(pair.v),
             samples=args.samples, tol=args.tol, seed=args.seed,
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown check {args.check}")
     payload = {"command": f"verify {args.check}", "passed": report.passed}
     payload.update(report.to_dict())
     return _emit(args.out, payload, [report.summary()])
@@ -442,23 +438,21 @@ def cmd_nodal(args: argparse.Namespace) -> int:
             "artifact": art,
         }
         return _emit(args.out, payload, [f"{len(points)} zero points -> {art}"])
-    if args.action == "critical":
-        report = critical_set_sample(
-            w,
-            region,
-            grid=args.grid,
-            tol_value=args.tol,
-            tol_gradient=args.tol,
-        )
-        payload = {"command": "nodal critical", "passed": True}
-        payload.update(report.to_dict())
-        return _emit(
-            args.out,
-            payload,
-            [f"{len(report.critical_points)} critical point(s): "
-             f"{report.critical_points}"],
-        )
-    raise CliError(f"unknown nodal action {args.action}")
+    report = critical_set_sample(
+        w,
+        region,
+        grid=args.grid,
+        tol_value=args.tol,
+        tol_gradient=args.tol,
+    )
+    payload = {"command": "nodal critical", "passed": True}
+    payload.update(report.to_dict())
+    return _emit(
+        args.out,
+        payload,
+        [f"{len(report.critical_points)} critical point(s): "
+         f"{report.critical_points}"],
+    )
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -466,11 +460,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         names = _catalog.catalog_names()
         payload = {"command": "catalog list", "passed": True, "names": names}
         return _emit(args.out, payload, names)
-    if args.action == "dump":
-        manifest = _catalog.manifest(args.degree)
-        payload = {"command": "catalog dump", "passed": True, "entries": manifest}
-        return _emit(args.out, payload, [json.dumps(manifest, indent=2, sort_keys=True)])
-    raise CliError(f"unknown catalog action {args.action}")
+    manifest = _catalog.manifest(args.degree)
+    payload = {"command": "catalog dump", "passed": True, "entries": manifest}
+    return _emit(args.out, payload, [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 # -- parser ---------------------------------------------------------------------
@@ -530,49 +522,56 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-check", type=parse_degree, default=12, help="verification degree"
     )
 
-    p = sub.add_parser("verify", help="numeric property checks on ratio pairs")
-    p.add_argument("check", choices=["max", "harnack", "ortho", "elliptic", "leading"])
-    p.add_argument("--pair", default=None, help="u,v catalog pair")
-    p.add_argument("--ball", default=None, help="cx,cy[,cz]:r")
-    p.add_argument("--box", default=None, help="x0,x1,y0,y1[,z0,z1]")
-    p.add_argument("--samples", type=parse_count, default=10000)
-    p.add_argument("--boundary-samples", type=parse_count, default=4096)
-    p.add_argument("--interior-samples", type=parse_count, default=4096)
-    p.add_argument("--tol", type=parse_tolerance, default=1e-9, help="check tolerance")
-    p.add_argument(
-        "--floor", type=parse_tolerance, default=1e-9, help="harnack zero floor"
-    )
-    p.add_argument("--q", default=None, help="homogeneous harmonic polynomial")
-    p.add_argument("--q2", default="1", help="lower-degree polynomial, or 1")
-    p.add_argument("--radius", type=parse_positive, default=1.0, help="sphere radius")
-    p.add_argument("--h0", type=parse_positive, default=0.05, help="initial grid step")
-    p.add_argument(
-        "--halvings", type=parse_count, default=3, help="step halvings (>= 1)"
-    )
-    p.add_argument(
+    # the flags that several actions share, each declared once
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--pair", required=True, help="u,v catalog pair")
+    fn = argparse.ArgumentParser(add_help=False)
+    fn.add_argument("--fn", required=True, help="polynomial file or catalog name")
+    region = argparse.ArgumentParser(add_help=False)
+    region.add_argument("--ball", default=None, help="cx,cy[,cz]:r")
+    region.add_argument("--box", default=None, help="x0,x1,y0,y1[,z0,z1]")
+
+    checks = sub.add_parser("verify", help="numeric property checks on ratio pairs")
+    checks = checks.add_subparsers(dest="check", required=True)
+    max_ = checks.add_parser("max", parents=[pair, region])
+    harnack = checks.add_parser("harnack", parents=[pair, region])
+    ortho = checks.add_parser("ortho")
+    elliptic = checks.add_parser("elliptic", parents=[pair, region])
+    leading = checks.add_parser("leading", parents=[pair])
+    for p in (harnack, ortho, elliptic, leading):
+        p.add_argument("--samples", type=parse_count, default=10000)
+    max_.add_argument("--boundary-samples", type=parse_count, default=4096)
+    max_.add_argument("--interior-samples", type=parse_count, default=4096)
+    for p in (max_, ortho, leading):
+        p.add_argument("--tol", type=parse_tolerance, default=1e-9, help="check tolerance")
+    harnack.add_argument("--floor", type=parse_tolerance, default=1e-9, help="harnack zero floor")
+    ortho.add_argument("--q", required=True, help="homogeneous harmonic polynomial")
+    ortho.add_argument("--q2", default="1", help="lower-degree polynomial, or 1")
+    ortho.add_argument("--radius", type=parse_positive, default=1.0, help="sphere radius")
+    elliptic.add_argument("--h0", type=parse_positive, default=0.05, help="initial grid step")
+    elliptic.add_argument("--halvings", type=parse_count, default=3, help="step halvings (>= 1)")
+    elliptic.add_argument(
         "--min-order", type=parse_tolerance, default=1.9, help="least decay order"
     )
 
-    p = sub.add_parser("nodal", help="nodal-set plots and analyses")
-    p.add_argument("action", choices=["plot", "count", "critical"])
-    p.add_argument("--fn", required=True, help="polynomial file or catalog name")
-    p.add_argument("--ball", default=None, help="cx,cy[,cz]:r")
-    p.add_argument("--box", default=None, help="x0,x1,y0,y1[,z0,z1]")
-    p.add_argument("--res", type=parse_count, default=256, help="grid resolution")
-    p.add_argument(
-        "--band", type=parse_tolerance, default=1e-10, help="zero-detection band"
-    )
-    p.add_argument(
-        "--grid", type=parse_count, default=24, help="critical-point seed grid"
-    )
-    p.add_argument("--tol", type=parse_tolerance, default=1e-8)
-    p.add_argument(
+    actions = sub.add_parser("nodal", help="nodal-set plots and analyses")
+    actions = actions.add_subparsers(dest="action", required=True)
+    plot = actions.add_parser("plot", parents=[fn, region])
+    count = actions.add_parser("count", parents=[fn, region])
+    critical = actions.add_parser("critical", parents=[fn, region])
+    for p in (plot, count):
+        p.add_argument("--res", type=parse_count, default=256, help="grid resolution")
+    count.add_argument("--band", type=parse_tolerance, default=1e-10, help="zero-detection band")
+    count.add_argument(
         "--expect", type=parse_degree, default=None, help="fail unless the count matches"
     )
+    critical.add_argument("--grid", type=parse_count, default=24, help="critical-point seed grid")
+    critical.add_argument("--tol", type=parse_tolerance, default=1e-8)
 
-    p = sub.add_parser("catalog", help="inspect the built-in catalog")
-    p.add_argument("action", choices=["list", "dump"])
-    p.add_argument(
+    actions = sub.add_parser("catalog", help="inspect the built-in catalog")
+    actions = actions.add_subparsers(dest="action", required=True)
+    actions.add_parser("list")
+    actions.add_parser("dump").add_argument(
         "--degree", type=parse_degree, default=6, help="taylor degree in dumps"
     )
 
@@ -613,10 +612,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ``main`` may be called any number of times in one process: the parser is
     built on the first call only, and ``$HARMONIC_RATIOS_OUT`` is read on
     every call that gives no ``--out``.  Bad input exits 2, among others a
-    ``verify elliptic`` residual that is exactly 0 (no decay order to fit)
-    and a ``nodal`` grid or a ``verify`` sample count whose peak, as the
-    routine that allocates it measures it, is more bytes than the machine's
-    physical memory (``BeyondMemory``, reported with the flag that sized it).
+    flag that the action does not read, a ``nodal`` function that is the
+    zero polynomial, a ``verify elliptic`` residual that is exactly 0 (no
+    decay order to fit) and a ``nodal`` grid or a ``verify`` sample count
+    whose peak, as the routine that allocates it measures it, is more bytes
+    than the machine's physical memory (``BeyondMemory``, reported with the
+    flag that sized it).
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -636,7 +637,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (
         CliError, io.FormatError, CoefficientOverflow, DegenerateRegion,
-        NonFiniteValues, RatioVanishes, ResidualVanishes,
+        NonFiniteValues, RatioVanishes, ResidualVanishes, ZeroFunction,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,11 @@ class BeyondMemory(MemoryError):
         self.name, self.value, self.need = name, value, need
 
 
+class ZeroFunction(ValueError):
+    """w is the zero polynomial: its zero set is the whole region, not the
+    zero set of a nonzero function that the nodal routines describe."""
+
+
 class NonFiniteValues(ArithmeticError):
     """w or its gradient is not finite somewhere on a scanned grid: the
     region or the coefficients are beyond the float range."""
@@ -82,6 +87,11 @@ def _refuse_beyond_memory(name: str, value: int, units: int, size: int, fixed: i
         besides = f", and {fixed} bytes besides" if fixed else ""
         raise BeyondMemory(name, value, f"{what.format(units, size)}, {units * size} bytes"
                            f"{besides}, more than the {memory} bytes of physical memory")
+
+
+def _refuse_zero(w: Polynomial) -> None:
+    if w.is_zero():
+        raise ZeroFunction("w is the zero polynomial: its zero set is the whole region")
 
 
 # points of one slab of a grid scan, one 256^2 plane: the float arrays of
@@ -218,8 +228,9 @@ def critical_set_sample(
     |grad w|, a second the seeds.  Raises ``NonFiniteValues`` when w or
     |grad w| is not finite on the grid, and ``BeyondMemory`` before the
     scan or the refinement of the seeds (at a deep zero most cells near it)
-    would pass physical memory.
+    would pass physical memory, and ``ZeroFunction`` for w = 0.
     """
+    _refuse_zero(w)
     _refuse_beyond_memory("grid", grid, grid**w.dim, CRITICAL_CELL_BYTES)
     axes, h = region.grid_axes(grid)
     slabs = [[axes[0][sl], *axes[1:]] for sl in _slabs(grid, grid ** (w.dim - 1))]
@@ -487,8 +498,10 @@ def nodal_domain_count(
     row in 1D) while the slabs are signed (``_sign_grid``), and a few dozen
     bytes per run, a few hundred per run of one sign while they are joined;
     paperH in the ball of radius 0.5 at resolution 512 has 0.3 million runs
-    and peaks at about 80 MB resident.  ``BeyondMemory`` refuses more.
+    and peaks at about 80 MB resident.  ``BeyondMemory`` refuses more, and
+    ``ZeroFunction`` refuses w = 0.
     """
+    _refuse_zero(w)
     # a 1D grid is one slab, its one row
     slab = max(resolution ** (region.dim - 1), _SLAB_CELLS) if region.dim > 1 else resolution
     _refuse_beyond_memory("resolution", resolution, resolution**region.dim, COUNT_CELL_BYTES,
@@ -626,15 +639,18 @@ def _bisect_edges(
     return 0.5 * (a + b)
 
 
-# the peak of ``zero_set_sample`` (tracemalloc): w, its signs, its zero and
-# sign-change masks on one slab of ``_slabs``, and the keys, the refined
-# points and their lists, which grow with the zero set's size, not with the
-# grid.  Per node: rezk:3 1.7 and imzk:9 4.3 in 2D at 1600^2 cells; paperH
-# in a ball 15.1 at 80^3 and 20.1 at 60^3, and 27.7 at 40^3, where its
-# points, about 500 bytes each, pass the bound.  PLOT_NODE_BYTES
-# is the bound of the whole grid's arrays (17.5 to 23.7 bytes per node),
-# kept as an upper bound: a tighter one would start the plot of paperH at
-# resolution 1500 that CI expects refused
+# the peak of ``zero_set_sample`` (tracemalloc) grows with the zero set's
+# size, not with the grid; w, its signs and masks on one slab of ``_slabs``
+# stay below it.  In 3D the bisection sets it: about 180 bytes per crossing
+# edge (the copies of the edges' ends, the midpoints and w evaluated at
+# them) on top of the 110 to 130 held per edge (the keys, w at them, the
+# points and the far ends).  Per node, paperH in a ball: 27.7 at 40^3,
+# where the edges are dense enough to pass the bound, 20.1 at 60^3, 15.1
+# at 80^3, 11.6 at 100^3 and 5.7 at 200^3.  In 2D the returned lists set
+# it: rezk:3 1.7 and imzk:9 4.3 at 1600^2 cells, 1.2 and 3.2 in the
+# bisection.  PLOT_NODE_BYTES is the bound of the whole grid's arrays (17.5
+# to 23.7 bytes per node), kept as an upper bound: a tighter one would
+# start the plot of paperH at resolution 1500 that CI expects refused
 PLOT_NODE_BYTES = 26
 
 # a grid square's sides in scan order: bottom, right, top, left, given by
@@ -662,9 +678,10 @@ def zero_set_sample(
     cloud, no segments.
     The slabs of ``_slabs`` are evaluated in turn, each with the node plane
     after it.  Raises ``NonFiniteValues`` where w is not finite at a node,
-    and ``BeyondMemory`` for a grid whose nodes at ``PLOT_NODE_BYTES`` each
-    pass physical memory.
+    ``BeyondMemory`` for a grid whose nodes at ``PLOT_NODE_BYTES`` each
+    pass physical memory, and ``ZeroFunction`` for w = 0.
     """
+    _refuse_zero(w)
     lo, hi = region.bounding_box()
     dim = len(lo)
     if dim not in (2, 3):

@@ -586,6 +586,8 @@ class Polynomial:
         c = [Fraction(v) for v in center]
         if len(c) != self.dim:
             raise ValueError("center dimension mismatch")
+        if not any(c):  # x_i + 0 substituted term by term is P itself
+            return Polynomial._from_store(self.dim, *self._store)
         return self._substitute_forms([
             Polynomial.variable(self.dim, i) + Polynomial.constant(self.dim, c[i])
             for i in range(self.dim)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end."""
 
+import argparse
 import json
 import os
 import sys
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from harmonic_ratios import Polynomial, TruncatedSeries, catalog
-from harmonic_ratios.cli import main
+from harmonic_ratios.cli import build_parser, main
 from harmonic_ratios.io_formats import (
     format_polynomial, format_series, parse_polynomial, parse_series,
 )
@@ -109,6 +110,18 @@ class TestSeries:
 
     def test_bad_pair_exits_two(self, tmp_path):
         assert run(tmp_path, "series", "--pair", "expsin", "--degree", "4") == 2
+
+    @pytest.mark.parametrize("files", [
+        ("--numerator", "saddle2d"),
+        ("--denominator", "saddle2d"),
+        ("--numerator", "expsin", "--denominator", "coshsin"),
+    ])
+    def test_pair_with_a_file_flag_exits_two(self, tmp_path, capsys, files):
+        # both input forms at once: neither may be dropped silently
+        assert run(tmp_path, "series", "--pair", "expsin,coshsin", *files,
+                   "--degree", "3") == 2
+        assert capsys.readouterr().err.startswith("error: give either --pair or both")
+        assert not list(tmp_path.iterdir())
 
 
 class TestCertify:
@@ -214,6 +227,20 @@ class TestNodal:
         assert capsys.readouterr().out.startswith("217 zero points")
         assert len((out / "nodal_set.csv").read_text().splitlines()) == 1 + 217
 
+    @pytest.mark.parametrize("action", [
+        ("count",), ("plot", "--res", "64"), ("critical", "--grid", "40"),
+    ])
+    def test_zero_polynomial_exits_two(self, tmp_path, capsys, action):
+        # Z = {w = 0} is the whole box: not a nodal set
+        fn = tmp_path / "zero.poly"
+        fn.write_text("dim 2\n")
+        out = tmp_path / "out"
+        assert run(out, "nodal", action[0], "--fn", str(fn), "--box", "-1,1,-1,1",
+                   *action[1:]) == 2
+        assert capsys.readouterr().err == \
+            "error: w is the zero polynomial: its zero set is the whole region\n"
+        assert not out.exists()
+
     def test_missing_region_exits_two(self, tmp_path):
         assert run(tmp_path, "nodal", "count", "--fn", "saddle2d") == 2
 
@@ -232,6 +259,78 @@ class TestNodal:
                    "--ball", "0,0,0:0.5", *args[1:]) == 2
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+# the flags each action reads, and no more
+ACTION_FLAGS = {
+    ("verify", "max"): {"--pair", "--ball", "--box", "--boundary-samples",
+                        "--interior-samples", "--tol"},
+    ("verify", "harnack"): {"--pair", "--ball", "--box", "--samples", "--floor"},
+    ("verify", "ortho"): {"--q", "--q2", "--radius", "--samples", "--tol"},
+    ("verify", "elliptic"): {"--pair", "--ball", "--box", "--samples", "--h0",
+                             "--halvings", "--min-order"},
+    ("verify", "leading"): {"--pair", "--samples", "--tol"},
+    ("nodal", "count"): {"--fn", "--ball", "--box", "--res", "--band", "--expect"},
+    ("nodal", "plot"): {"--fn", "--ball", "--box", "--res"},
+    ("nodal", "critical"): {"--fn", "--ball", "--box", "--grid", "--tol"},
+    ("catalog", "list"): set(),
+    ("catalog", "dump"): {"--degree"},
+}
+
+# a value each flag accepts where its default is None
+FLAG_VALUES = {"--pair": "expsin,coshsin", "--q": "saddle2d", "--fn": "saddle2d",
+               "--ball": "0,0:1", "--box": "-1,1,-1,1", "--expect": "2"}
+
+
+def action_parsers(command):
+    """The parser of each action of ``command``, by action name."""
+    (parser,) = [a.choices[command] for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    (actions,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions.choices
+
+
+def flag_values(parser):
+    """Each flag of ``parser`` but --help, with a value it accepts."""
+    return {a.option_strings[-1]: FLAG_VALUES.get(a.option_strings[-1], str(a.default))
+            for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+def required_flags(parser):
+    return {a.option_strings[-1] for a in parser._actions if a.required}
+
+
+class TestActionFlags:
+    """Each action of ``verify``, ``nodal`` and ``catalog`` has a parser of
+    its own: a flag that only a sibling action reads is a usage error."""
+
+    @pytest.mark.parametrize("command,action", sorted(ACTION_FLAGS))
+    def test_each_action_declares_the_flags_it_reads(self, command, action):
+        parsers = action_parsers(command)
+        assert sorted(parsers) == sorted(a for c, a in ACTION_FLAGS if c == command)
+        assert set(flag_values(parsers[action])) == ACTION_FLAGS[command, action]
+        # the input flags are required wherever they are declared
+        assert required_flags(parsers[action]) == \
+            {"--pair", "--q", "--fn"} & ACTION_FLAGS[command, action]
+
+    @pytest.mark.parametrize("command,action", sorted(ACTION_FLAGS))
+    def test_a_sibling_flag_exits_two(self, tmp_path, capsys, command, action):
+        parsers = action_parsers(command)
+        own = flag_values(parsers[action])
+        # the required flags, and a region where the action takes one: a
+        # run without it would exit 2 in nodal whatever the other flags
+        base = [command, action]
+        for flag in sorted(required_flags(parsers[action]) | {"--box"} & set(own)):
+            base += [flag, own[flag]]
+        foreign = {flag: value for parser in parsers.values()
+                   for flag, value in flag_values(parser).items() if flag not in own}
+        assert foreign or (command, action) == ("catalog", "dump")
+        for flag, value in sorted(foreign.items()):
+            assert run(tmp_path, *base, flag, value) == 2, flag
+            err = capsys.readouterr().err
+            assert sum("error:" in line for line in err.splitlines()) == 1, err
+            assert f"unrecognized arguments: {flag}" in err
+            assert not list(tmp_path.iterdir())
 
 
 class TestInputValidation:

@@ -519,6 +519,29 @@ class TestZeroSetSample:
         assert np.all(np.abs(PAPER_H.evaluate_array(list(np.array(points).T))) < 1e-9)
 
 
+class TestZeroFunction:
+    """w = 0 has the whole region as its zero set, not a nodal set: every
+    nodal routine refuses it on entry, where else each cell would be a
+    critical point and each node a point of the plot."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("routine", [
+        lambda w, region: nodal_domain_count(w, region, 16),
+        lambda w, region: zero_set_sample(w, region, 16),
+        lambda w, region: critical_set_sample(w, region, grid=8),
+    ], ids=["count", "plot", "critical"])
+    def test_zero_polynomial_is_refused(self, routine, dim):
+        region = Region.ball((0,) * dim, 1.0)
+        with pytest.raises(nodal_module.ZeroFunction, match="zero polynomial"):
+            routine(Polynomial.zero(dim), region)
+
+    def test_nonzero_constant_is_not_refused(self):
+        w, region = Polynomial.constant(2, 1), Region.box((-1, -1), (1, 1))
+        assert nodal_domain_count(w, region, 8) == 1
+        assert zero_set_sample(w, region, 8) == ([], [])
+        assert critical_set_sample(w, region, grid=8).critical_points == []
+
+
 class TestArtifacts:
     def test_svg(self, tmp_path):
         points, segments = zero_set_sample(X * Y, Region.box((-1, -1), (1, 1)), 32)

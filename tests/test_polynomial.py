@@ -316,6 +316,22 @@ class TestSubstitution:
         swapped = (X - Y).compose_linear([[0, 1], [1, 0]])
         assert swapped == Y - X
 
+    def test_zero_shift_substitutes_nothing(self, monkeypatch):
+        # catalog expands every polynomial entry at the origin, where
+        # substituting x_i + 0 term by term took 97% of a rezk:2048 series
+        p = X**3 * Y - Fraction(2, 3) * X + Polynomial.constant(2, 5)
+        calls = []
+        real = Polynomial._substitute_forms
+        monkeypatch.setattr(Polynomial, "_substitute_forms",
+                            lambda self, forms: calls.append(1) or real(self, forms))
+        for center in [(0, 0), (Fraction(0), 0.0)]:
+            shifted = p.shift(center)
+            assert type(shifted) is Polynomial and shifted == p
+        assert Polynomial.zero(2).shift((0, 0)).is_zero()
+        assert calls == []
+        assert p.shift((0, 1)).evaluate((2, 3)) == p.evaluate((2, 4))
+        assert calls
+
 
 class TestHarmonicBasis:
     @pytest.mark.parametrize("dim,degree,count", [
