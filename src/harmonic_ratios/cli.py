@@ -468,8 +468,17 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes each flag only as spelled in full: a report's
+    command line names every flag it rests on.  ``add_subparsers`` builds
+    its sub-parsers of the parser's own class, so they refuse prefixes too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harmonic-ratios",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -523,11 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # the flags that several actions share, each declared once
-    pair = argparse.ArgumentParser(add_help=False)
+    pair = _Parser(add_help=False)
     pair.add_argument("--pair", required=True, help="u,v catalog pair")
-    fn = argparse.ArgumentParser(add_help=False)
+    fn = _Parser(add_help=False)
     fn.add_argument("--fn", required=True, help="polynomial file or catalog name")
-    region = argparse.ArgumentParser(add_help=False)
+    region = _Parser(add_help=False)
     region.add_argument("--ball", default=None, help="cx,cy[,cz]:r")
     region.add_argument("--box", default=None, help="x0,x1,y0,y1[,z0,z1]")
 

@@ -13,7 +13,7 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -78,15 +78,15 @@ def _physical_memory() -> Optional[int]:
     return pages * size if pages > 0 and size > 0 else None
 
 
-def _refuse_beyond_memory(name: str, value: int, units: int, size: int, fixed: int = 0,
-                          what: str = "asks for {} points of {} byte(s) each") -> None:
-    """Raise ``BeyondMemory`` for ``name`` = ``value`` when ``units`` of
-    ``size`` bytes and ``fixed`` more exceed physical memory, if known."""
+def _refuse_beyond_memory(name: str, value: int, units: int, size: int, fixed: int = 0) -> None:
+    """Raise ``BeyondMemory`` for ``name`` = ``value`` when ``units`` points of
+    ``size`` bytes and ``fixed`` bytes besides exceed physical memory, if known."""
     memory = _physical_memory()
     if memory is not None and units * size + fixed > memory:
         besides = f", and {fixed} bytes besides" if fixed else ""
-        raise BeyondMemory(name, value, f"{what.format(units, size)}, {units * size} bytes"
-                           f"{besides}, more than the {memory} bytes of physical memory")
+        raise BeyondMemory(name, value, f"asks for {units} points of {size} byte(s) each, "
+                           f"{units * size} bytes{besides}, more than the {memory} bytes "
+                           "of physical memory")
 
 
 def _refuse_zero(w: Polynomial) -> None:
@@ -99,11 +99,12 @@ def _refuse_zero(w: Polynomial) -> None:
 _SLAB_CELLS = 2**16
 
 
-def _slabs(count: int, plane: int) -> List[slice]:
+def _slabs(count: int, plane: int) -> Iterator[slice]:
     """The slabs of ``count`` axis-0 planes of ``plane`` points each, in order:
-    runs of whole planes, as many as fit in ``_SLAB_CELLS`` points, at least one."""
+    runs of whole planes, as many as fit in ``_SLAB_CELLS`` points, at least
+    one.  Lazy: the first slab, the largest, is cut without the others."""
     rows = max(_SLAB_CELLS // plane, 1)
-    return [slice(k, min(k + rows, count)) for k in range(0, count, rows)]
+    return (slice(k, min(k + rows, count)) for k in range(0, count, rows))
 
 
 def depth_of_zero(w: Polynomial, x: Sequence) -> int:
@@ -192,15 +193,18 @@ def _gauss_newton_critical(
 
 
 # the peak of ``critical_set_sample`` (tracemalloc) is that of its scan or
-# that of its Gauss-Newton stage.  The scan holds |w|, |grad w|, the squared
-# gradient components and masks on one slab of ``_slabs``, and the seeds: 1.7
-# MB for imzk:2 in a disk at grid 1000 (1.7 bytes per cell), 1.6 MB for
-# paperH in a cube at grid 48.  The Gauss-Newton stage holds the lstsq
-# stack of every seed still iterating and the arrays of its step: 285 bytes
-# per seed in 2D (rezk:5, grid 100), 454 to 456 in 3D (paperH in a ball,
-# grids 32 and 48).  CRITICAL_CELL_BYTES is the 34.0 to 34.7 bytes per cell
-# that the scan of the whole grid held, kept as an upper bound: a tighter
-# one would start the scan of paperH at grid 1000 that CI expects refused
+# that of the Gauss-Newton stage of one slab's seeds.  The scan holds |w|,
+# |grad w|, the squared gradient components and masks on one slab of
+# ``_slabs``: 1.7 MB for imzk:2 in a disk at grid 1000 (1.7 bytes per cell),
+# 1.6 MB for paperH in a cube at grid 48.  The Gauss-Newton stage holds the
+# lstsq stack of every seed of the slab still iterating and the arrays of
+# its step: 285 bytes per seed in 2D (rezk:5, grid 100), 454 to 456 in 3D
+# (paperH in a ball, grids 32 and 48).  The seeds are not known before the
+# scan, so the one refusal, on entry, counts every cell of the largest slab
+# a seed at CRITICAL_SEED_BYTES per equation.  CRITICAL_CELL_BYTES is the
+# 34.0 to 34.7 bytes per cell that the scan of the whole grid held, kept as
+# an upper bound: a tighter one would start the scan of paperH at grid 1000
+# that CI expects refused
 CRITICAL_CELL_BYTES = 36
 CRITICAL_SEED_BYTES = 120  # per seed and equation, of which there are dim + 1
 
@@ -225,62 +229,62 @@ def critical_set_sample(
     everything else is left unclassified (never "bad").
 
     One pass over the slabs of ``_slabs`` takes the grid's max |w| and max
-    |grad w|, a second the seeds.  Raises ``NonFiniteValues`` when w or
-    |grad w| is not finite on the grid, and ``BeyondMemory`` before the
-    scan or the refinement of the seeds (at a deep zero most cells near it)
-    would pass physical memory, and ``ZeroFunction`` for w = 0.
+    |grad w|.  A second pass finds each slab's seeds and refines them before
+    it scans the next slab, so neither the grid's nor its seeds' arrays are
+    held whole.  Raises ``NonFiniteValues`` when w or |grad w| is not
+    finite on the grid, ``BeyondMemory`` on entry when the scan, with every
+    cell of the largest slab a seed (at a deep zero most cells near it
+    are), would pass physical memory, and ``ZeroFunction`` for w = 0.
     """
     _refuse_zero(w)
-    _refuse_beyond_memory("grid", grid, grid**w.dim, CRITICAL_CELL_BYTES)
+    plane = grid ** (w.dim - 1)
+    # each cell of a slab may be a seed; the first slab is the largest, and
+    # it starts at plane 0
+    _refuse_beyond_memory("grid", grid, grid**w.dim, CRITICAL_CELL_BYTES, CRITICAL_SEED_BYTES
+                          * (w.dim + 1) * next(_slabs(grid, plane)).stop * plane)
     axes, h = region.grid_axes(grid)
-    slabs = [[axes[0][sl], *axes[1:]] for sl in _slabs(grid, grid ** (w.dim - 1))]
     grads = w.gradient()
     hess = [[g.partial(j) for j in range(w.dim)] for g in grads]
 
     # a slab's arrays live in these two calls only, so none is held while
-    # the seeds are refined
-    def scan(slab):
-        coords = np.ix_(*slab)
+    # its seeds are refined
+    def scan(sl):
+        coords = np.ix_(axes[0][sl], *axes[1:])
         with _finite_floats():
             absw = np.abs(w.evaluate_array(coords))
             gnorm = np.sqrt(sum(g.evaluate_array(coords) ** 2 for g in grads))
         return coords, absw, gnorm
 
-    def seeds_in(slab):
-        coords, absw, gnorm = scan(slab)
+    def seeds_in(sl):
+        coords, absw, gnorm = scan(sl)
         seed = region.mask(coords) & (absw <= 2.0 * h * w_scale) & (gnorm <= 2.0 * h * g_scale)
-        return np.column_stack([a[i] for a, i in zip(slab, np.nonzero(seed))])
+        return np.column_stack([a.ravel()[i] for a, i in zip(coords, np.nonzero(seed))])
 
     # one np.max over the slabs' maxima, not a running max: a NaN spreads
-    maxima = np.max([[np.max(a) for a in scan(slab)[1:]] for slab in slabs], axis=0)
+    maxima = np.max([[np.max(a) for a in scan(sl)[1:]] for sl in _slabs(grid, plane)], axis=0)
     w_scale, g_scale = (max(float(m), 1e-300) for m in maxima)
     # Gauss-Newton on values that are not finite would hand LAPACK inf and
     # nan; the maxima tell such values from an infinite coordinate too
     if not math.isfinite(w_scale + g_scale):
         raise NonFiniteValues("w or its gradient")
-    seeds = np.concatenate([seeds_in(slab) for slab in slabs])  # in row-major order
-    _refuse_beyond_memory("grid", grid, len(seeds), CRITICAL_SEED_BYTES * (w.dim + 1),
-                          what="finds {} seeds of {} byte(s) each to refine")
-
-    refined = _gauss_newton_critical(w, grads, hess, seeds)
-    refined = refined[~np.isnan(refined[:, 0])]
-    pc = list(refined.T)
-    val = np.abs(w.evaluate_array(pc))
-    gval = np.linalg.norm(np.stack([g.evaluate_array(pc) for g in grads]), axis=0)
-    ok = ~(val > tol_value * w_scale) & ~(gval > tol_gradient * g_scale)
-    ok &= region.contains(refined)
-    found: List[np.ndarray] = []
-    for x in refined[ok]:
-        if all(np.linalg.norm(x - p) > h / 2 for p in found):
-            found.append(x)
+    seeds, found = 0, []  # the kept points, deduplicated in seed order
+    for sl in _slabs(grid, plane):  # in row-major order
+        refined = _gauss_newton_critical(w, grads, hess, seeds_in(sl))
+        seeds += len(refined)  # a row per seed
+        refined = refined[~np.isnan(refined[:, 0])]
+        pc = list(refined.T)
+        val = np.abs(w.evaluate_array(pc))
+        gval = np.linalg.norm(np.stack([g.evaluate_array(pc) for g in grads]), axis=0)
+        ok = ~(val > tol_value * w_scale) & ~(gval > tol_gradient * g_scale)
+        for x in refined[ok & region.contains(refined)]:
+            if all(np.linalg.norm(x - p) > h / 2 for p in found):
+                found.append(x)
 
     depths: List[Dict[str, object]] = []
     for p in found:
         rat = tuple(Fraction(float(v)).limit_denominator(10**6) for v in p)
-        snapped = tuple(
-            q if abs(float(q) - float(v)) < tol_value else Fraction(float(v))
-            for q, v in zip(rat, p)
-        )
+        snapped = tuple(q if abs(float(q) - float(v)) < tol_value else Fraction(float(v))
+                        for q, v in zip(rat, p))
         try:
             d = depth_of_zero(w, snapped)
             depths.append({"point": [float(v) for v in p], "depth": d})
@@ -295,7 +299,7 @@ def critical_set_sample(
         classifications=classifications,
         tolerance_value=tol_value,
         tolerance_gradient=tol_gradient,
-        notes=f"grid {grid} per axis, {len(seeds)} seeds, spacing {h:.4g}",
+        notes=f"grid {grid} per axis, {seeds} seeds, spacing {h:.4g}",
     )
 
 
@@ -377,7 +381,7 @@ def _sign_grid(
     grads = w.gradient()
     safety = float(np.sqrt(dim))
     plane = resolution ** (dim - 1)
-    slabs = _slabs(resolution, plane) if dim > 1 else [slice(0, resolution)]  # whole runs
+    slabs = list(_slabs(resolution, plane)) if dim > 1 else [slice(0, resolution)]  # whole runs
     beyond = np.zeros((1,) + (resolution,) * (dim - 1), dtype=bool)  # a row past the grid
     # a freed block of eight slabs' floats raises glibc's heap trim threshold
     # to twice its size, so the slabs' temporaries stay in the heap instead
@@ -644,13 +648,17 @@ def _bisect_edges(
 # stay below it.  In 3D the bisection sets it: about 180 bytes per crossing
 # edge (the copies of the edges' ends, the midpoints and w evaluated at
 # them) on top of the 110 to 130 held per edge (the keys, w at them, the
-# points and the far ends).  Per node, paperH in a ball: 27.7 at 40^3,
-# where the edges are dense enough to pass the bound, 20.1 at 60^3, 15.1
-# at 80^3, 11.6 at 100^3 and 5.7 at 200^3.  In 2D the returned lists set
-# it: rezk:3 1.7 and imzk:9 4.3 at 1600^2 cells, 1.2 and 3.2 in the
-# bisection.  PLOT_NODE_BYTES is the bound of the whole grid's arrays (17.5
-# to 23.7 bytes per node), kept as an upper bound: a tighter one would
-# start the plot of paperH at resolution 1500 that CI expects refused
+# points and the far ends).  Per node, paperH in a ball or in a cube (the
+# plot scans the bounding box, so both give one peak): 117.3 at 8^3, 71.3
+# at 16^3, 47.7 at 30^3, 42.5 at 36^3, 27.7 at 40^3 and 28.1 at 48^3, all
+# above this bound, then 20.1 at 60^3, 15.1 at 80^3, 11.6 at 100^3 and 5.7
+# at 200^3; x y z in [-1, 1]^3 84.8 at 8^3 and 20.4 at 48^3.  A grid of up
+# to 39^3 cells is one slab, so only a refusal sized by the points covers
+# small grids.  In 2D the returned lists set it: rezk:3 1.7 and imzk:9 4.3
+# at 1600^2 cells, 1.2 and 3.2 in the bisection.  PLOT_NODE_BYTES is the
+# bound of the whole grid's arrays (17.5 to 23.7 bytes per node), kept as
+# an upper bound for large grids: a tighter one would start the plot of
+# paperH at resolution 1500 that CI expects refused
 PLOT_NODE_BYTES = 26
 
 # a grid square's sides in scan order: bottom, right, top, left, given by

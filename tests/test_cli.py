@@ -302,7 +302,8 @@ def required_flags(parser):
 
 class TestActionFlags:
     """Each action of ``verify``, ``nodal`` and ``catalog`` has a parser of
-    its own: a flag that only a sibling action reads is a usage error."""
+    its own: a flag that only a sibling action reads is a usage error, and
+    so is a flag not spelled in full."""
 
     @pytest.mark.parametrize("command,action", sorted(ACTION_FLAGS))
     def test_each_action_declares_the_flags_it_reads(self, command, action):
@@ -331,6 +332,48 @@ class TestActionFlags:
             assert sum("error:" in line for line in err.splitlines()) == 1, err
             assert f"unrecognized arguments: {flag}" in err
             assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,action", sorted(ACTION_FLAGS))
+    def test_an_abbreviated_flag_exits_two(self, tmp_path, capsys, command, action):
+        parsers = action_parsers(command)
+        own = flag_values(parsers[action])
+        options = [o for a in parsers[action]._actions for o in a.option_strings]
+        base = [command, action]
+        for flag in sorted(required_flags(parsers[action]) | {"--box"} & set(own)):
+            base += [flag, own[flag]]
+        # each flag less its last letter, where that prefix names only it
+        cuts = {flag[:-1]: value for flag, value in own.items()
+                if len(flag) > 3 and sum(o.startswith(flag[:-1]) for o in options) == 1}
+        assert cuts or (command, action) == ("catalog", "list")
+        for cut, value in sorted(cuts.items()):
+            assert run(tmp_path, *base, cut, value) == 2, cut
+            err = capsys.readouterr().err
+            assert sum("error:" in line for line in err.splitlines()) == 1, err
+            assert f"unrecognized arguments: {cut}" in err
+            assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        # argparse takes an unambiguous prefix unless told not to: this
+        # counted at --res 8 and exited 0
+        ("nodal", "count", "--fn", "saddle2d", "--box", "-1,1,-1,1", "--re", "8",
+         "--exp", "4"),
+        ("--se=1", "catalog", "list"),
+    ])
+    def test_a_prefix_is_no_flag(self, tmp_path, capsys, args):
+        assert run(tmp_path, *args) == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        assert "unrecognized arguments: " in err
+        assert not list(tmp_path.iterdir())
+
+    def test_every_parser_refuses_prefixes(self):
+        parsers = [build_parser()]
+        for parser in parsers:  # the list grows by each parser's sub-parsers
+            assert parser.allow_abbrev is False, parser.prog
+            parsers += [sub for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)
+                        for sub in a.choices.values()]
+        assert len(parsers) > len(ACTION_FLAGS)  # the walk reached the actions
 
 
 class TestInputValidation:
@@ -657,17 +700,19 @@ class TestExitTwoInputs:
 
     def test_seeds_beyond_physical_memory_exit_two(self, tmp_path, capsys, monkeypatch):
         # rezk:12 vanishes to order 12 at the origin, so 64052 of the 90000
-        # cells at grid 300 seed a Gauss-Newton refinement: the scan fits in
-        # 8 MiB, the seeds do not
-        cells, seeds, size = 300**2, 64052, CRITICAL_SEED_BYTES * 3
+        # cells at grid 300 seed a Gauss-Newton refinement.  The scan fits in
+        # 8 MiB; the seeds of a slab, up to its 218 planes of 300 cells, do
+        # not, and the refusal comes on entry, before the scan
+        cells, slab, size = 300**2, 218 * 300, CRITICAL_SEED_BYTES * 3
         memory = 2**23
         monkeypatch.setattr(nodal, "_physical_memory", lambda: memory)
-        assert cells * CRITICAL_CELL_BYTES <= memory < seeds * size
+        assert cells * CRITICAL_CELL_BYTES <= memory < slab * size
         assert run(tmp_path, "nodal", "critical", "--fn", "rezk:12",
                    "--ball", "0,0:1", "--grid", "300") == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: --grid 300 finds {seeds} seeds of {size} byte(s)")
-        assert f"{seeds * size} bytes" in err and "internal error" not in err
+        assert err.startswith(f"error: --grid 300 asks for {cells} points of "
+                              f"{CRITICAL_CELL_BYTES} byte(s)")
+        assert f"and {slab * size} bytes besides" in err and "internal error" not in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args, flag, points, size", [

@@ -145,6 +145,22 @@ def test_a_refusal_allocates_nothing_first(monkeypatch):
     assert str(info.value).startswith("samples 1000000000 asks for 1000014129 points")
 
 
+def test_a_critical_refusal_cuts_no_slab_list_first(monkeypatch):
+    # 10^6 slabs of one plane each: the refusal sizes the largest without
+    # the list of all of them
+    monkeypatch.setattr(nodal, "_physical_memory", lambda: 2**33)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BeyondMemory) as info:
+            critical_set_sample(PAPER_H, BALL, grid=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert str(info.value).startswith(f"grid {10**6} asks for {10**18} points")
+    assert f"and {nodal.CRITICAL_SEED_BYTES * 4 * 10**12} bytes besides" in str(info.value)
+
+
 def test_unknown_physical_memory_refuses_nothing(monkeypatch):
     monkeypatch.setattr(nodal, "_physical_memory", lambda: None)
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)

@@ -270,6 +270,26 @@ def whole_grid_zero_set(w, region, resolution, tol=1e-12):
 # with a shorter last one (the default budget holds each case in one slab)
 BUDGETS = [1, 700, 3000]
 
+CRITICAL_CASES = [
+    (PAPER_H, Region.ball((0, 0, 0), 1.0), 20),
+    (PAPER_H, Region.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5)), 16),
+    (catalog_get("imzk:2").polynomial, Region.ball((0.1, 0.2), 0.7), 100),
+    (catalog_get("rezk:5").polynomial, Region.ball((0, 0), 1.0), 60),
+    (X3 * Y3 * Z3, Region.ball((0, 0, 0), 1.0), 8),
+]
+
+
+def recorded_batches(monkeypatch):
+    """The seeds of each ``_gauss_newton_critical`` call, in call order."""
+    batches = []
+
+    def recording(w, grads, hess, seeds):
+        batches.append(seeds)
+        return _gauss_newton_critical(w, grads, hess, seeds)
+
+    monkeypatch.setattr(nodal, "_gauss_newton_critical", recording)
+    return batches
+
 
 class TestSlabs:
     @pytest.mark.parametrize("cells", [None] + BUDGETS)
@@ -306,29 +326,30 @@ class TestSlabs:
         assert "* 100.02 near" in str(got.value)
 
     @pytest.mark.parametrize("cells", BUDGETS)
-    @pytest.mark.parametrize("w, region, grid", [
-        (PAPER_H, Region.ball((0, 0, 0), 1.0), 20),
-        (PAPER_H, Region.box((-0.5, -0.5, -0.5), (0.5, 0.5, 0.5)), 16),
-        (catalog_get("imzk:2").polynomial, Region.ball((0.1, 0.2), 0.7), 100),
-        (catalog_get("rezk:5").polynomial, Region.ball((0, 0), 1.0), 60),
-        (X3 * Y3 * Z3, Region.ball((0, 0, 0), 1.0), 8),
-    ])
+    @pytest.mark.parametrize("w, region, grid", CRITICAL_CASES)
     def test_critical_seeds_equal_whole_grid(self, monkeypatch, cells, w, region, grid):
         monkeypatch.setattr(nodal, "_SLAB_CELLS", cells)
-        refined = []
-
-        def recording(w, grads, hess, seeds):
-            refined.append(seeds)
-            return _gauss_newton_critical(w, grads, hess, seeds)
-
-        monkeypatch.setattr(nodal, "_gauss_newton_critical", recording)
+        batches = recorded_batches(monkeypatch)
         report = critical_set_sample(w, region, grid=grid)
         expected = seeds_and_derivatives(w, region, grid)[0]
-        assert len(refined) == 1 and len(expected)
-        assert refined[0].shape == expected.shape
-        assert refined[0].tobytes() == expected.tobytes()
+        refined = np.concatenate(batches)
+        assert len(expected) and refined.shape == expected.shape
+        assert refined.tobytes() == expected.tobytes()
         monkeypatch.undo()
         assert report.to_dict() == critical_set_sample(w, region, grid=grid).to_dict()
+
+    @pytest.mark.parametrize("cells", BUDGETS)
+    @pytest.mark.parametrize("w, region, grid", CRITICAL_CASES)
+    def test_critical_refines_one_slab_at_a_time(self, monkeypatch, cells, w, region, grid):
+        monkeypatch.setattr(nodal, "_SLAB_CELLS", cells)
+        batches = recorded_batches(monkeypatch)
+        critical_set_sample(w, region, grid=grid)
+        plane = grid ** (w.dim - 1)
+        planes = max(cells // plane, 1)  # whole axis-0 planes per slab
+        assert len(batches) == -(-grid // planes)  # a call per slab
+        for batch in batches:
+            assert len(batch) <= planes * plane
+            assert len(np.unique(batch[:, 0])) <= planes
 
 
 class TestBatchedGaussNewton:
